@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test test-short bench bench-pipeline bench-pipeline-record bench-check bench-fault bench-attack bench-service bench-multicore bench-realbin experiments results examples vet fmt fmtcheck cover race check trace serve serve-fleet serve-smoke faults fault-smoke attacks attack-smoke multicore realbin
+.PHONY: all build test test-short bench bench-pipeline bench-pipeline-record bench-check bench-fault bench-attack bench-service bench-multicore bench-realbin experiments results examples vet fmt fmtcheck cover race check trace serve serve-smoke faults fault-smoke attacks attack-smoke multicore realbin
 
 all: build test
 
@@ -20,11 +20,10 @@ test-short:
 # differential and fuzz-corpus tests), the functional core the block
 # executor calls into, the shared trace cache, the versioned wire format,
 # the vcfrd job queue / worker pool, and the sharded fault-injection
-# campaign runner, and the sharded adversary-in-the-loop attack campaign,
-# the sharded multi-tenant interference campaign, the fleet coordinator, and
-# the content-addressed artifact store.
+# campaign runner, the sharded adversary-in-the-loop attack campaign, and
+# the sharded multi-tenant interference campaign.
 race:
-	$(GO) test -race ./internal/harness ./internal/cpu ./internal/emu ./internal/trace ./internal/results ./internal/server ./internal/fault ./internal/attack ./internal/multicore ./internal/fleet ./internal/artifact
+	$(GO) test -race ./internal/harness ./internal/cpu ./internal/emu ./internal/trace ./internal/results ./internal/server ./internal/fault ./internal/attack ./internal/multicore
 
 # The full pre-commit gate. `test` runs every fuzz corpus as seeds
 # (including the ELF-parser and RV64-decoder corpora under
@@ -80,8 +79,8 @@ bench-fault:
 bench-attack:
 	./scripts/bench_attack.sh
 
-# Service-level load benchmark (cmd/vcfrload) against a single vcfrd and a
-# 1-coordinator + 2-worker fleet, archived as BENCH_service.json.
+# Service-level load benchmark (cmd/vcfrload) against one vcfrd, archived
+# as BENCH_service.json.
 bench-service:
 	./scripts/bench_service.sh
 
@@ -115,15 +114,6 @@ trace:
 serve:
 	$(GO) run ./cmd/vcfrd
 
-# Run a local fleet in the foreground: two workers on fixed ports plus a
-# coordinator on :8080 that shards campaigns across them.
-serve-fleet:
-	$(GO) build -o /tmp/vcfrd ./cmd/vcfrd
-	trap 'kill 0' INT TERM EXIT; \
-	/tmp/vcfrd -addr 127.0.0.1:8081 & \
-	/tmp/vcfrd -addr 127.0.0.1:8082 & \
-	/tmp/vcfrd -addr 127.0.0.1:8080 -coordinator -backends http://127.0.0.1:8081,http://127.0.0.1:8082
-
 # Boot vcfrd, exercise every endpoint, prove simulate output is
 # byte-identical to vcfrsim -stats-json, and drain on SIGTERM.
 serve-smoke:
@@ -133,7 +123,7 @@ serve-smoke:
 faults:
 	$(GO) run ./cmd/faultsim
 
-# Boot vcfrd, run a campaign through POST /v1/faults, prove the stored
+# Boot vcfrd, run a kind=faults job through POST /v1/jobs, prove the stored
 # envelope is byte-identical to faultsim -json, and drain on SIGTERM.
 fault-smoke:
 	./scripts/fault_smoke.sh
@@ -142,7 +132,7 @@ fault-smoke:
 attacks:
 	$(GO) run ./cmd/attacksim
 
-# Boot vcfrd, run a campaign through POST /v1/attacks, prove the stored
+# Boot vcfrd, run a kind=attacks job through POST /v1/jobs, prove the stored
 # envelope is byte-identical to attacksim -json, and drain on SIGTERM.
 attack-smoke:
 	./scripts/attack_smoke.sh

@@ -15,8 +15,8 @@
 //
 // The default invocation is the canonical campaign (three workloads, three
 // modes, three payloads, leak budget 16, re-randomization every 5 leak ops);
-// `experiments -mode attacks` and the vcfrd POST /v1/attacks endpoint run
-// the same campaign and emit byte-identical envelopes with -json.
+// `experiments -mode attacks` and a vcfrd kind=attacks job run the same
+// campaign and emit byte-identical envelopes with -json.
 package main
 
 import (

@@ -13,8 +13,8 @@
 //
 // The default invocation is the canonical campaign (three workloads, three
 // modes, the full fault model, 120 injections per workload x mode cell);
-// `experiments -mode faults` and the vcfrd POST /v1/faults endpoint run the
-// same campaign and emit byte-identical envelopes with -json.
+// `experiments -mode faults` and a vcfrd kind=faults job run the same
+// campaign and emit byte-identical envelopes with -json.
 package main
 
 import (

@@ -1,8 +1,8 @@
-// Command vcfrload load-tests a vcfrd service (single process or
-// coordinator fleet) through the unified /v1/jobs API: it fires a mixed
-// stream of small run/sweep/faults/attacks jobs at the target with bounded
-// concurrency, follows each job to completion, and reports throughput and
-// latency percentiles as JSON — the producer behind BENCH_service.json.
+// Command vcfrload load-tests a vcfrd service through the unified /v1/jobs
+// API: it fires a mixed stream of small run/sweep/faults/attacks jobs at
+// the target with bounded concurrency, follows each job to completion, and
+// reports throughput and latency percentiles as JSON — the producer behind
+// BENCH_service.json.
 //
 // Usage:
 //
@@ -30,7 +30,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"vcfr/internal/fleet"
 	"vcfr/internal/server"
 )
 
@@ -63,7 +62,7 @@ func run() error {
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), *timeout)
 	defer cancel()
-	client := &fleet.Client{Base: strings.TrimRight(*addr, "/"), HTTP: &http.Client{}}
+	client := &client{base: strings.TrimRight(*addr, "/"), http: &http.Client{}}
 
 	var (
 		mu        sync.Mutex
@@ -130,11 +129,11 @@ func run() error {
 // oneJob drives one job start to finish: submit (retrying 429/503 refusals
 // with a short pause — backpressure is the service working as designed, not
 // a failure), follow the event stream, fetch the result.
-func oneJob(ctx context.Context, c *fleet.Client, spec jobSpec, retried *atomic.Uint64) error {
+func oneJob(ctx context.Context, c *client, spec jobSpec, retried *atomic.Uint64) error {
 	var id string
 	var err error
 	for attempt := 0; ; attempt++ {
-		id, err = c.Submit(ctx, spec.kind, spec.req)
+		id, err = c.submit(ctx, spec.kind, spec.req)
 		if err == nil {
 			break
 		}
@@ -149,11 +148,10 @@ func oneJob(ctx context.Context, c *fleet.Client, spec jobSpec, retried *atomic.
 			return ctx.Err()
 		}
 	}
-	if err := c.Wait(ctx, id, nil); err != nil {
+	if err := c.wait(ctx, id); err != nil {
 		return err
 	}
-	_, err = c.Result(ctx, id)
-	return err
+	return c.result(ctx, id)
 }
 
 // buildMix expands "run=8,sweep=1,..." into a weighted round-robin schedule

@@ -11,15 +11,6 @@ import (
 	"vcfr/internal/workloads"
 )
 
-// StatsRow is one (workload, mode) run's complete simulator output: the
-// exact machine configuration that produced it plus the full Result with
-// every cache, DRAM, DRC, and predictor counter.
-//
-// Deprecated: StatsRow is the versioned wire type results.Run; use that
-// package directly. The alias remains so pre-redesign callers keep
-// compiling.
-type StatsRow = results.Run
-
 // statsModes is the fixed mode order of a stats sweep.
 var statsModes = [...]cpu.Mode{cpu.ModeBaseline, cpu.ModeNaiveILR, cpu.ModeVCFR}
 

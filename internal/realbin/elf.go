@@ -167,10 +167,12 @@ func ParseELF(b []byte) (*ELFFile, error) {
 		if memsz == 0 {
 			continue
 		}
-		totalMem += memsz
-		if totalMem > maxMemSize || seg.Vaddr+memsz < seg.Vaddr {
+		// totalMem <= maxMemSize holds on entry, so the subtraction cannot
+		// wrap; summing first could, and a wrapped total would pass.
+		if memsz > maxMemSize-totalMem || seg.Vaddr+memsz < seg.Vaddr {
 			return nil, parseErr("program header", "entry %d: load of %#x bytes at %#x exceeds limits", i, memsz, seg.Vaddr)
 		}
+		totalMem += memsz
 		raw, err := field(b, off, filesz)
 		if err != nil {
 			return nil, parseErr("program header", "entry %d: file range: %v", i, err)

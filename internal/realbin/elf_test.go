@@ -48,6 +48,19 @@ func mangle(patch func(b []byte)) []byte {
 	return b
 }
 
+// totalMemWrap moves the dispatch fixture's second PT_LOAD to vaddr 0 and
+// sizes it so that adding it to the text segment's memsz wraps the 64-bit
+// running total to 0x80: each segment alone stays inside the address space,
+// only the sum overflows.
+func totalMemWrap() []byte {
+	le := binary.LittleEndian
+	return mangle(func(b []byte) {
+		textMem := le.Uint64(b[64+40:])
+		le.PutUint64(b[64+56+16:], 0)            // vaddr
+		le.PutUint64(b[64+56+40:], 0x80-textMem) // memsz = 2^64 - textMem + 0x80
+	})
+}
+
 func TestParseRejects(t *testing.T) {
 	le := binary.LittleEndian
 	tests := []struct {
@@ -65,6 +78,7 @@ func TestParseRejects(t *testing.T) {
 		{"phnum-bomb", mangle(func(b []byte) { le.PutUint16(b[56:], 0xffff) }), "phnum"},
 		{"shnum-bomb", mangle(func(b []byte) { le.PutUint16(b[60:], 0xffff) }), "shnum"},
 		{"memsz-bomb", mangle(func(b []byte) { le.PutUint64(b[64+40:], 1<<40) }), "exceeds limits"},
+		{"total-mem-wrap", totalMemWrap(), "exceeds limits"},
 		{"memsz-lt-filesz", mangle(func(b []byte) { le.PutUint64(b[64+40:], 1) }), "memsz"},
 		{"phoff-outside", mangle(func(b []byte) { le.PutUint64(b[32:], 1<<40) }), "program header"},
 		{"two-exec", mangle(func(b []byte) { le.PutUint32(b[64+56+4:], 4|1) }), "executable"},

@@ -172,6 +172,7 @@ type liftedInst struct {
 type rvSlot struct {
 	inst     RVInst
 	pad      bool // zero word (inter-function padding)
+	paired   bool // first half of an auipc pair pairAUIPC accepted
 	consumed bool // second half of an auipc pair
 	ops      []liftedInst
 	size     int
@@ -356,6 +357,7 @@ func (l *lifter) pairAUIPC() {
 			l.refuse(next.inst.Addr, "branch target splits an auipc pair")
 			continue
 		}
+		s.paired = true
 		next.consumed = true
 	}
 }

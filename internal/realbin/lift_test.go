@@ -215,6 +215,17 @@ func refuseCase(t *testing.T, wantSub string, build func(a *rvasm.Asm)) {
 	}
 }
 
+// trailingAUIPC builds a binary whose text ends in `auipc a0, 0`, an auipc
+// with no successor to pair with, and returns it with the auipc's address.
+func trailingAUIPC() ([]byte, uint64) {
+	a := rvasm.New(0x10000)
+	a.Fn("_start")
+	exitCleanly(a)
+	at := a.PC()
+	a.Fixed(rvasm.EncU(0x17, rvasm.Reg("a0"), 0))
+	return a.Emit("_start"), at
+}
+
 func exitCleanly(a *rvasm.Asm) {
 	a.Li("a0", 0)
 	a.Li("a7", 93)
@@ -239,6 +250,20 @@ func TestRefusals(t *testing.T) {
 			a.Fixed(rvasm.EncU(0x17, rvasm.Reg("t0"), 0)) // auipc t0, 0
 			exitCleanly(a)
 		})
+	})
+	t.Run("trailing-auipc", func(t *testing.T) {
+		data, at := trailingAUIPC()
+		_, err := Load(data, "trailing-auipc")
+		re, ok := err.(*RefuseError)
+		if !ok {
+			t.Fatalf("error %T (%v), want *RefuseError", err, err)
+		}
+		for _, r := range re.Refusals {
+			if r.Addr == at && strings.Contains(r.Reason, "no pairable successor") {
+				return
+			}
+		}
+		t.Errorf("no refusal at the auipc %#x: %v", at, re)
 	})
 	t.Run("jalr-displacement", func(t *testing.T) {
 		refuseCase(t, "displacement", func(a *rvasm.Asm) {

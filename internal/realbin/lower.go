@@ -110,7 +110,10 @@ func (l *lifter) lowerSlot(i int) []liftedInst {
 		if in.Rd == rvZero {
 			return seq(isa.Inst{Op: isa.OpNop}) // landing pad: real, relocatable address
 		}
-		next := l.slots[i+1].inst // pairAUIPC guaranteed the pair
+		if !l.slots[i].paired {
+			return nil // pairAUIPC refused this site; nothing sound to lower
+		}
+		next := l.slots[i+1].inst
 		target := uint64(int64(in.Addr) + in.Imm + next.Imm)
 		if next.Op == rvJALR {
 			if !l.checkTarget(in.Addr, target, "far call") {

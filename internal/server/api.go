@@ -12,7 +12,7 @@ import (
 )
 
 // JobRequest is the body of POST /v1/jobs: the kind discriminator plus the
-// selected kind's parameters (the same fields the per-kind routes accept).
+// selected kind's parameters.
 type JobRequest struct {
 	// Kind selects the computation: run | sweep | faults | attacks | multicore.
 	Kind string `json:"kind"`
@@ -305,40 +305,4 @@ func writeSSE(w io.Writer, event string, data any) {
 		return
 	}
 	fmt.Fprintf(w, "event: %s\ndata: %s\n\n", event, b)
-}
-
-// handleArtifactGet and handleArtifactPut expose the content-addressed
-// artifact store to fleet peers. No store configured, no endpoint.
-func (s *Server) handleArtifactGet(w http.ResponseWriter, r *http.Request) {
-	if s.cfg.Artifacts == nil {
-		writeError(w, http.StatusNotFound, "not_found", "no artifact store configured")
-		return
-	}
-	data, ok := s.cfg.Artifacts.Get(r.PathValue("ns"), r.PathValue("key"))
-	if !ok {
-		writeError(w, http.StatusNotFound, "not_found", "no artifact %s/%s",
-			r.PathValue("ns"), r.PathValue("key"))
-		return
-	}
-	w.Header().Set("Content-Type", "application/octet-stream")
-	_, _ = w.Write(data)
-}
-
-func (s *Server) handleArtifactPut(w http.ResponseWriter, r *http.Request) {
-	if s.cfg.Artifacts == nil {
-		writeError(w, http.StatusNotFound, "not_found", "no artifact store configured")
-		return
-	}
-	// A trace for a long workload runs to tens of MiB; 1 GiB is a generous
-	// sanity bound, not a tuning knob.
-	data, err := io.ReadAll(http.MaxBytesReader(w, r.Body, 1<<30))
-	if err != nil {
-		writeError(w, http.StatusBadRequest, "bad_request", "reading body: %v", err)
-		return
-	}
-	if err := s.cfg.Artifacts.Put(r.PathValue("ns"), r.PathValue("key"), data); err != nil {
-		writeError(w, http.StatusBadRequest, "bad_request", "%v", err)
-		return
-	}
-	w.WriteHeader(http.StatusNoContent)
 }

@@ -4,7 +4,6 @@ import (
 	"bufio"
 	"context"
 	"encoding/json"
-	"fmt"
 	"io"
 	"net/http"
 	"strings"
@@ -12,7 +11,6 @@ import (
 	"testing"
 	"time"
 
-	"vcfr/internal/artifact"
 	"vcfr/internal/results"
 )
 
@@ -46,93 +44,6 @@ func acceptedID(t *testing.T, body []byte) string {
 		t.Fatalf("bad 202 body: %s", body)
 	}
 	return acc.ID
-}
-
-// TestJobsUnifiedVsAliases is the api_redesign acceptance test: every kind
-// submits through POST /v1/jobs, and for each kind with a legacy route the
-// result bytes are identical to the legacy submission's — the aliases are
-// thin shims over one submission path, not parallel implementations. The
-// aliases also announce their deprecation.
-func TestJobsUnifiedVsAliases(t *testing.T) {
-	s := startServer(t, Config{Workers: 2, QueueDepth: 16})
-
-	cases := []struct {
-		kind  string
-		alias string // "" = no async alias (run compares against /v1/simulate)
-		body  string
-	}{
-		{"run", "", `{"workload": "bzip2", "mode": "vcfr", "instructions": 5000}`},
-		{"sweep", "/v1/sweep", `{"workloads": ["bzip2"], "instructions": 5000}`},
-		{"faults", "/v1/faults", `{"workloads": ["bzip2"], "mode": "vcfr", "injections": 4, "instructions": 5000}`},
-		{"attacks", "/v1/attacks", `{"workloads": ["bzip2"], "mode": "vcfr", "max_leaks": 4, "advance_insts": 500, "instructions": 5000}`},
-	}
-	for _, tc := range cases {
-		t.Run(tc.kind, func(t *testing.T) {
-			resp, body := post(t, s, "/v1/jobs", fmt.Sprintf(`{"kind": %q, %s`, tc.kind, tc.body[1:]))
-			if resp.StatusCode != http.StatusAccepted {
-				t.Fatalf("POST /v1/jobs: %d: %s", resp.StatusCode, body)
-			}
-			id := acceptedID(t, body)
-			v := pollJob(t, s, id)
-			if v.State != JobDone {
-				t.Fatalf("unified %s job failed: %s", tc.kind, v.Error)
-			}
-			// The byte-identity surface is /result, which writes the stored
-			// envelope verbatim (the job view embeds it as a JSON value,
-			// which re-encodes).
-			rresp, unified := get(t, s, "/v1/jobs/"+id+"/result")
-			if rresp.StatusCode != http.StatusOK {
-				t.Fatalf("result: %d: %s", rresp.StatusCode, unified)
-			}
-
-			var legacy []byte
-			if tc.alias == "" {
-				resp, legacy = post(t, s, "/v1/simulate", tc.body)
-				if resp.StatusCode != http.StatusOK {
-					t.Fatalf("POST /v1/simulate: %d: %s", resp.StatusCode, legacy)
-				}
-			} else {
-				resp, body = post(t, s, tc.alias, tc.body)
-				if resp.StatusCode != http.StatusAccepted {
-					t.Fatalf("POST %s: %d: %s", tc.alias, resp.StatusCode, body)
-				}
-				if resp.Header.Get("Deprecation") == "" {
-					t.Errorf("%s: no Deprecation header", tc.alias)
-				}
-				if link := resp.Header.Get("Link"); !strings.Contains(link, "/v1/jobs") {
-					t.Errorf("%s: Link = %q, want successor-version /v1/jobs", tc.alias, link)
-				}
-				lid := acceptedID(t, body)
-				if lv := pollJob(t, s, lid); lv.State != JobDone {
-					t.Fatalf("alias %s job failed: %s", tc.alias, lv.Error)
-				}
-				lresp, lbody := get(t, s, "/v1/jobs/"+lid+"/result")
-				if lresp.StatusCode != http.StatusOK {
-					t.Fatalf("alias result: %d: %s", lresp.StatusCode, lbody)
-				}
-				legacy = lbody
-			}
-			if string(unified) != string(legacy) {
-				t.Errorf("%s: /v1/jobs result differs from legacy route:\n--- jobs ---\n%.300s\n--- legacy ---\n%.300s",
-					tc.kind, unified, legacy)
-			}
-		})
-	}
-
-	// The unified endpoint rejects a missing and an unknown kind with the
-	// structured error envelope every handler shares.
-	for _, bad := range []string{`{}`, `{"kind": "exfiltrate"}`} {
-		resp, body := post(t, s, "/v1/jobs", bad)
-		if resp.StatusCode != http.StatusBadRequest {
-			t.Fatalf("bad kind accepted: %d: %s", resp.StatusCode, body)
-		}
-		var e struct {
-			Error struct{ Code, Message string }
-		}
-		if err := json.Unmarshal(body, &e); err != nil || e.Error.Code != "bad_request" || e.Error.Message == "" {
-			t.Errorf("error envelope = %s, want {error:{code:bad_request,...}}", body)
-		}
-	}
 }
 
 // swapExec replaces the server's executor with one that finishes instantly
@@ -475,45 +386,5 @@ func TestRetryAfterFromDrainRate(t *testing.T) {
 	}
 	if refusal.Error.Code != "queue_full" || refusal.QueueCapacity != 1 || refusal.RetryAfterSeconds < 1 {
 		t.Errorf("429 body = %+v: %s", refusal, body)
-	}
-}
-
-// TestEnvelopeMemoization runs the same campaign twice on a server with an
-// artifact store: the repeat must be served from the store (a hit, no new
-// simulation needed for identical bytes).
-func TestEnvelopeMemoization(t *testing.T) {
-	store, err := artifact.Open(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	s := startServer(t, Config{Workers: 2, QueueDepth: 8, Artifacts: store})
-
-	body := `{"kind": "faults", "workloads": ["bzip2"], "mode": "vcfr", "injections": 4, "instructions": 5000}`
-	resp, b := post(t, s, "/v1/jobs", body)
-	if resp.StatusCode != http.StatusAccepted {
-		t.Fatalf("first: %d: %s", resp.StatusCode, b)
-	}
-	v1 := pollJob(t, s, acceptedID(t, b))
-	if v1.State != JobDone {
-		t.Fatalf("first job failed: %s", v1.Error)
-	}
-	_, hits0, puts0 := store.Stats()
-	if puts0 == 0 {
-		t.Fatal("finished campaign not stored")
-	}
-
-	resp, b = post(t, s, "/v1/jobs", body)
-	if resp.StatusCode != http.StatusAccepted {
-		t.Fatalf("second: %d: %s", resp.StatusCode, b)
-	}
-	v2 := pollJob(t, s, acceptedID(t, b))
-	if v2.State != JobDone {
-		t.Fatalf("second job failed: %s", v2.Error)
-	}
-	if _, hits1, _ := store.Stats(); hits1 <= hits0 {
-		t.Errorf("repeat was not served from the artifact store (hits %d -> %d)", hits0, hits1)
-	}
-	if string(v1.Result) != string(v2.Result) {
-		t.Error("memoized result differs from the original")
 	}
 }

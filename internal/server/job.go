@@ -2,8 +2,6 @@ package server
 
 import (
 	"context"
-	"crypto/sha256"
-	"encoding/hex"
 	"encoding/json"
 	"fmt"
 	"runtime/debug"
@@ -11,7 +9,6 @@ import (
 	"sync"
 	"time"
 
-	"vcfr/internal/artifact"
 	"vcfr/internal/attack"
 	"vcfr/internal/cpu"
 	"vcfr/internal/fault"
@@ -55,12 +52,13 @@ const (
 	JobFailed  JobState = "failed"
 )
 
-// SimRequest is the body of POST /v1/simulate and POST /v1/sweep. Absent
-// fields take the matching CLI's defaults (documented per field), which is
-// what keeps service responses byte-identical to CLI output. The numeric
-// tuning knobs are pointers so that presence, not value, selects the
-// default: `"seed": 0` means literally seed 0 (handled downstream exactly
-// as the CLIs handle `-seed 0`), while omitting seed means the default.
+// SimRequest is the body of POST /v1/simulate and the parameters of POST
+// /v1/jobs. Absent fields take the matching CLI's defaults (documented per
+// field), which is what keeps service responses byte-identical to CLI
+// output. The numeric tuning knobs are pointers so that presence, not
+// value, selects the default: `"seed": 0` means literally seed 0 (handled
+// downstream exactly as the CLIs handle `-seed 0`), while omitting seed
+// means the default.
 type SimRequest struct {
 	// Workload names the built-in workload to simulate (required for
 	// simulate; ignored by sweep).
@@ -553,75 +551,14 @@ func (s *Server) runJob(j *Job) {
 	s.retireJob(j)
 }
 
-// executeBytes produces a job's final envelope bytes. Three paths, in
-// precedence order: a configured Executor (the fleet coordinator) returns
-// merged bytes verbatim; a configured artifact store may already hold the
-// envelope for this exact normalized request (an identical campaign
-// finished somewhere in the fleet — serve it without simulating); else the
-// job executes locally and, when it ran to completion, its envelope is
-// stored for peers. Partial results (cancelled or timed-out jobs) are
-// never memoized — a partial envelope is an artifact of this request's
-// deadline, not of the request identity.
+// executeBytes runs a job and marshals its envelope — the bytes every
+// result endpoint then serves untouched.
 func (s *Server) executeBytes(ctx context.Context, j *Job) ([]byte, error) {
-	if s.cfg.Executor != nil {
-		return s.cfg.Executor(ctx, j.Kind, j.Req, j.setProgress)
-	}
-	key := ""
-	if s.cfg.Artifacts != nil || s.cfg.ArtifactPeer != nil {
-		key = envelopeKey(j.Kind, j.Req)
-		if body, ok := s.envelopeLookup(key); ok {
-			return body, nil
-		}
-	}
 	env, err := s.exec(ctx, j)
 	if err != nil {
 		return nil, err
 	}
-	body, err := results.Marshal(env)
-	if err != nil {
-		return nil, err
-	}
-	if key != "" && ctx.Err() == nil {
-		s.envelopeStore(key, body)
-	}
-	return body, nil
-}
-
-// envelopeKey is the content address of a finished result: the job kind
-// plus the normalized request (pointer fields filled, defaults applied),
-// minus the execution deadline — a timeout changes whether a request
-// completes, never what its completed result is.
-func envelopeKey(kind JobKind, req SimRequest) string {
-	req.TimeoutMS = 0
-	b, _ := json.Marshal(req)
-	h := sha256.Sum256(append([]byte(string(kind)+"\x00"), b...))
-	return hex.EncodeToString(h[:])
-}
-
-func (s *Server) envelopeLookup(key string) ([]byte, bool) {
-	if s.cfg.Artifacts != nil {
-		if body, ok := s.cfg.Artifacts.Get(artifact.EnvelopeNS, key); ok {
-			return body, true
-		}
-	}
-	if s.cfg.ArtifactPeer != nil {
-		if body, ok := s.cfg.ArtifactPeer.Get(artifact.EnvelopeNS, key); ok {
-			if s.cfg.Artifacts != nil {
-				_ = s.cfg.Artifacts.Put(artifact.EnvelopeNS, key, body)
-			}
-			return body, true
-		}
-	}
-	return nil, false
-}
-
-func (s *Server) envelopeStore(key string, body []byte) {
-	if s.cfg.Artifacts != nil {
-		_ = s.cfg.Artifacts.Put(artifact.EnvelopeNS, key, body)
-	}
-	if s.cfg.ArtifactPeer != nil {
-		_ = s.cfg.ArtifactPeer.Put(artifact.EnvelopeNS, key, body)
-	}
+	return results.Marshal(env)
 }
 
 // execute is the production job executor (tests substitute s.exec): the

@@ -1,17 +1,17 @@
 // Package server implements vcfrd, the long-running HTTP/JSON simulation
-// service: it accepts simulation, sweep, and fault-campaign jobs, runs them
-// on a shared
-// harness.Runner whose trace cache turns repeated timing-only queries into
-// replays, and answers every request in the one versioned wire format of
-// internal/results.
+// service: it accepts simulation, sweep, and campaign jobs, runs them on a
+// shared harness.Runner whose trace cache turns repeated timing-only
+// queries into replays, and answers every request in the one versioned wire
+// format of internal/results.
 //
 // Endpoints:
 //
 //	POST /v1/jobs       unified asynchronous submission: one body with a
 //	                    "kind" discriminator (run | sweep | faults |
-//	                    attacks) plus the kind's parameters; returns 202
-//	                    and a job id. Honors Idempotency-Key: a retried
-//	                    POST with the same key dedupes to the original job.
+//	                    attacks | multicore) plus the kind's parameters;
+//	                    returns 202 and a job id. Honors Idempotency-Key: a
+//	                    retried POST with the same key dedupes to the
+//	                    original job.
 //	GET  /v1/jobs       list jobs over the retention window, with ?state=
 //	                    filtering and ?cursor=/?limit= pagination
 //	GET  /v1/jobs/{id}  job state, timings, error, and (when done) result
@@ -28,13 +28,6 @@
 //	POST /v1/simulate   one workload, one layout seed — synchronous; the
 //	                    response body is byte-identical to the equivalent
 //	                    `vcfrsim -stats-json` invocation
-//	POST /v1/sweep      deprecated alias of POST /v1/jobs {"kind":"sweep"}
-//	POST /v1/faults     deprecated alias of POST /v1/jobs {"kind":"faults"}
-//	POST /v1/attacks    deprecated alias of POST /v1/jobs {"kind":"attacks"}
-//	GET/PUT /v1/artifacts/{ns}/{key}
-//	                    the content-addressed artifact store (traces,
-//	                    result envelopes), when one is configured — how
-//	                    fleet peers share captured executions
 //	GET  /v1/workloads  the built-in workload catalog
 //	GET  /healthz       liveness
 //	GET  /metrics       Prometheus text: jobs by state, queue pressure,
@@ -49,13 +42,6 @@
 // mid-simulation cancellation; a panicking job fails alone; Shutdown stops
 // intake, lets the HTTP layer finish, and drains every accepted job before
 // returning.
-//
-// A server can also serve as the front of a fleet: Config.Executor
-// replaces local execution with a dispatch function (internal/fleet's
-// coordinator shards campaigns across worker backends and merges their
-// rows byte-identically), and Config.Artifacts/ArtifactPeer connect the
-// content-addressed store that lets workers share traces and finished
-// envelopes.
 package server
 
 import (
@@ -70,7 +56,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"vcfr/internal/artifact"
 	"vcfr/internal/harness"
 	"vcfr/internal/results"
 	"vcfr/internal/trace"
@@ -98,24 +83,6 @@ type Config struct {
 	// Runner executes jobs. nil builds a default runner with a 256 MiB
 	// trace cache. Give it a trace.Cache to share captures across requests.
 	Runner *harness.Runner
-	// Executor, when set, replaces local execution of asynchronous jobs:
-	// it receives the job's kind, its normalized request, and a progress
-	// sink, and returns the marshaled results Envelope bytes to serve
-	// verbatim. This is the coordinator hook — internal/fleet supplies a
-	// function that shards the request across worker backends and merges
-	// their rows back byte-identically. Returning the bytes (not a parsed
-	// Envelope) is what keeps the merged result byte-for-byte equal to
-	// single-process execution: nothing re-marshals it.
-	Executor func(ctx context.Context, kind JobKind, req SimRequest, progress func(harness.Progress)) ([]byte, error)
-	// Artifacts, when set, is served at /v1/artifacts/{ns}/{key} and used
-	// to memoize finished result envelopes by normalized request identity.
-	Artifacts *artifact.Store
-	// ArtifactPeer, when set, is a remote peer's artifact endpoint used as
-	// a second level behind Artifacts for envelope memoization (workers
-	// point it at the coordinator). Wiring the peer into the trace cache
-	// is the caller's job (trace.Cache.SetRemote), since the cache may be
-	// shared beyond this server.
-	ArtifactPeer *artifact.Client
 }
 
 func (c Config) withDefaults() Config {
@@ -188,15 +155,10 @@ func (s *Server) routes() {
 	s.mux.HandleFunc("POST /v1/jobs", s.handleJobs)
 	s.mux.HandleFunc("GET /v1/jobs", s.handleJobsList)
 	s.mux.HandleFunc("POST /v1/simulate", s.handleSimulate)
-	s.mux.HandleFunc("POST /v1/sweep", s.handleSweep)
-	s.mux.HandleFunc("POST /v1/faults", s.handleFaults)
-	s.mux.HandleFunc("POST /v1/attacks", s.handleAttacks)
 	s.mux.HandleFunc("GET /v1/jobs/{id}", s.handleJob)
 	s.mux.HandleFunc("GET /v1/jobs/{id}/result", s.handleJobResult)
 	s.mux.HandleFunc("GET /v1/jobs/{id}/events", s.handleJobEvents)
 	s.mux.HandleFunc("DELETE /v1/jobs/{id}", s.handleJobDelete)
-	s.mux.HandleFunc("GET /v1/artifacts/{ns}/{key}", s.handleArtifactGet)
-	s.mux.HandleFunc("PUT /v1/artifacts/{ns}/{key}", s.handleArtifactPut)
 	s.mux.HandleFunc("GET /v1/workloads", s.handleWorkloads)
 	s.mux.HandleFunc("GET /healthz", s.handleHealthz)
 	s.mux.HandleFunc("GET /metrics", s.handleMetrics)
@@ -268,23 +230,6 @@ func (s *Server) Shutdown(ctx context.Context) error {
 		return ctx.Err()
 	}
 	return err
-}
-
-// Close abruptly stops the server without draining: listeners and in-flight
-// HTTP connections are severed mid-stream and no new work is accepted. It
-// exists as the crash-simulation counterpart of Shutdown — the fleet tests
-// kill one worker of a pair mid-campaign with it to drive the coordinator's
-// shard-retry path — and for emergency teardown. Jobs already dequeued by a
-// worker goroutine keep running to completion in the background.
-func (s *Server) Close() error {
-	s.intakeMu.Lock()
-	already := s.draining
-	s.draining = true
-	s.intakeMu.Unlock()
-	if !already {
-		close(s.queue)
-	}
-	return s.http.Close()
 }
 
 // errQueueFull and errDraining distinguish the two refusal modes.
@@ -446,33 +391,6 @@ func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "application/json")
 	w.Header().Set("X-Job-Id", j.ID)
 	_, _ = w.Write(body)
-}
-
-// handleSweep, handleFaults, and handleAttacks are the pre-/v1/jobs
-// submission routes, kept as thin aliases: same decode, same queue, same
-// job — only a Deprecation header distinguishes them from the unified
-// endpoint they forward to.
-func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
-	s.handleDeprecatedAlias(w, r, JobSweep)
-}
-
-func (s *Server) handleFaults(w http.ResponseWriter, r *http.Request) {
-	s.handleDeprecatedAlias(w, r, JobFaults)
-}
-
-func (s *Server) handleAttacks(w http.ResponseWriter, r *http.Request) {
-	s.handleDeprecatedAlias(w, r, JobAttacks)
-}
-
-func (s *Server) handleDeprecatedAlias(w http.ResponseWriter, r *http.Request, kind JobKind) {
-	w.Header().Set("Deprecation", "true")
-	w.Header().Set("Link", `</v1/jobs>; rel="successor-version"`)
-	req, err := decodeRequest(r, kind)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, "bad_request", "%v", err)
-		return
-	}
-	s.submitAsync(w, r, kind, req)
 }
 
 func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {

@@ -164,7 +164,7 @@ func TestBackpressure429(t *testing.T) {
 
 	// Job 1 occupies the single worker; wait until it is actually running
 	// so job 2 deterministically sits in the queue.
-	if resp, b := post(t, s, "/v1/sweep", `{}`); resp.StatusCode != http.StatusAccepted {
+	if resp, b := post(t, s, "/v1/jobs", `{"kind": "sweep"}`); resp.StatusCode != http.StatusAccepted {
 		t.Fatalf("job 1: %d: %s", resp.StatusCode, b)
 	}
 	select {
@@ -172,12 +172,12 @@ func TestBackpressure429(t *testing.T) {
 	case <-time.After(5 * time.Second):
 		t.Fatal("job 1 never started")
 	}
-	if resp, b := post(t, s, "/v1/sweep", `{}`); resp.StatusCode != http.StatusAccepted {
+	if resp, b := post(t, s, "/v1/jobs", `{"kind": "sweep"}`); resp.StatusCode != http.StatusAccepted {
 		t.Fatalf("job 2: %d: %s", resp.StatusCode, b)
 	}
 
 	// Queue (depth 1) is full: job 3 must bounce with backpressure.
-	resp, body := post(t, s, "/v1/sweep", `{}`)
+	resp, body := post(t, s, "/v1/jobs", `{"kind": "sweep"}`)
 	if resp.StatusCode != http.StatusTooManyRequests {
 		t.Fatalf("job 3: %d (%s), want 429", resp.StatusCode, body)
 	}
@@ -208,7 +208,7 @@ func TestBackpressure429(t *testing.T) {
 	// Once the queue drains, intake works again.
 	deadline := time.Now().Add(5 * time.Second)
 	for {
-		resp, _ := post(t, s, "/v1/sweep", `{}`)
+		resp, _ := post(t, s, "/v1/jobs", `{"kind": "sweep"}`)
 		if resp.StatusCode == http.StatusAccepted {
 			break
 		}
@@ -231,7 +231,7 @@ func TestShutdownDrains(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	resp, body := post(t, s, "/v1/sweep", `{}`)
+	resp, body := post(t, s, "/v1/jobs", `{"kind": "sweep"}`)
 	if resp.StatusCode != http.StatusAccepted {
 		t.Fatalf("sweep: %d: %s", resp.StatusCode, body)
 	}
@@ -378,8 +378,45 @@ func TestRequestValidation(t *testing.T) {
 			t.Errorf("%s: %d (%s), want 400", tc.name, resp.StatusCode, b)
 		}
 	}
+	// The unified endpoint rejects a missing and an unknown kind with the
+	// structured error envelope every handler shares.
+	for _, bad := range []string{`{}`, `{"kind": "exfiltrate"}`} {
+		resp, body := post(t, s, "/v1/jobs", bad)
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Fatalf("bad kind accepted: %d: %s", resp.StatusCode, body)
+		}
+		var e struct {
+			Error struct{ Code, Message string }
+		}
+		if err := json.Unmarshal(body, &e); err != nil || e.Error.Code != "bad_request" || e.Error.Message == "" {
+			t.Errorf("error envelope = %s, want {error:{code:bad_request,...}}", body)
+		}
+	}
 	if resp, _ := get(t, s, "/v1/jobs/job-999999"); resp.StatusCode != http.StatusNotFound {
 		t.Errorf("unknown job: %d, want 404", resp.StatusCode)
+	}
+	// Routes that are no longer served — the per-kind submission routes
+	// that predate /v1/jobs and the artifact exchange — fall through to
+	// the mux's 404 or 405, never to a handler.
+	for _, tc := range []struct{ method, route string }{
+		{http.MethodPost, "sweep"},
+		{http.MethodPost, "faults"},
+		{http.MethodPost, "attacks"},
+		{http.MethodGet, "artifacts/trace/0123"},
+		{http.MethodPut, "artifacts/trace/0123"},
+	} {
+		req, err := http.NewRequest(tc.method, "http://"+s.Addr()+"/v1/"+tc.route, strings.NewReader(`{}`))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusNotFound && resp.StatusCode != http.StatusMethodNotAllowed {
+			t.Errorf("%s /v1/%s: %d, want 404 or 405", tc.method, tc.route, resp.StatusCode)
+		}
 	}
 }
 
@@ -412,7 +449,7 @@ func TestPanicIsolation(t *testing.T) {
 // checks the result envelope parses under the pinned schema.
 func TestJobEndpointLifecycle(t *testing.T) {
 	s := startServer(t, Config{Workers: 2, QueueDepth: 8})
-	resp, body := post(t, s, "/v1/sweep", `{"workloads": ["lbm"], "instructions": 20000}`)
+	resp, body := post(t, s, "/v1/jobs", `{"kind": "sweep", "workloads": ["lbm"], "instructions": 20000}`)
 	if resp.StatusCode != http.StatusAccepted {
 		t.Fatalf("sweep: %d: %s", resp.StatusCode, body)
 	}
@@ -483,8 +520,8 @@ func pollJob(t *testing.T, s *Server, id string) jobView {
 // config (which is what `faultsim -json` prints).
 func TestFaultsEndpointLifecycle(t *testing.T) {
 	s := startServer(t, Config{Workers: 2, QueueDepth: 8})
-	resp, body := post(t, s, "/v1/faults",
-		`{"workloads": ["bzip2"], "mode": "vcfr", "injections": 10, "instructions": 5000}`)
+	resp, body := post(t, s, "/v1/jobs",
+		`{"kind": "faults", "workloads": ["bzip2"], "mode": "vcfr", "injections": 10, "instructions": 5000}`)
 	if resp.StatusCode != http.StatusAccepted {
 		t.Fatalf("faults: %d: %s", resp.StatusCode, body)
 	}
@@ -551,8 +588,8 @@ func TestFaultsEndpointLifecycle(t *testing.T) {
 // the same config (which is what `attacksim -json` prints).
 func TestAttacksEndpointLifecycle(t *testing.T) {
 	s := startServer(t, Config{Workers: 2, QueueDepth: 8})
-	resp, body := post(t, s, "/v1/attacks",
-		`{"workloads": ["bzip2"], "mode": "vcfr", "payloads": ["print-and-exit"]}`)
+	resp, body := post(t, s, "/v1/jobs",
+		`{"kind": "attacks", "workloads": ["bzip2"], "mode": "vcfr", "payloads": ["print-and-exit"]}`)
 	if resp.StatusCode != http.StatusAccepted {
 		t.Fatalf("attacks: %d: %s", resp.StatusCode, body)
 	}
@@ -610,10 +647,10 @@ func TestAttacksEndpointLifecycle(t *testing.T) {
 	}
 
 	// Request validation rides the same vocabulary as the CLI flags.
-	if resp, _ := post(t, s, "/v1/attacks", `{"payloads": ["rootkit"]}`); resp.StatusCode != http.StatusBadRequest {
+	if resp, _ := post(t, s, "/v1/jobs", `{"kind": "attacks", "payloads": ["rootkit"]}`); resp.StatusCode != http.StatusBadRequest {
 		t.Errorf("bad payload accepted: %d", resp.StatusCode)
 	}
-	if resp, _ := post(t, s, "/v1/attacks", `{"leak_budget": -1}`); resp.StatusCode != http.StatusBadRequest {
+	if resp, _ := post(t, s, "/v1/jobs", `{"kind": "attacks", "leak_budget": -1}`); resp.StatusCode != http.StatusBadRequest {
 		t.Errorf("negative leak_budget accepted: %d", resp.StatusCode)
 	}
 }
@@ -690,7 +727,7 @@ func TestFaultsBackpressureAndCancellation(t *testing.T) {
 	realExec := s.exec
 	s.exec = blockingExec(started, release)
 
-	if resp, b := post(t, s, "/v1/faults", `{}`); resp.StatusCode != http.StatusAccepted {
+	if resp, b := post(t, s, "/v1/jobs", `{"kind": "faults"}`); resp.StatusCode != http.StatusAccepted {
 		t.Fatalf("job 1: %d: %s", resp.StatusCode, b)
 	}
 	select {
@@ -698,10 +735,10 @@ func TestFaultsBackpressureAndCancellation(t *testing.T) {
 	case <-time.After(5 * time.Second):
 		t.Fatal("job 1 never started")
 	}
-	if resp, b := post(t, s, "/v1/faults", `{}`); resp.StatusCode != http.StatusAccepted {
+	if resp, b := post(t, s, "/v1/jobs", `{"kind": "faults"}`); resp.StatusCode != http.StatusAccepted {
 		t.Fatalf("job 2: %d: %s", resp.StatusCode, b)
 	}
-	resp, body := post(t, s, "/v1/faults", `{}`)
+	resp, body := post(t, s, "/v1/jobs", `{"kind": "faults"}`)
 	if resp.StatusCode != http.StatusTooManyRequests {
 		t.Fatalf("job 3: %d (%s), want 429", resp.StatusCode, body)
 	}
@@ -717,8 +754,8 @@ func TestFaultsBackpressureAndCancellation(t *testing.T) {
 	deadline := time.Now().Add(5 * time.Second)
 	var accepted struct{ ID string }
 	for {
-		resp, body = post(t, s, "/v1/faults",
-			`{"workloads": ["bzip2"], "mode": "vcfr", "injections": 10, "timeout_ms": 1}`)
+		resp, body = post(t, s, "/v1/jobs",
+			`{"kind": "faults", "workloads": ["bzip2"], "mode": "vcfr", "injections": 10, "timeout_ms": 1}`)
 		if resp.StatusCode == http.StatusAccepted {
 			break
 		}
@@ -763,14 +800,14 @@ func TestFaultsBackpressureAndCancellation(t *testing.T) {
 func TestFaultsRequestValidation(t *testing.T) {
 	s := startServer(t, Config{Workers: 1, QueueDepth: 2})
 	for _, tc := range []struct{ name, body string }{
-		{"unknown fault kind", `{"faults": ["cosmic-ray"]}`},
-		{"unknown workload", `{"workloads": ["doom"]}`},
-		{"unknown mode", `{"mode": "quantum"}`},
-		{"negative injections", `{"injections": -1}`},
-		{"negative bits", `{"bits": -2}`},
-		{"unknown field", `{"turbo": true}`},
+		{"unknown fault kind", `{"kind": "faults", "faults": ["cosmic-ray"]}`},
+		{"unknown workload", `{"kind": "faults", "workloads": ["doom"]}`},
+		{"unknown mode", `{"kind": "faults", "mode": "quantum"}`},
+		{"negative injections", `{"kind": "faults", "injections": -1}`},
+		{"negative bits", `{"kind": "faults", "bits": -2}`},
+		{"unknown field", `{"kind": "faults", "turbo": true}`},
 	} {
-		if resp, b := post(t, s, "/v1/faults", tc.body); resp.StatusCode != http.StatusBadRequest {
+		if resp, b := post(t, s, "/v1/jobs", tc.body); resp.StatusCode != http.StatusBadRequest {
 			t.Errorf("%s: %d (%s), want 400", tc.name, resp.StatusCode, b)
 		}
 	}

@@ -36,33 +36,8 @@ type Cache struct {
 	order   *list.List // front = most recently used; values are *centry
 	entries map[Key]*list.Element
 	flights map[Key]*flight // in-progress captures, for Do's singleflight
-	remote  Remote          // optional second-level store; see SetRemote
 
 	hits, misses uint64
-}
-
-// Remote is an optional second level behind the in-memory cache: a shared
-// content-addressed artifact store (disk-backed or a peer vcfrd over HTTP)
-// consulted on a local miss and populated after every local capture, so a
-// fleet of workers records each (image, layout, mode, cap) execution once.
-// Fetch returns the encoded trace bytes for k (as Trace.Bytes produced
-// them) and whether the store had them; Store uploads freshly captured
-// bytes. Both are called outside the cache mutex, may block on I/O, and
-// must be safe for concurrent use. Errors are modeled as "not found" /
-// "dropped": the store is an accelerator, never a correctness dependency.
-type Remote interface {
-	Fetch(k Key) (data []byte, ok bool)
-	Store(k Key, data []byte)
-}
-
-// SetRemote attaches (or, with nil, detaches) the second-level store.
-func (c *Cache) SetRemote(r Remote) {
-	if c == nil {
-		return
-	}
-	c.mu.Lock()
-	c.remote = r
-	c.mu.Unlock()
 }
 
 // flight is one in-progress capture that concurrent Do callers for the same
@@ -152,10 +127,6 @@ func (c *Cache) Put(k Key, t *Trace) {
 // with an error before the panic is re-raised to the leader, so a panic
 // cannot poison the key: followers fall back, and the next Do for k runs a
 // fresh capture.
-//
-// With a Remote attached (SetRemote), a local miss consults the shared
-// store before capturing — a remote hit is inserted locally and returned
-// with leader=false, and a fresh local capture is uploaded for peers.
 func (c *Cache) Do(ctx context.Context, k Key, capture func() (*Trace, error)) (t *Trace, leader bool, err error) {
 	if c == nil {
 		t, err = capture()
@@ -190,10 +161,8 @@ func (c *Cache) Do(ctx context.Context, k Key, capture func() (*Trace, error)) (
 		c.flights = make(map[Key]*flight)
 	}
 	c.flights[k] = f
-	rem := c.remote
 	c.mu.Unlock()
 
-	fetched := false
 	defer func() {
 		if r := recover(); r != nil {
 			f.t, f.err = nil, fmt.Errorf("trace capture panicked: %v", r)
@@ -203,28 +172,10 @@ func (c *Cache) Do(ctx context.Context, k Key, capture func() (*Trace, error)) (
 		}
 		if f.err == nil {
 			c.Put(k, f.t)
-			if rem != nil && !fetched && f.t != nil {
-				rem.Store(k, f.t.Bytes())
-			}
 		}
 		c.unregister(k)
 		close(f.done)
 	}()
-	// Before paying a capture, try the second-level store: a peer may have
-	// recorded this exact execution already. A fetched trace is reported
-	// with leader=false — the caller replays it like any cache hit (only a
-	// genuine local capture produces the leader's live cpu.Result). A store
-	// that returns garbage is simply ignored; the capture below is the
-	// fallback for every remote failure mode.
-	if rem != nil {
-		if data, ok := rem.Fetch(k); ok {
-			if t, derr := Decode(data); derr == nil {
-				fetched = true
-				f.t = t
-				return f.t, false, nil
-			}
-		}
-	}
 	f.t, f.err = capture()
 	return f.t, true, f.err
 }

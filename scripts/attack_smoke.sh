@@ -1,6 +1,6 @@
 #!/bin/sh
 # Smoke test for the adversary-in-the-loop surface: boot vcfrd, run a small
-# attack campaign through POST /v1/attacks, poll the job to completion, and
+# attack campaign through POST /v1/jobs, poll the job to completion, and
 # prove the stored envelope at /v1/jobs/{id}/result is byte-identical to
 # `attacksim -json` with the same parameters. Also checks the attack.*
 # counters reached /metrics and that SIGTERM still drains cleanly.
@@ -30,8 +30,8 @@ done
 echo "   $ADDR"
 
 echo "== submit campaign"
-REQ='{"workloads": ["bzip2"], "mode": "all"}'
-JOB="$(curl -fsS -d "$REQ" "http://$ADDR/v1/attacks" \
+REQ='{"kind": "attacks", "workloads": ["bzip2"], "mode": "all"}'
+JOB="$(curl -fsS -d "$REQ" "http://$ADDR/v1/jobs" \
     | sed -n 's/.*"id": *"\([^"]*\)".*/\1/p')"
 [ -n "$JOB" ] || { echo "attacks returned no job id"; exit 1; }
 echo "   $JOB"

@@ -1,10 +1,8 @@
 #!/bin/sh
 # Service-level load benchmark: fire a mixed stream of run/sweep/faults/
-# attacks jobs (cmd/vcfrload) at two topologies — one single-process vcfrd,
-# then a 1-coordinator + 2-worker fleet — and archive throughput and
-# latency percentiles (p50/p90/p99/p999) for both as BENCH_service.json.
-# The comparison shows what coordinator sharding buys (and costs) at the
-# service level, independent of simulator speed.
+# attacks jobs (cmd/vcfrload) at one vcfrd and archive throughput and
+# latency percentiles (p50/p90/p99/p999) as BENCH_service.json — the
+# service's own overhead, independent of simulator speed.
 #
 # Usage: scripts/bench_service.sh [output.json]
 # Env:   BENCH_REQUESTS (default 400), BENCH_CONCURRENCY (default 16)
@@ -15,60 +13,32 @@ OUT="${1:-BENCH_service.json}"
 N="${BENCH_REQUESTS:-400}"
 C="${BENCH_CONCURRENCY:-16}"
 TMP="$(mktemp -d)"
-trap 'status=$?; for f in "$TMP"/*.pid; do [ -f "$f" ] && kill "$(cat "$f")" 2>/dev/null; done; rm -rf "$TMP"; exit $status' EXIT INT TERM
+trap 'status=$?; [ -n "${PID:-}" ] && kill "$PID" 2>/dev/null; rm -rf "$TMP"; exit $status' EXIT INT TERM
 
 echo "== build"
 "$GO" build -o "$TMP/vcfrd" ./cmd/vcfrd
 "$GO" build -o "$TMP/vcfrload" ./cmd/vcfrload
 
-# start_vcfrd NAME [extra flags...] -> prints the bound address; pid lands
-# in $TMP/NAME.pid. Stdout must not inherit the substitution pipe.
-start_vcfrd() {
-    name="$1"
-    log="$TMP/$name.log"
-    shift
-    "$TMP/vcfrd" -addr 127.0.0.1:0 -queue 256 "$@" >/dev/null 2>"$log" &
-    echo $! >"$TMP/$name.pid"
-    addr=""
-    for _ in $(seq 1 50); do
-        addr="$(sed -n 's/^vcfrd: listening on \([^ ]*\) .*/\1/p' "$log")"
-        [ -n "$addr" ] && break
-        kill -0 "$(cat "$TMP/$name.pid")" 2>/dev/null || { echo "vcfrd died:" >&2; cat "$log" >&2; return 1; }
-        sleep 0.1
-    done
-    [ -n "$addr" ] || { echo "never saw the listening line" >&2; cat "$log" >&2; return 1; }
-    echo "$addr"
-}
+echo "== start"
+"$TMP/vcfrd" -addr 127.0.0.1:0 -queue 256 >/dev/null 2>"$TMP/vcfrd.log" &
+PID=$!
+# The daemon prints "vcfrd: listening on ADDR (...)" once the port is bound.
+ADDR=""
+for _ in $(seq 1 50); do
+    ADDR="$(sed -n 's/^vcfrd: listening on \([^ ]*\) .*/\1/p' "$TMP/vcfrd.log")"
+    [ -n "$ADDR" ] && break
+    kill -0 "$PID" 2>/dev/null || { echo "vcfrd died:"; cat "$TMP/vcfrd.log"; exit 1; }
+    sleep 0.1
+done
+[ -n "$ADDR" ] || { echo "never saw the listening line"; cat "$TMP/vcfrd.log"; exit 1; }
 
-stop_vcfrd() {
-    for name in "$@"; do
-        [ -f "$TMP/$name.pid" ] || continue
-        kill -TERM "$(cat "$TMP/$name.pid")" 2>/dev/null || true
-    done
-    for name in "$@"; do
-        [ -f "$TMP/$name.pid" ] || continue
-        p="$(cat "$TMP/$name.pid")"
-        for _ in $(seq 1 100); do
-            kill -0 "$p" 2>/dev/null || break
-            sleep 0.1
-        done
-        rm -f "$TMP/$name.pid"
-    done
-}
+echo "== load: $N jobs x $C in flight"
+"$TMP/vcfrload" -addr "http://$ADDR" -n "$N" -c "$C" >"$TMP/single.json"
+kill -TERM "$PID"
+wait "$PID"
+PID=""
 
-echo "== topology A: single vcfrd, $N jobs x $C in flight"
-A="$(start_vcfrd single)"
-"$TMP/vcfrload" -addr "http://$A" -n "$N" -c "$C" >"$TMP/single.json"
-stop_vcfrd single
-
-echo "== topology B: 1 coordinator + 2 workers, $N jobs x $C in flight"
-W1="$(start_vcfrd worker1)"
-W2="$(start_vcfrd worker2)"
-CO="$(start_vcfrd coord -coordinator -backends "http://$W1,http://$W2")"
-"$TMP/vcfrload" -addr "http://$CO" -n "$N" -c "$C" >"$TMP/fleet.json"
-stop_vcfrd coord worker1 worker2
-
-# Assemble the archive: both vcfrload reports under one roof.
+# Assemble the archive: the vcfrload report under the run's parameters.
 {
     printf '{\n'
     printf '  "benchmark": "vcfrload mixed run/sweep/faults/attacks",\n'
@@ -76,9 +46,6 @@ stop_vcfrd coord worker1 worker2
     printf '  "concurrency": %s,\n' "$C"
     printf '  "single_process": '
     sed 's/^/  /' "$TMP/single.json" | sed '1s/^  //'
-    printf ',\n'
-    printf '  "fleet_1coord_2workers": '
-    sed 's/^/  /' "$TMP/fleet.json" | sed '1s/^  //'
     printf '}\n'
 } >"$OUT"
 

@@ -1,6 +1,6 @@
 #!/bin/sh
 # Smoke test for the fault-injection surface: boot vcfrd, run a small
-# campaign through POST /v1/faults, poll the job to completion, and prove
+# campaign through POST /v1/jobs, poll the job to completion, and prove
 # the stored envelope at /v1/jobs/{id}/result is byte-identical to
 # `faultsim -json` with the same parameters. Also checks the fault.*
 # counters reached /metrics and that SIGTERM still drains cleanly.
@@ -30,8 +30,8 @@ done
 echo "   $ADDR"
 
 echo "== submit campaign"
-REQ='{"workloads": ["bzip2"], "mode": "all", "injections": 30, "instructions": 10000}'
-JOB="$(curl -fsS -d "$REQ" "http://$ADDR/v1/faults" \
+REQ='{"kind": "faults", "workloads": ["bzip2"], "mode": "all", "injections": 30, "instructions": 10000}'
+JOB="$(curl -fsS -d "$REQ" "http://$ADDR/v1/jobs" \
     | sed -n 's/.*"id": *"\([^"]*\)".*/\1/p')"
 [ -n "$JOB" ] || { echo "faults returned no job id"; exit 1; }
 echo "   $JOB"

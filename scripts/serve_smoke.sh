@@ -2,37 +2,14 @@
 # Smoke test for vcfrd: boot the service, hit every endpoint once, prove the
 # simulate response is byte-identical to vcfrsim -stats-json, prove a
 # timing-only repeat is served from the trace cache, exercise the unified
-# /v1/jobs API and its deprecated aliases, prove a kind=multicore job's
-# envelope is byte-identical to clustersim -json, boot a 1-coordinator +
-# 2-worker fleet and prove a sharded fault campaign merges byte-identically
-# to faultsim -json, and prove SIGTERM drains cleanly. Exits non-zero on the
+# /v1/jobs API, prove a kind=multicore job's envelope is byte-identical to
+# clustersim -json, and prove SIGTERM drains cleanly. Exits non-zero on the
 # first failure.
 set -eu
 
 GO="${GO:-go}"
 TMP="$(mktemp -d)"
-trap 'status=$?; for f in "$TMP"/*.pid; do [ -f "$f" ] && kill "$(cat "$f")" 2>/dev/null; done; rm -rf "$TMP"; exit $status' EXIT INT TERM
-
-# start_vcfrd NAME [extra flags...] -> prints the bound address; the pid is
-# written to $TMP/NAME.pid for teardown. Runs inside command substitution,
-# so the daemon's stdout/stderr must not inherit the substitution pipe.
-start_vcfrd() {
-    name="$1"
-    log="$TMP/$name.log"
-    shift
-    "$TMP/vcfrd" -addr 127.0.0.1:0 "$@" >/dev/null 2>"$log" &
-    echo $! >"$TMP/$name.pid"
-    # The daemon prints "vcfrd: listening on ADDR (...)" once the port is bound.
-    addr=""
-    for _ in $(seq 1 50); do
-        addr="$(sed -n 's/^vcfrd: listening on \([^ ]*\) .*/\1/p' "$log")"
-        [ -n "$addr" ] && break
-        kill -0 "$(cat "$TMP/$name.pid")" 2>/dev/null || { echo "vcfrd died:" >&2; cat "$log" >&2; return 1; }
-        sleep 0.1
-    done
-    [ -n "$addr" ] || { echo "never saw the listening line" >&2; cat "$log" >&2; return 1; }
-    echo "$addr"
-}
+trap 'status=$?; [ -n "${PID:-}" ] && kill "$PID" 2>/dev/null; rm -rf "$TMP"; exit $status' EXIT INT TERM
 
 # poll_job ADDR JOBID -> waits until the job is done (fails the script on a
 # failed or stuck job).
@@ -52,8 +29,17 @@ echo "== build"
 "$GO" build -o "$TMP/vcfrd" ./cmd/vcfrd
 
 echo "== start"
-ADDR="$(start_vcfrd main)"
-MAIN_PID="$(cat "$TMP/main.pid")"
+"$TMP/vcfrd" -addr 127.0.0.1:0 >/dev/null 2>"$TMP/vcfrd.log" &
+PID=$!
+# The daemon prints "vcfrd: listening on ADDR (...)" once the port is bound.
+ADDR=""
+for _ in $(seq 1 50); do
+    ADDR="$(sed -n 's/^vcfrd: listening on \([^ ]*\) .*/\1/p' "$TMP/vcfrd.log")"
+    [ -n "$ADDR" ] && break
+    kill -0 "$PID" 2>/dev/null || { echo "vcfrd died:"; cat "$TMP/vcfrd.log"; exit 1; }
+    sleep 0.1
+done
+[ -n "$ADDR" ] || { echo "never saw the listening line"; cat "$TMP/vcfrd.log"; exit 1; }
 echo "   $ADDR"
 
 echo "== healthz"
@@ -78,16 +64,6 @@ JOB="$(curl -fsS -d '{"kind": "sweep", "workloads": ["lbm"], "instructions": 500
 [ -n "$JOB" ] || { echo "/v1/jobs returned no job id"; exit 1; }
 poll_job "$ADDR" "$JOB"
 
-echo "== deprecated alias still works and says so"
-curl -fsS -D "$TMP/alias.hdr" -d '{"workloads": ["lbm"], "instructions": 50000}' \
-    "http://$ADDR/v1/sweep" >"$TMP/alias.json"
-grep -qi '^Deprecation:' "$TMP/alias.hdr" || { echo "alias without Deprecation header"; exit 1; }
-ALIAS_JOB="$(sed -n 's/.*"id": *"\([^"]*\)".*/\1/p' "$TMP/alias.json")"
-poll_job "$ADDR" "$ALIAS_JOB"
-curl -fsS "http://$ADDR/v1/jobs/$JOB/result" >"$TMP/unified.json"
-curl -fsS "http://$ADDR/v1/jobs/$ALIAS_JOB/result" >"$TMP/aliased.json"
-cmp "$TMP/unified.json" "$TMP/aliased.json"
-
 echo "== job listing paginates"
 curl -fsS "http://$ADDR/v1/jobs?state=done&limit=1" | grep -q '"jobs"'
 
@@ -104,33 +80,10 @@ curl -fsS "http://$ADDR/v1/jobs/$MJOB/result" >"$TMP/multicore.json"
     -quantum 2000 -instructions 10000 -json >"$TMP/multicore-cli.json"
 cmp "$TMP/multicore.json" "$TMP/multicore-cli.json"
 
-echo "== fleet: 2 workers + 1 coordinator, sharded campaign merges byte-identically"
-W1="$(start_vcfrd worker1)"
-W2="$(start_vcfrd worker2)"
-CO="$(start_vcfrd coord -coordinator -backends "http://$W1,http://$W2")"
-CO_PID="$(cat "$TMP/coord.pid")"
-echo "   workers $W1 $W2, coordinator $CO"
-FREQ='{"kind": "faults", "workloads": ["bzip2", "sjeng"], "mode": "vcfr", "injections": 20, "instructions": 10000}'
-FJOB="$(curl -fsS -d "$FREQ" "http://$CO/v1/jobs" | sed -n 's/.*"id": *"\([^"]*\)".*/\1/p')"
-[ -n "$FJOB" ] || { echo "coordinator returned no job id"; exit 1; }
-poll_job "$CO" "$FJOB"
-curl -fsS "http://$CO/v1/jobs/$FJOB/result" >"$TMP/fleet.json"
-"$GO" run ./cmd/faultsim -workloads bzip2,sjeng -mode vcfr -injections 20 \
-    -instructions 10000 -json >"$TMP/fleet-cli.json"
-cmp "$TMP/fleet.json" "$TMP/fleet-cli.json"
-
 echo "== SIGTERM drains"
-# The daemons were started inside command substitutions, so they are not
-# children of this shell; poll for exit instead of wait(1).
-kill -TERM "$MAIN_PID" "$CO_PID"
-for p in "$MAIN_PID" "$CO_PID"; do
-    for _ in $(seq 1 100); do
-        kill -0 "$p" 2>/dev/null || break
-        sleep 0.1
-    done
-    kill -0 "$p" 2>/dev/null && { echo "pid $p did not exit on SIGTERM"; exit 1; }
-done
-grep -q "vcfrd: drained, exiting" "$TMP/main.log" || { echo "no clean drain:"; cat "$TMP/main.log"; exit 1; }
-grep -q "vcfrd: drained, exiting" "$TMP/coord.log" || { echo "coordinator did not drain:"; cat "$TMP/coord.log"; exit 1; }
+kill -TERM "$PID"
+wait "$PID"
+PID=""
+grep -q "vcfrd: drained, exiting" "$TMP/vcfrd.log" || { echo "no clean drain:"; cat "$TMP/vcfrd.log"; exit 1; }
 
 echo "PASS"
