@@ -79,7 +79,7 @@ func run() error {
 		cellTime   = flag.Duration("cell-timeout", 0, "per-cell time budget (0 = none); overruns become error rows")
 		list       = flag.Bool("list", false, "list experiments and exit")
 		format     = flag.String("format", "text", "output format: text | json")
-		traceCache = flag.Int("trace-cache", 256, "in-memory trace cache budget in MiB for record-once/replay-many execution (0 disables)")
+		traceCache = flag.Int("trace-cache", 256, "with -mode faults: in-memory trace cache budget in MiB for the clean reference traces, the cache's only use (0 disables)")
 		statsJSON  = flag.Bool("stats-json", false, "instead of table experiments, run every workload under all three modes and emit full per-run Results as JSON (with -mode faults/attacks: emit the campaign envelope)")
 		injections = flag.Int("injections", 0, "with -mode faults: injections per workload x mode cell (0 = default 120)")
 		faultsF    = flag.String("faults", "", "with -mode faults: comma-separated fault kinds (default: the full fault model)")
@@ -125,9 +125,6 @@ func run() error {
 	if *cachePath != "" {
 		r.Cache = harness.OpenCache(*cachePath)
 	}
-	if *traceCache > 0 {
-		r.Traces = trace.NewCache(int64(*traceCache) << 20)
-	}
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
 	defer stop()
@@ -150,6 +147,9 @@ func run() error {
 				return err
 			}
 			fcfg.Kinds = kinds
+		}
+		if *traceCache > 0 {
+			r.Traces = trace.NewCache(int64(*traceCache) << 20)
 		}
 		rep, err := fault.RunCampaign(ctx, r, fcfg, nil)
 		if err != nil {

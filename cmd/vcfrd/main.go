@@ -1,8 +1,8 @@
 // Command vcfrd serves the VCFR simulator over HTTP/JSON: a long-running
 // service that answers "what is the overhead of config X on workload Y"
-// queries concurrently, reusing one shared trace cache so repeated
-// timing-only questions replay a captured execution instead of re-running
-// it.
+// queries concurrently. Every run executes; the shared runner reuses
+// prepared apps (workload build and ILR rewrite) across requests, and its
+// trace cache shares fault campaigns' clean reference traces.
 //
 // Usage:
 //
@@ -44,7 +44,7 @@ func run() error {
 		addr       = flag.String("addr", "127.0.0.1:8642", "listen address (port 0 = ephemeral)")
 		workers    = flag.Int("workers", runtime.GOMAXPROCS(0), "concurrent job executors")
 		queue      = flag.Int("queue", 64, "bounded job queue depth; a full queue answers 429")
-		traceCache = flag.Int("trace-cache", 256, "shared trace cache budget in MiB (0 disables replay reuse)")
+		traceCache = flag.Int("trace-cache", 256, "trace cache budget in MiB for fault campaigns' clean reference traces, shared across jobs (0 = no reuse across jobs)")
 		jobTimeout = flag.Duration("job-timeout", 2*time.Minute, "default per-job execution deadline (0 = none)")
 		retention  = flag.Int("job-retention", 256, "finished jobs kept pollable at /v1/jobs/{id}; oldest evicted past this")
 		drain      = flag.Duration("drain-timeout", 30*time.Second, "graceful-shutdown budget for in-flight jobs")
@@ -56,7 +56,7 @@ func run() error {
 		r.Traces = trace.NewCache(int64(*traceCache) << 20)
 	} else {
 		// A zero-budget cache admits nothing but still deduplicates
-		// concurrent identical captures via its singleflight.
+		// concurrent identical reference captures via its singleflight.
 		r.Traces = trace.NewCache(0)
 	}
 

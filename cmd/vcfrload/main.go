@@ -155,8 +155,9 @@ func oneJob(ctx context.Context, c *client, spec jobSpec, retried *atomic.Uint64
 }
 
 // buildMix expands "run=8,sweep=1,..." into a weighted round-robin schedule
-// of tiny job templates. Workloads rotate per slot so the trace cache is
-// exercised but not trivially hot.
+// of tiny job templates. Workloads rotate per slot so the server's caches
+// (prepared apps, fault reference traces) are exercised but not trivially
+// hot.
 func buildMix(s string) ([]jobSpec, error) {
 	names := []string{"bzip2", "sjeng", "xalan"}
 	widx := 0

@@ -80,11 +80,13 @@ type BlockCacheStats struct {
 // the pages its cached bytes came from.
 type blockCache struct {
 	blocks map[uint32]*bblock
-	// pages marks storage pages (addr >> bbPageBits) that hold cached
-	// instruction bytes. Indexed directly so the per-store check is one
-	// bounds-checked load; stack and heap pages beyond the highest code page
-	// reject on the bounds check alone.
-	pages   []bool
+	// pages is a bitset of the storage pages (addr >> bbPageBits) that hold
+	// cached instruction bytes. Indexed directly so the per-store check is
+	// one bounds-checked load; stack and heap pages beyond the highest code
+	// page reject on the bounds check alone. Bits, not bools: scattered code
+	// (naive ILR) spans most of the address space, and every pipeline
+	// allocates this table afresh.
+	pages   []uint64
 	flushed bool // latched by flush() so an executing block stops itself
 	stats   BlockCacheStats
 }
@@ -93,23 +95,27 @@ func newBlockCache() *blockCache {
 	return &blockCache{blocks: make(map[uint32]*bblock)}
 }
 
-// cover marks the pages of one cached instruction's byte range.
+// cover marks the pages of one cached instruction's byte range. The table
+// grows at least twofold (capped at the 32-bit space), because scattered
+// code raises the highest page many times per run.
 func (c *blockCache) cover(addr uint32, n int) {
 	last := (addr + uint32(n) - 1) >> bbPageBits
 	for pg := addr >> bbPageBits; pg <= last; pg++ {
-		if pg >= uint32(len(c.pages)) {
-			np := make([]bool, pg+1)
+		w := pg >> 6
+		if w >= uint32(len(c.pages)) {
+			np := make([]uint64, min(max(int(w)+1, 2*len(c.pages)), 1<<(32-bbPageBits-6)))
 			copy(np, c.pages)
 			c.pages = np
 		}
-		c.pages[pg] = true
+		c.pages[w] |= 1 << (pg & 63)
 	}
 }
 
 // covers reports whether addr lies in a page holding cached bytes.
 func (c *blockCache) covers(addr uint32) bool {
 	pg := addr >> bbPageBits
-	return pg < uint32(len(c.pages)) && c.pages[pg]
+	w := pg >> 6
+	return w < uint32(len(c.pages)) && c.pages[w]&(1<<(pg&63)) != 0
 }
 
 // noteStore invalidates the cache when a store may have rewritten cached

@@ -11,7 +11,9 @@ import (
 	"sync"
 	"time"
 
+	"vcfr/internal/cpu"
 	"vcfr/internal/emu"
+	"vcfr/internal/ilr"
 	"vcfr/internal/trace"
 )
 
@@ -38,33 +40,48 @@ type Runner struct {
 	// Cache, if non-nil, memoizes finished cells keyed by (experiment,
 	// cell, derived seed, config); see Cache for the disk-backed variant.
 	Cache *Cache
-	// Traces, if non-nil, switches cells to record-once/replay-many
-	// execution: one functional trace is captured per (app, mode,
-	// instruction cap) and every further timing configuration replays it
-	// (see trace.go). Replay is bit-identical to execution, so enabling the
-	// cache changes wall-clock time only, never results.
+	// Traces, if non-nil, shares the fault campaign's clean reference
+	// traces (fault.cell.reference) across campaigns and jobs on this
+	// runner. Nothing else reads it: harness cells always execute.
 	Traces *trace.Cache
 
 	semOnce sync.Once
 	sem     chan struct{}
 
-	// Prepared-app memoization, active only alongside Traces: workload
-	// build + ILR rewrite are deterministic in the derived seed, so
-	// repeated sweeps reuse them. Bounded FIFO, maxApps entries.
-	appMu    sync.Mutex
-	apps     map[string]*App
-	appOrder []string
+	// Prepared-app memo: workload build + ILR rewrite are deterministic in
+	// the derived seed, so repeated cells and queries reuse them. Bounded
+	// FIFO, maxApps entries; appHits/appMisses count lookups.
+	appMu     sync.Mutex
+	apps      map[string]*App
+	appOrder  []string
+	appHits   uint64
+	appMisses uint64
 }
 
 // maxApps bounds the prepared-app memo (each entry holds three images plus
 // translation tables, a few MB at most).
 const maxApps = 64
 
-// cachedApp returns the memoized prepared app for key, or nil.
+// cachedApp returns the memoized prepared app for key, or nil, counting
+// the lookup as a memo hit or miss.
 func (r *Runner) cachedApp(key string) *App {
 	r.appMu.Lock()
 	defer r.appMu.Unlock()
-	return r.apps[key]
+	app := r.apps[key]
+	if app != nil {
+		r.appHits++
+	} else {
+		r.appMisses++
+	}
+	return app
+}
+
+// AppMemoStats reports the prepared-app memo's cumulative lookup hits and
+// misses.
+func (r *Runner) AppMemoStats() (hits, misses uint64) {
+	r.appMu.Lock()
+	defer r.appMu.Unlock()
+	return r.appHits, r.appMisses
 }
 
 // storeApp memoizes a prepared app, evicting the oldest entry past maxApps.
@@ -319,9 +336,46 @@ func vals(cells []Cell, i int) []float64 {
 
 // Cancellation-aware wrappers: cells call these instead of the raw
 // Prepare/Run so a per-cell timeout or a sweep-wide cancel takes effect at
-// the next simulation-run boundary. The Sweep methods prepare/prepareOpts/
-// runMode (trace.go) add trace capture/replay on top when the runner
-// carries a trace cache.
+// the next simulation-run boundary.
+
+// appKey identifies one prepared (workload, layout) pair for the runner's
+// prepared-app memo.
+func appKey(name string, cfg Config, opts ilr.Options) string {
+	cfg = cfg.withDefaults()
+	return fmt.Sprintf("%s|%d|%d|%d|%#v", name, cfg.Seed, cfg.Spread, cfg.Scale, opts)
+}
+
+// prepare is Prepare with a cancellation check and prepared-app memoization.
+func (s *Sweep) prepare(ctx context.Context, name string, cfg Config) (*App, error) {
+	return s.prepareOpts(ctx, name, cfg, ilr.Options{})
+}
+
+// prepareOpts is PrepareOpts with a cancellation check and prepared-app
+// memoization.
+func (s *Sweep) prepareOpts(ctx context.Context, name string, cfg Config, opts ilr.Options) (*App, error) {
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
+	key := appKey(name, cfg, opts)
+	if app := s.r.cachedApp(key); app != nil {
+		return app, nil
+	}
+	app, err := PrepareOpts(name, cfg, opts)
+	if err != nil {
+		return nil, err
+	}
+	s.r.storeApp(key, app)
+	return app, nil
+}
+
+// runMode is App.RunContext with a cancellation check before the pipeline
+// is built.
+func (s *Sweep) runMode(ctx context.Context, app *App, mode cpu.Mode, maxInsts uint64, mutate func(*cpu.Config)) (cpu.Result, cpu.Config, error) {
+	if err := ctx.Err(); err != nil {
+		return cpu.Result{}, cpu.Config{}, err
+	}
+	return app.RunContext(ctx, mode, maxInsts, mutate)
+}
 
 // runEmulated is App.RunEmulated with a cancellation check.
 func runEmulated(ctx context.Context, app *App, maxInsts uint64) (emu.RunResult, error) {

@@ -17,9 +17,8 @@ var statsModes = [...]cpu.Mode{cpu.ModeBaseline, cpu.ModeNaiveILR, cpu.ModeVCFR}
 // StatsSweep simulates every configured workload (default: the 11 SPEC
 // analogs) under all three architecture modes on the runner's worker pool
 // and returns one row per (workload, mode) in stable (workload, mode) order.
-// Per-workload derived seeds and, when the runner carries a trace cache,
-// record-once/replay-many execution follow the same rules as the table
-// experiments.
+// Per-workload derived seeds and the prepared-app memo follow the same
+// rules as the table experiments.
 //
 // A failed or cancelled cell does not discard the sweep: its workload
 // contributes a single error row (Mode empty, Error set) and every cell
@@ -115,9 +114,9 @@ func StatsSweepProgress(ctx context.Context, r *Runner, cfg Config, onProgress f
 // -stats-json and the vcfrd service: it prepares the named workload with
 // cfg.Seed as the layout seed (no per-cell derivation — this is a direct
 // query, not a sweep) and runs it under each requested mode, in order, with
-// mutate applied to the machine configuration. When the runner carries a
-// trace cache, repeated timing-only queries replay the captured trace, and
-// concurrent identical captures are deduplicated (trace.Cache.Do).
+// mutate applied to the machine configuration. Every run executes; a
+// repeated query on the same runner reuses the prepared app (workload build
+// and ILR rewrite) from the runner's memo. Runner.Traces is not consulted.
 //
 // Both producers serialize the returned rows through results.NewRun +
 // results.Marshal, which is what makes a service response byte-identical to

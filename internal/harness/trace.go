@@ -1,26 +1,19 @@
 package harness
 
 import (
-	"context"
 	"encoding/binary"
 	"fmt"
 	"hash/fnv"
 
 	"vcfr/internal/cpu"
-	"vcfr/internal/ilr"
 	"vcfr/internal/program"
 	"vcfr/internal/trace"
 )
 
-// Record-once/replay-many execution. When a Runner carries a trace.Cache,
-// the first simulation of an (app, mode, instruction cap) triple captures
-// its functional instruction trace; every later simulation of that triple —
-// under any timing configuration (DRC geometry, issue width, context-switch
-// interval, prediction space, ...) — replays the trace instead of
-// re-decoding and re-executing every instruction. Replay is bit-identical to
-// execution (enforced by the equivalence tests in internal/trace), so tables
-// and golden files do not change; only wall-clock time does. Multi-config
-// sweeps like fig13/fig14 fan 5-6 timing configurations out of one capture.
+// TraceKey and its hashes bind a captured functional trace to the app it
+// came from. Harness cells never capture (runMode always executes); the key
+// serves the fault campaign's reference traces in Runner.Traces and
+// cmd/vxtrace's .vxt files.
 
 // TraceKey derives the trace-cache key for one run: the executed image's
 // content hash and the layout seed identify the (workload, layout) pair; the
@@ -75,113 +68,4 @@ func appAux(app *App) uint64 {
 	fmt.Fprintf(h, "%#v|", app.R.Opts)
 	h.Write(app.W.Input)
 	return h.Sum64()
-}
-
-// appKey identifies one prepared (workload, layout) pair for the runner's
-// prepared-app cache.
-func appKey(name string, cfg Config, opts ilr.Options) string {
-	cfg = cfg.withDefaults()
-	return fmt.Sprintf("%s|%d|%d|%d|%#v", name, cfg.Seed, cfg.Spread, cfg.Scale, opts)
-}
-
-// prepare is Prepare with a cancellation check. When the runner traces, the
-// prepared app (workload build + ILR rewrite, both deterministic in the
-// derived seed) is also memoized, so repeated sweeps skip the rewrite.
-func (s *Sweep) prepare(ctx context.Context, name string, cfg Config) (*App, error) {
-	return s.prepareOpts(ctx, name, cfg, ilr.Options{})
-}
-
-// prepareOpts is PrepareOpts with a cancellation check and, when the runner
-// traces, prepared-app memoization.
-func (s *Sweep) prepareOpts(ctx context.Context, name string, cfg Config, opts ilr.Options) (*App, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	if s.r.Traces == nil {
-		return PrepareOpts(name, cfg, opts)
-	}
-	key := appKey(name, cfg, opts)
-	if app := s.r.cachedApp(key); app != nil {
-		return app, nil
-	}
-	app, err := PrepareOpts(name, cfg, opts)
-	if err != nil {
-		return nil, err
-	}
-	s.r.storeApp(key, app)
-	return app, nil
-}
-
-// runMode is App.Run with mid-run cancellation and, when the runner carries
-// a trace cache, record-once/replay-many execution. Concurrent calls that
-// resolve to the same trace key are coalesced through the cache's
-// singleflight: exactly one executes the capture, the rest replay it under
-// their own timing configuration.
-func (s *Sweep) runMode(ctx context.Context, app *App, mode cpu.Mode, maxInsts uint64, mutate func(*cpu.Config)) (cpu.Result, cpu.Config, error) {
-	if err := ctx.Err(); err != nil {
-		return cpu.Result{}, cpu.Config{}, err
-	}
-	tc := s.r.Traces
-	if tc == nil {
-		return app.RunContext(ctx, mode, maxInsts, mutate)
-	}
-	key := TraceKey(app, mode, maxInsts)
-	p, ccfg, err := app.Pipeline(mode, mutate)
-	if err != nil {
-		return cpu.Result{}, ccfg, err
-	}
-	var leadRes cpu.Result
-	t, leader, doErr := tc.Do(ctx, key, func() (*trace.Trace, error) {
-		tt, res, err := trace.CaptureContext(ctx, p, maxInsts, trace.Meta{
-			Workload:   app.W.Name,
-			Mode:       mode,
-			LayoutSeed: app.R.Opts.Seed,
-			Spread:     app.R.Opts.Spread,
-			MaxInsts:   maxInsts,
-			ImageHash:  key.ImageHash,
-		})
-		leadRes = res
-		return tt, err
-	})
-	if leader {
-		// The leader's capture run already produced this configuration's
-		// Result; replaying again would only repeat the same numbers.
-		if doErr != nil {
-			return leadRes, ccfg, fmt.Errorf("harness: %s under %v: %w", app.W.Name, mode, doErr)
-		}
-		return leadRes, ccfg, nil
-	}
-	if doErr == nil {
-		res, rerr := trace.ReplayContext(ctx, t, p, maxInsts)
-		if rerr == nil {
-			return res, ccfg, nil
-		}
-		// A failed replay means the cached trace does not actually match
-		// this app (stale entry or key collision): drop it and fall back to
-		// an execute-driven run below.
-		tc.Drop(key)
-	}
-	// Follower fallback: the leader failed (its context may have expired,
-	// not ours) or the shared trace proved stale. Execute on a fresh
-	// pipeline — the one above may hold partial replay state.
-	if err := ctx.Err(); err != nil {
-		return cpu.Result{}, ccfg, err
-	}
-	p2, ccfg2, err := app.Pipeline(mode, mutate)
-	if err != nil {
-		return cpu.Result{}, ccfg2, err
-	}
-	t2, res, err := trace.CaptureContext(ctx, p2, maxInsts, trace.Meta{
-		Workload:   app.W.Name,
-		Mode:       mode,
-		LayoutSeed: app.R.Opts.Seed,
-		Spread:     app.R.Opts.Spread,
-		MaxInsts:   maxInsts,
-		ImageHash:  key.ImageHash,
-	})
-	if err != nil {
-		return res, ccfg2, fmt.Errorf("harness: %s under %v: %w", app.W.Name, mode, err)
-	}
-	tc.Put(key, t2)
-	return res, ccfg2, nil
 }

@@ -14,7 +14,7 @@ func benchCfg() Config {
 }
 
 // runDRCSweep executes fig13 and fig14 once on r and returns the rendered
-// tables, so both benchmark variants do identical end-to-end work.
+// tables.
 func runDRCSweep(b *testing.B, r *Runner, cfg Config) [2]string {
 	b.Helper()
 	var out [2]string
@@ -55,13 +55,10 @@ func sweepInstructions(b *testing.B, cfg Config) uint64 {
 	return total
 }
 
-// BenchmarkDRCSweep measures the acceptance criterion for the trace
-// subsystem: the fig13+fig14 DRC-size sweep replayed from cached traces must
-// beat the execute-driven sweep by >=2x wall-clock at unchanged output. Both
-// variants also report ns/instr (wall clock per simulated instruction), the
-// number scripts/bench_pipeline.sh archives in BENCH_pipeline.json so
-// refactors of the simulate hot path can be checked against a recorded
-// baseline.
+// BenchmarkDRCSweep times the fig13+fig14 DRC-size sweep end to end and
+// reports ns/instr (wall clock per simulated instruction), the number
+// scripts/bench_check.sh gates against BENCH_pipeline.json so refactors of
+// the simulate hot path can be checked against a recorded baseline.
 //
 //	go test ./internal/harness -bench DRCSweep -benchtime 3x
 func BenchmarkDRCSweep(b *testing.B) {
@@ -77,23 +74,7 @@ func BenchmarkDRCSweep(b *testing.B) {
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			if got := runDRCSweep(b, r, cfg); got != want {
-				b.Fatal("execute-driven sweep is not deterministic")
-			}
-		}
-		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/(float64(insts)*float64(b.N)), "ns/instr")
-	})
-
-	b.Run("replay", func(b *testing.B) {
-		r := tracedRunner(2)
-		want := runDRCSweep(b, NewRunner(2), cfg)
-		// Warm the cache: the first traced sweep captures, later ones replay.
-		if got := runDRCSweep(b, r, cfg); got != want {
-			b.Fatal("traced sweep output differs from execute-driven")
-		}
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if got := runDRCSweep(b, r, cfg); got != want {
-				b.Fatal("replayed sweep output differs from execute-driven")
+				b.Fatal("sweep is not deterministic")
 			}
 		}
 		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/(float64(insts)*float64(b.N)), "ns/instr")

@@ -10,6 +10,7 @@ import (
 
 	"vcfr/internal/attack"
 	"vcfr/internal/fault"
+	"vcfr/internal/harness"
 	"vcfr/internal/realbin"
 	"vcfr/internal/stats"
 )
@@ -34,15 +35,12 @@ type metrics struct {
 	failed   int64  // finished with an error (cumulative)
 	panicked uint64 // failures caused by a recovered panic (subset of failed)
 
-	// Mirrors of state owned elsewhere (the queue channel, the shared trace
-	// cache), copied in under mu at render time so the registry has one
+	// Mirrors of state owned elsewhere (the queue channel, the runner's
+	// caches), copied in under mu at render time so the registry has one
 	// consistent instant to snapshot.
-	queueDepth   int64
-	queueCap     int64
-	traceHits    uint64
-	traceMisses  uint64
-	traceBytes   int64
-	traceEntries int64
+	queueDepth int64
+	queueCap   int64
+	caches     cacheStats
 
 	// Fault-campaign outcome totals, merged in as each campaign job
 	// finishes, plus the count of finished campaigns.
@@ -54,8 +52,8 @@ type metrics struct {
 	attackCampaigns uint64
 
 	// Mirror of the process-wide real-binary front-end totals (lifts,
-	// refusals, recovered blocks), refreshed at render time like the trace
-	// cache mirrors.
+	// refusals, recovered blocks), refreshed at render time like the cache
+	// mirrors.
 	realbin realbin.Totals
 
 	queueWait *histogram
@@ -83,10 +81,12 @@ func newMetrics() *metrics {
 	r.Counter("job.panics", "Jobs failed by a recovered panic.", &m.panicked)
 	r.Gauge("queue.depth", "Jobs waiting in the bounded queue.", &m.queueDepth)
 	r.Gauge("queue.capacity", "Bound of the job queue.", &m.queueCap)
-	r.Counter("trace.cache.hits", "Trace cache hits (replays and coalesced captures) across all jobs.", &m.traceHits)
-	r.Counter("trace.cache.misses", "Trace cache misses (each one paid a capture).", &m.traceMisses)
-	r.Gauge("trace.cache.bytes", "Bytes of trace data currently cached.", &m.traceBytes)
-	r.Gauge("trace.cache.entries", "Traces currently cached.", &m.traceEntries)
+	r.Counter("app.memo.hits", "Prepared-app memo hits (workload build and ILR rewrite reused).", &m.caches.appHits)
+	r.Counter("app.memo.misses", "Prepared-app memo misses (each one built and rewrote a workload).", &m.caches.appMisses)
+	r.Counter("trace.cache.hits", "Fault-campaign reference trace cache hits.", &m.caches.traceHits)
+	r.Counter("trace.cache.misses", "Fault-campaign reference trace cache misses (each one paid a capture).", &m.caches.traceMisses)
+	r.Gauge("trace.cache.bytes", "Bytes of fault-campaign reference traces currently cached.", &m.caches.traceBytes)
+	r.Gauge("trace.cache.entries", "Fault-campaign reference traces currently cached.", &m.caches.traceEntries)
 	r.Counter("fault.campaigns", "Fault-injection campaigns finished.", &m.campaigns)
 	m.faults.Register(r)
 	r.Counter("attack.campaigns", "Adversary-in-the-loop attack campaigns finished.", &m.attackCampaigns)
@@ -187,16 +187,33 @@ func (m *metrics) jobFinished(ok bool, runDur time.Duration) {
 	m.runDur.observe(runDur.Seconds())
 }
 
+// cacheStats is one snapshot of the runner's caches: the prepared-app memo
+// and the trace cache that holds fault-campaign reference traces.
+type cacheStats struct {
+	appHits, appMisses     uint64
+	traceHits, traceMisses uint64
+	traceBytes             int64
+	traceEntries           int64
+}
+
+// runnerCaches snapshots r's caches for render.
+func runnerCaches(r *harness.Runner) cacheStats {
+	var c cacheStats
+	c.appHits, c.appMisses = r.AppMemoStats()
+	var entries int
+	c.traceHits, c.traceMisses, c.traceBytes, entries = r.Traces.Stats()
+	c.traceEntries = int64(entries)
+	return c
+}
+
 // render writes the Prometheus text exposition: the registry-backed scalars
-// first (generated — see newMetrics), then the histograms. traceHits/… come
-// from the shared trace cache; queueDepth/queueCap from the job queue
-// channel.
-func (m *metrics) render(w io.Writer, queueDepth, queueCap int, traceHits, traceMisses uint64, traceBytes int64, traceEntries int) {
+// first (generated — see newMetrics), then the histograms. caches comes from
+// the shared runner; queueDepth/queueCap from the job queue channel.
+func (m *metrics) render(w io.Writer, queueDepth, queueCap int, caches cacheStats) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	m.queueDepth, m.queueCap = int64(queueDepth), int64(queueCap)
-	m.traceHits, m.traceMisses = traceHits, traceMisses
-	m.traceBytes, m.traceEntries = traceBytes, int64(traceEntries)
+	m.caches = caches
 	m.realbin = realbin.TotalsSnapshot()
 	stats.WritePrometheus(w, m.reg.Snapshot(), "vcfrd")
 

@@ -1,8 +1,10 @@
 // Package server implements vcfrd, the long-running HTTP/JSON simulation
 // service: it accepts simulation, sweep, and campaign jobs, runs them on a
-// shared harness.Runner whose trace cache turns repeated timing-only
-// queries into replays, and answers every request in the one versioned wire
-// format of internal/results.
+// shared harness.Runner, and answers every request in the one versioned wire
+// format of internal/results. Every run executes; what the shared runner
+// saves across requests is the prepared app (workload build and ILR rewrite,
+// reused from its memo) and each fault campaign's clean reference trace
+// (its trace cache).
 //
 // Endpoints:
 //
@@ -31,7 +33,8 @@
 //	GET  /v1/workloads  the built-in workload catalog
 //	GET  /healthz       liveness
 //	GET  /metrics       Prometheus text: jobs by state, queue pressure,
-//	                    trace-cache effectiveness, per-stage latency
+//	                    app-memo and trace-cache effectiveness, per-stage
+//	                    latency
 //	GET  /debug/pprof/  the standard Go profiler
 //
 // Every error answers the one envelope {"error": {"code", "message"}}.
@@ -81,7 +84,7 @@ type Config struct {
 	// <= 0 means 256.
 	JobRetention int
 	// Runner executes jobs. nil builds a default runner with a 256 MiB
-	// trace cache. Give it a trace.Cache to share captures across requests.
+	// trace cache, which holds fault campaigns' reference traces only.
 	Runner *harness.Runner
 }
 
@@ -461,7 +464,6 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	hits, misses, bytes, entries := s.runner.Traces.Stats()
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	s.metrics.render(w, len(s.queue), cap(s.queue), hits, misses, bytes, entries)
+	s.metrics.render(w, len(s.queue), cap(s.queue), runnerCaches(s.runner))
 }

@@ -17,7 +17,6 @@ import (
 	"vcfr/internal/harness"
 	"vcfr/internal/multicore"
 	"vcfr/internal/results"
-	"vcfr/internal/trace"
 )
 
 // startServer builds and starts a server on an ephemeral port, cleaning it
@@ -101,41 +100,55 @@ func TestSimulateMatchesCLI(t *testing.T) {
 	}
 }
 
-// TestRepeatedQueryReplays locks the shared-cache behavior: a second
-// request that changes only timing knobs (DRC size) must be served by
-// replaying the first request's captured trace — the hit counter moves, the
-// capture counter does not.
-func TestRepeatedQueryReplays(t *testing.T) {
+// TestRepeatedQueryReusesApp locks the shared-runner behavior: a second
+// request that changes only a timing knob (DRC size) executes again, answers
+// byte-identically to SimulateRuns, and reuses the first request's prepared
+// app — the memo's hit counter moves, its miss counter does not.
+func TestRepeatedQueryReusesApp(t *testing.T) {
 	r := harness.NewRunner(0)
-	r.Traces = trace.NewCache(64 << 20)
 	s := startServer(t, Config{Workers: 2, QueueDepth: 8, Runner: r})
 
 	body := `{"workload": "lbm", "mode": "vcfr", "instructions": 30000}`
 	if resp, b := post(t, s, "/v1/simulate", body); resp.StatusCode != http.StatusOK {
 		t.Fatalf("first simulate: %d: %s", resp.StatusCode, b)
 	}
-	hits0, misses0, _, _ := r.Traces.Stats()
+	hits0, misses0 := r.AppMemoStats()
 	if misses0 == 0 {
-		t.Fatal("first request did not capture")
+		t.Fatal("first request did not prepare an app")
 	}
 
 	timingOnly := `{"workload": "lbm", "mode": "vcfr", "instructions": 30000, "drc": 64}`
-	if resp, b := post(t, s, "/v1/simulate", timingOnly); resp.StatusCode != http.StatusOK {
-		t.Fatalf("second simulate: %d: %s", resp.StatusCode, b)
+	resp, got := post(t, s, "/v1/simulate", timingOnly)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("second simulate: %d: %s", resp.StatusCode, got)
 	}
-	hits1, misses1, _, _ := r.Traces.Stats()
+	hits1, misses1 := r.AppMemoStats()
 	if hits1 <= hits0 {
-		t.Errorf("timing-only repeat was not a cache hit (hits %d -> %d)", hits0, hits1)
+		t.Errorf("timing-only repeat missed the app memo (hits %d -> %d)", hits0, hits1)
 	}
 	if misses1 != misses0 {
-		t.Errorf("timing-only repeat re-captured (misses %d -> %d)", misses0, misses1)
+		t.Errorf("timing-only repeat rebuilt the app (misses %d -> %d)", misses0, misses1)
+	}
+
+	cfg := harness.Config{Scale: 1, MaxInsts: 30000, Seed: 1, Spread: 8}
+	rows, err := harness.SimulateRuns(context.Background(), harness.NewRunner(1), "lbm", []cpu.Mode{cpu.ModeVCFR}, cfg,
+		func(c *cpu.Config) { c.DRCEntries = 64; c.IssueWidth = 1; c.ContextSwitchEvery = 0 })
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := results.Marshal(results.NewRun(rows...))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Errorf("timing-only repeat differs from SimulateRuns:\n--- service ---\n%.400s\n--- direct ---\n%.400s", got, want)
 	}
 
 	// The /metrics endpoint must surface the same counters.
 	_, metricsBody := get(t, s, "/metrics")
-	want := fmt.Sprintf("vcfrd_trace_cache_hits_total %d", hits1)
-	if !strings.Contains(string(metricsBody), want) {
-		t.Errorf("/metrics missing %q", want)
+	wantMetric := fmt.Sprintf("vcfrd_app_memo_hits_total %d", hits1)
+	if !strings.Contains(string(metricsBody), wantMetric) {
+		t.Errorf("/metrics missing %q", wantMetric)
 	}
 }
 

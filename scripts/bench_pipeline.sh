@@ -1,9 +1,9 @@
 #!/bin/sh
-# Run the pipeline's acceptance benchmark (the fig13+fig14 DRC-size sweep,
-# execute-driven and trace-replayed) and archive its numbers — ns/op and
-# ns per simulated instruction — as JSON in BENCH_pipeline.json. Refactors
-# of the simulate hot path are checked against a previously recorded file:
-# the ns/instr of the execute variant must stay within a few percent.
+# Run the pipeline's acceptance benchmark (the fig13+fig14 DRC-size sweep)
+# and archive its numbers — ns/op and ns per simulated instruction — as
+# JSON in BENCH_pipeline.json. Refactors of the simulate hot path are
+# checked against a previously recorded file: the ns/instr of the execute
+# variant must stay within a few percent.
 #
 # Usage: scripts/bench_pipeline.sh [output.json]
 set -eu
@@ -31,7 +31,7 @@ awk -v out="$OUT" '
     }
 }
 END {
-    if (!n["execute"] || !n["replay"]) {
+    if (!n["execute"]) {
         print "bench_pipeline: missing benchmark output" > "/dev/stderr"
         exit 1
     }
@@ -39,10 +39,8 @@ END {
     printf "  \"benchmark\": \"BenchmarkDRCSweep\",\n" >> out
     printf "  \"config\": \"fig13+fig14 DRC sweep, workloads h264ref+lbm, 120000 instructions, benchtime 3x\",\n" >> out
     printf "  \"count\": %d,\n", n["execute"] >> out
-    printf "  \"execute\": {\"ns_per_op\": %.0f, \"ns_per_instr\": %.4f},\n",
+    printf "  \"execute\": {\"ns_per_op\": %.0f, \"ns_per_instr\": %.4f}\n",
         nsop["execute"] / n["execute"], nsinstr["execute"] / n["execute"] >> out
-    printf "  \"replay\": {\"ns_per_op\": %.0f, \"ns_per_instr\": %.4f}\n",
-        nsop["replay"] / n["replay"], nsinstr["replay"] / n["replay"] >> out
     printf "}\n" >> out
 }
 ' "$TMP"

@@ -1,7 +1,7 @@
 #!/bin/sh
 # Smoke test for vcfrd: boot the service, hit every endpoint once, prove the
 # simulate response is byte-identical to vcfrsim -stats-json, prove a
-# timing-only repeat is served from the trace cache, exercise the unified
+# timing-only repeat reuses the prepared app, exercise the unified
 # /v1/jobs API, prove a kind=multicore job's envelope is byte-identical to
 # clustersim -json, and prove SIGTERM drains cleanly. Exits non-zero on the
 # first failure.
@@ -51,12 +51,12 @@ curl -fsS -d "$REQ" "http://$ADDR/v1/simulate" >"$TMP/service.json"
 "$GO" run ./cmd/vcfrsim -workload h264ref -mode all -instructions 50000 -stats-json >"$TMP/cli.json"
 cmp "$TMP/service.json" "$TMP/cli.json"
 
-echo "== timing-only repeat replays from the trace cache"
+echo "== timing-only repeat reuses the prepared app"
 curl -fsS -d '{"workload": "h264ref", "mode": "all", "instructions": 50000, "drc": 64}' \
     "http://$ADDR/v1/simulate" >/dev/null
 curl -fsS "http://$ADDR/metrics" >"$TMP/metrics.txt"
-HITS="$(sed -n 's/^vcfrd_trace_cache_hits_total //p' "$TMP/metrics.txt")"
-[ "${HITS:-0}" -ge 1 ] || { echo "no trace cache hit (hits=$HITS)"; exit 1; }
+HITS="$(sed -n 's/^vcfrd_app_memo_hits_total //p' "$TMP/metrics.txt")"
+[ "${HITS:-0}" -ge 1 ] || { echo "no app memo hit (hits=$HITS)"; exit 1; }
 
 echo "== unified submission via POST /v1/jobs"
 JOB="$(curl -fsS -d '{"kind": "sweep", "workloads": ["lbm"], "instructions": 50000}' "http://$ADDR/v1/jobs" \
