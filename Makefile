@@ -74,8 +74,8 @@ bench-pipeline-record:
 bench-fault:
 	./scripts/bench_fault.sh
 
-# Attack-evaluation throughput (chains/s, fires/s), archived as
-# BENCH_attack.json.
+# Attack-evaluation throughput (chains/s, fires/s, campaign cells/s),
+# archived as BENCH_attack.json.
 bench-attack:
 	./scripts/bench_attack.sh
 

@@ -324,3 +324,23 @@ func BenchmarkFire(b *testing.B) {
 	}
 	b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "fires/s")
 }
+
+// BenchmarkCampaign measures the whole canonical campaign on one worker —
+// workload preparation, the leak oracle, gadget pools, re-randomization
+// epochs, chain builds and fires — as campaign cells per second. It is the
+// end-to-end row the chain-build and fire benchmarks above are layers of;
+// scripts/bench_attack.sh records it as campaign_cells_per_sec.
+func BenchmarkCampaign(b *testing.B) {
+	cells := 0
+	for i := 0; i < b.N; i++ {
+		rep, err := RunCampaign(context.Background(), harness.NewRunner(1), Config{}, nil)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if rep.Partial {
+			b.Fatal("canonical campaign reported partial")
+		}
+		cells += len(rep.Rows)
+	}
+	b.ReportMetric(float64(cells)/b.Elapsed().Seconds(), "cells/s")
+}

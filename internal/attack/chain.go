@@ -39,17 +39,7 @@ func chainKey(c gadget.Chain) string {
 func staticPool(res *ilr.Result, mode cpu.Mode) []gadget.Gadget {
 	switch mode {
 	case cpu.ModeNaiveILR:
-		intended := make(map[uint32]bool)
-		for _, a := range res.Tables.OrigAddrs() {
-			intended[a] = true
-		}
-		var out []gadget.Gadget
-		for _, g := range gadget.Scan(res.Orig, 0) {
-			if intended[g.Addr] {
-				out = append(out, g)
-			}
-		}
-		return out
+		return gadget.ScanAddrs(res.Orig, res.Tables.OrigAddrs(), 0)
 	case cpu.ModeVCFR:
 		return gadget.Scan(res.VCFR, 0)
 	default:

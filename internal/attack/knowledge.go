@@ -272,18 +272,19 @@ func (o *oracle) pairNew() {
 // pool compiles the attacker's current gadget view. Under naive ILR only
 // gadgets anchored at learned instruction starts are mountable (a byte-
 // offset gadget's original address is not a map key, so its fetch would
-// fall through to the zeroed original space); under baseline/VCFR the view
-// is scanned page-limited, exactly like the full scanner would.
+// fall through to the zeroed original space), so only those starts are
+// probed, in ascending address order; under baseline/VCFR the view is
+// scanned page-limited, exactly like the full scanner would.
 func (o *oracle) pool() []gadget.Gadget {
 	img := viewImage(o.res.Orig.Name, o.viewAddr, o.viewData)
 	if o.mode == cpu.ModeNaiveILR {
-		var out []gadget.Gadget
-		for _, g := range gadget.Scan(img, 0) {
-			if o.intended[g.Addr] {
-				out = append(out, g)
+		var learned []uint32
+		for _, a := range o.origAddrs {
+			if o.intended[a] {
+				learned = append(learned, a)
 			}
 		}
-		return out
+		return gadget.ScanAddrs(img, learned, 0)
 	}
 	return gadget.ScanPages(img, o.disclosedCode, 0)
 }

@@ -2,6 +2,7 @@ package gadget
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"vcfr/internal/asm"
@@ -26,7 +27,16 @@ func TestScanRandomImagesNeverPanics(t *testing.T) {
 				Perm: program.PermR | program.PermX,
 			}},
 		}
-		for _, g := range Scan(img, DefaultMaxInsts) {
+		// ScanAddrs gets arbitrary probe lists: unsorted, duplicated, and
+		// reaching past both ends of the text (including the top of the
+		// address space).
+		probes := []uint32{0, 0xfff, 0x1000 + uint32(len(data)), ^uint32(0)}
+		for i := 0; i < 256; i++ {
+			probes = append(probes, 0x1000-8+uint32(rng.Intn(len(data)+16)))
+		}
+		found := Scan(img, DefaultMaxInsts)
+		found = append(found, ScanAddrs(img, probes, DefaultMaxInsts)...)
+		for _, g := range found {
 			// Re-decode the gadget from scratch and verify its shape.
 			off := g.Addr - 0x1000
 			addr := g.Addr
@@ -48,6 +58,84 @@ func TestScanRandomImagesNeverPanics(t *testing.T) {
 			}
 			if len(g.Insts) > DefaultMaxInsts {
 				t.Fatalf("trial %d: gadget longer than bound", trial)
+			}
+		}
+	}
+}
+
+// randomCode builds n bytes of gadget-rich soup: runs of valid encodings
+// (rets over-represented), raw random bytes, and zeroed holes like the
+// unknown bytes of an attacker's partial view.
+func randomCode(rng *rand.Rand, n int) []byte {
+	var data []byte
+	for len(data) < n {
+		switch k := rng.Intn(10); {
+		case k < 6:
+			op := isa.Op(1 + rng.Intn(isa.NumOps))
+			if rng.Intn(4) == 0 {
+				op = isa.OpRet
+			}
+			data = isa.Encode(data, isa.Inst{
+				Op: op, Rd: isa.Reg(rng.Intn(isa.NumRegs)),
+				Rs: isa.Reg(rng.Intn(isa.NumRegs)), Rt: isa.Reg(rng.Intn(isa.NumRegs)),
+				Imm: rng.Int31(), Target: rng.Uint32(),
+			})
+		case k < 8:
+			junk := make([]byte, 1+rng.Intn(8))
+			rng.Read(junk)
+			data = append(data, junk...)
+		default:
+			data = append(data, make([]byte, 1+rng.Intn(64))...)
+		}
+	}
+	return data[:n]
+}
+
+// TestScanAddrsMatchesFilteredScan is the equivalence ScanAddrs promises:
+// for an ascending, duplicate-free probe list it returns exactly what the
+// full byte-offset Scan returns restricted to those start addresses, in
+// the same order — including probes that fall outside the text.
+func TestScanAddrsMatchesFilteredScan(t *testing.T) {
+	rng := rand.New(rand.NewSource(15))
+	for trial := 0; trial < 40; trial++ {
+		base := uint32(0x1000 + 0x1000*rng.Intn(4))
+		img := &program.Image{
+			Name: "prop",
+			Segments: []program.Segment{{
+				Name: program.SegText, Addr: base, Data: randomCode(rng, 256+rng.Intn(4096)),
+				Perm: program.PermR | program.PermX,
+			}},
+		}
+		full := Scan(img, DefaultMaxInsts)
+		for _, density := range []int{1, 4, 32} {
+			var addrs []uint32
+			keep := make(map[uint32]bool)
+			end := base + uint32(len(img.Segments[0].Data))
+			for a := base - 16; a < end+16; a++ {
+				if rng.Intn(density) == 0 {
+					addrs = append(addrs, a)
+					keep[a] = true
+				}
+			}
+			var want []Gadget
+			for _, g := range full {
+				if keep[g.Addr] {
+					want = append(want, g)
+				}
+			}
+			got := ScanAddrs(img, addrs, DefaultMaxInsts)
+			if len(got) != len(want) {
+				t.Fatalf("trial %d density 1/%d: ScanAddrs found %d gadgets, filtered Scan %d",
+					trial, density, len(got), len(want))
+			}
+			for i := range want {
+				if !reflect.DeepEqual(got[i], want[i]) {
+					t.Fatalf("trial %d density 1/%d: gadget %d: got %#x %q, want %#x %q",
+						trial, density, i, got[i].Addr, got[i], want[i].Addr, want[i])
+				}
+			}
+			if density == 1 && len(want) == 0 {
+				t.Fatalf("trial %d: soup produced no gadgets; the property is vacuous", trial)
 			}
 		}
 	}

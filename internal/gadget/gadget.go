@@ -66,6 +66,31 @@ func Scan(img *program.Image, maxInsts int) []Gadget {
 	return out
 }
 
+// ScanAddrs probes only the given start addresses, in the order given, for
+// gadgets of at most maxInsts body instructions; addresses outside the
+// executable segment are skipped. For ascending, duplicate-free addrs the
+// result equals Scan(img, maxInsts) filtered to gadgets starting in addrs,
+// element for element — without decoding the offsets in between.
+func ScanAddrs(img *program.Image, addrs []uint32, maxInsts int) []Gadget {
+	if maxInsts <= 0 {
+		maxInsts = DefaultMaxInsts
+	}
+	text := img.Text()
+	if text == nil {
+		return nil
+	}
+	var out []Gadget
+	for _, a := range addrs {
+		if a < text.Addr || a-text.Addr >= uint32(len(text.Data)) {
+			continue
+		}
+		if g, ok := scanAt(text.Data, text.Addr, int(a-text.Addr), maxInsts); ok {
+			out = append(out, g)
+		}
+	}
+	return out
+}
+
 // scanAt tries to read one gadget starting at byte offset off.
 func scanAt(data []byte, base uint32, off, maxInsts int) (Gadget, bool) {
 	g := Gadget{Addr: base + uint32(off)}

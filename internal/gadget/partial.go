@@ -1,10 +1,6 @@
 package gadget
 
-import (
-	"sort"
-
-	"vcfr/internal/program"
-)
+import "vcfr/internal/program"
 
 // This file is the disclosure-limited view of the scanner: the gadget set an
 // attacker can actually assemble when only some code pages have been leaked
@@ -31,7 +27,6 @@ func TextPages(img *program.Image) []uint32 {
 	for pg := first; pg <= last; pg++ {
 		out = append(out, pg)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
 	return out
 }
 

@@ -273,15 +273,15 @@ func Table2(s *Sweep, cfgIn Config) (*Table, error) {
 			"calls", "indirect-calls", "rets", "resolved-indirect"},
 	}
 	cells := s.mapCells(cfgIn, cfgIn.names(workloads.SpecNames),
-		func(ctx context.Context, cfg Config, name string) (Cell, error) {
+		func(ctx context.Context, ccfg Config, name string) (Cell, error) {
 			if err := ctx.Err(); err != nil {
 				return Cell{}, err
 			}
-			w, err := workloads.ByName(name, cfg.Scale)
+			w, err := workloads.ByName(name, ccfg.Scale)
 			if err != nil {
 				return Cell{}, err
 			}
-			g, err := cfg2(w)
+			g, err := cfg.Build(w.Img)
 			if err != nil {
 				return Cell{}, err
 			}
@@ -293,10 +293,6 @@ func Table2(s *Sweep, cfgIn Config) (*Table, error) {
 	appendCells(t, cells)
 	t.Note = "paper Table II shape: direct >> indirect; xalan dominates indirect calls"
 	return t, nil
-}
-
-func cfg2(w workloads.Workload) (*cfg.Graph, error) {
-	return cfg.Build(w.Img)
 }
 
 // Fig9 reports functions with and without ret instructions.

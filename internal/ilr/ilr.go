@@ -136,14 +136,17 @@ type Result struct {
 	// RandRA maps the original return address of each randomized call site
 	// to its randomized value.
 	RandRA map[uint32]uint32
-	Graph  *cfg.Graph
-	Opts   Options
-	Stats  Stats
+	// Graph is the recovered CFG of Orig. Re-randomization epochs reuse it
+	// (Rerandomize), so one Graph is shared read-only by every Result
+	// derived from the same rewrite, possibly across goroutines: nothing may
+	// mutate it after Rewrite returns.
+	Graph *cfg.Graph
+	Opts  Options
+	Stats Stats
 }
 
 // Rewrite randomizes img. The input image is not modified.
 func Rewrite(img *program.Image, opts Options) (*Result, error) {
-	opts = opts.withDefaults()
 	if err := img.Validate(); err != nil {
 		return nil, fmt.Errorf("ilr: input image: %w", err)
 	}
@@ -151,7 +154,14 @@ func Rewrite(img *program.Image, opts Options) (*Result, error) {
 	if err != nil {
 		return nil, fmt.Errorf("ilr: %w", err)
 	}
+	return rewriteGraph(img, g, opts)
+}
 
+// rewriteGraph is Rewrite after CFG recovery: it lays out and builds every
+// artifact of one randomization of img from its already-recovered graph g,
+// which it only reads.
+func rewriteGraph(img *program.Image, g *cfg.Graph, opts Options) (*Result, error) {
+	opts = opts.withDefaults()
 	rng := rand.New(rand.NewSource(opts.Seed))
 	tables, entropy, err := assignAddresses(g, opts, rng)
 	if err != nil {

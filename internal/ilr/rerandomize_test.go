@@ -1,8 +1,11 @@
 package ilr
 
 import (
+	"fmt"
+	"reflect"
 	"testing"
 
+	"vcfr/internal/cfg"
 	"vcfr/internal/workloads"
 )
 
@@ -138,5 +141,79 @@ func TestRerandomizeTablesConsistentAfterSwap(t *testing.T) {
 			t.Fatalf("epoch %d: %.1f%% of old randomized addresses still map", epoch, 100*frac)
 		}
 		cur = next
+	}
+}
+
+// TestRerandomizeMatchesRewrite pins the CFG reuse behind Rerandomize: an
+// epoch derived from an earlier Result is the same artifact set a fresh
+// Rewrite of the original image with the new seed produces — tables,
+// VCFR and scattered images, randomized return addresses and stats — and
+// the shared graph is still exactly the recovered CFG after a chain of
+// epochs has been built from it.
+func TestRerandomizeMatchesRewrite(t *testing.T) {
+	cases := []struct {
+		workload string
+		opts     Options
+	}{
+		{"bzip2", Options{Seed: 1}},
+		{"sjeng", Options{Seed: 42, Spread: 8}},
+		{"xalan", Options{Seed: 7, RetRand: RetRandSoftware}},
+		{"gcc", Options{Seed: 3, PageConfined: true}},
+	}
+	for _, tc := range cases {
+		w, err := workloads.ByName(tc.workload, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		a, err := Rewrite(w.Img, tc.opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		snapshot, err := cfg.Build(a.Orig)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(snapshot, a.Graph) {
+			t.Fatalf("%s: Rewrite's graph differs from a fresh cfg.Build", tc.workload)
+		}
+		cur := a
+		for epoch, seed := range []int64{tc.opts.Seed + 1, 1000, -5} {
+			got, err := cur.Rerandomize(seed)
+			if err != nil {
+				t.Fatalf("%s epoch %d: %v", tc.workload, epoch, err)
+			}
+			opts := a.Opts
+			opts.Seed = seed
+			want, err := Rewrite(a.Orig, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			where := fmt.Sprintf("%s epoch %d (seed %d)", tc.workload, epoch, seed)
+			if got.Graph != a.Graph {
+				t.Errorf("%s: epoch recovered a new CFG instead of sharing the first", where)
+			}
+			if got.Orig != a.Orig || got.Opts != want.Opts {
+				t.Errorf("%s: Orig/Opts differ from a fresh Rewrite", where)
+			}
+			if !reflect.DeepEqual(got.Tables, want.Tables) {
+				t.Errorf("%s: tables differ from a fresh Rewrite", where)
+			}
+			if !reflect.DeepEqual(got.VCFR, want.VCFR) {
+				t.Errorf("%s: VCFR image differs from a fresh Rewrite", where)
+			}
+			if !reflect.DeepEqual(got.Scattered, want.Scattered) {
+				t.Errorf("%s: scattered image differs from a fresh Rewrite", where)
+			}
+			if !reflect.DeepEqual(got.RandRA, want.RandRA) {
+				t.Errorf("%s: RandRA differs from a fresh Rewrite", where)
+			}
+			if got.Stats != want.Stats {
+				t.Errorf("%s: stats %+v, fresh Rewrite %+v", where, got.Stats, want.Stats)
+			}
+			cur = got
+		}
+		if !reflect.DeepEqual(snapshot, a.Graph) {
+			t.Errorf("%s: the shared CFG changed across epochs", tc.workload)
+		}
 	}
 }

@@ -165,9 +165,11 @@ func (res *Result) buildRandRA() {
 
 // Rerandomize applies a fresh randomization of the same original image with
 // a new seed — the paper's periodic re-randomization defense against table
-// leakage (Sec. V-C).
+// leakage (Sec. V-C). The result equals Rewrite(res.Orig, opts with the new
+// seed); the original image and its CFG are unchanged, so the new epoch
+// shares res.Graph instead of recovering it again.
 func (res *Result) Rerandomize(seed int64) (*Result, error) {
 	opts := res.Opts
 	opts.Seed = seed
-	return Rewrite(res.Orig, opts)
+	return rewriteGraph(res.Orig, res.Graph, opts)
 }

@@ -85,23 +85,58 @@ func Encode(dst []byte, in Inst) []byte {
 	}
 }
 
+// DecodeError is the error Decode returns for a byte sequence that does not
+// encode an instruction. It keeps the raw fields and formats its message
+// only when Error is called: the gadget scanner probes every byte offset of
+// mostly zero-filled views and discards almost every rejection unread.
+// errors.Is matches it against ErrBadOpcode, ErrTruncated or ErrBadOperand.
+type DecodeError struct {
+	Err  error  // ErrBadOpcode, ErrTruncated or ErrBadOperand
+	Op   Op     // offending opcode; invalid for ErrBadOpcode
+	Byte byte   // the rejected opcode or register byte
+	Addr uint32 // address the decode was attempted at
+	// Need and Have are the encoded length and the bytes available
+	// (ErrTruncated only).
+	Need, Have int
+	// Index marks a rejected loadr/storer index register (ErrBadOperand).
+	Index bool
+}
+
+// Error renders the rejection in the decoder's historical message format.
+func (e *DecodeError) Error() string {
+	switch {
+	case e.Err == ErrBadOpcode:
+		return fmt.Sprintf("%v: %#02x at %#x", e.Err, e.Byte, e.Addr)
+	case e.Err == ErrTruncated:
+		return fmt.Sprintf("%v: %s at %#x needs %d bytes, have %d",
+			e.Err, e.Op, e.Addr, e.Need, e.Have)
+	case e.Index:
+		return fmt.Sprintf("%v: %s index reg %d at %#x", e.Err, e.Op, e.Byte, e.Addr)
+	default:
+		return fmt.Sprintf("%v: %s reg %d at %#x", e.Err, e.Op, e.Byte, e.Addr)
+	}
+}
+
+// Unwrap returns the sentinel the rejection belongs to.
+func (e *DecodeError) Unwrap() error { return e.Err }
+
 // Decode decodes one instruction from buf, recording addr as its address.
 // Register-field validation is strict: a high nibble in a single-register
 // encoding fails, so a random byte stream usually fails to decode — exactly
 // the property the gadget scanner relies on when it probes misaligned
-// offsets.
+// offsets. An empty buf returns ErrTruncated itself; every other rejection
+// is a *DecodeError.
 func Decode(buf []byte, addr uint32) (Inst, error) {
 	if len(buf) == 0 {
 		return Inst{}, ErrTruncated
 	}
 	op := Op(buf[0])
 	if !op.Valid() {
-		return Inst{}, fmt.Errorf("%w: %#02x at %#x", ErrBadOpcode, buf[0], addr)
+		return Inst{}, &DecodeError{Err: ErrBadOpcode, Byte: buf[0], Addr: addr}
 	}
 	n := op.Length()
 	if len(buf) < n {
-		return Inst{}, fmt.Errorf("%w: %s at %#x needs %d bytes, have %d",
-			ErrTruncated, op, addr, n, len(buf))
+		return Inst{}, &DecodeError{Err: ErrTruncated, Op: op, Addr: addr, Need: n, Have: len(buf)}
 	}
 	in := Inst{Op: op, Addr: addr}
 	switch op {
@@ -114,24 +149,24 @@ func Decode(buf []byte, addr uint32) (Inst, error) {
 		in.Rd, in.Rs = Reg(buf[1]>>4), Reg(buf[1]&0x0f)
 	case OpNeg, OpNot, OpPush, OpPop, OpJmpR, OpCallR:
 		if buf[1] >= NumRegs {
-			return Inst{}, fmt.Errorf("%w: %s reg %d at %#x", ErrBadOperand, op, buf[1], addr)
+			return Inst{}, &DecodeError{Err: ErrBadOperand, Op: op, Byte: buf[1], Addr: addr}
 		}
 		in.Rd = Reg(buf[1])
 	case OpShlI, OpShrI, OpSarI:
 		if buf[1] >= NumRegs {
-			return Inst{}, fmt.Errorf("%w: %s reg %d at %#x", ErrBadOperand, op, buf[1], addr)
+			return Inst{}, &DecodeError{Err: ErrBadOperand, Op: op, Byte: buf[1], Addr: addr}
 		}
 		in.Rd = Reg(buf[1])
 		in.Imm = int32(buf[2])
 	case OpLoadR, OpStoreR:
 		in.Rd, in.Rs = Reg(buf[1]>>4), Reg(buf[1]&0x0f)
 		if buf[2] >= NumRegs {
-			return Inst{}, fmt.Errorf("%w: %s index reg %d at %#x", ErrBadOperand, op, buf[2], addr)
+			return Inst{}, &DecodeError{Err: ErrBadOperand, Op: op, Byte: buf[2], Addr: addr, Index: true}
 		}
 		in.Rt = Reg(buf[2])
 	case OpAddI, OpSubI, OpAndI, OpOrI, OpXorI, OpCmpI:
 		if buf[1] >= NumRegs {
-			return Inst{}, fmt.Errorf("%w: %s reg %d at %#x", ErrBadOperand, op, buf[1], addr)
+			return Inst{}, &DecodeError{Err: ErrBadOperand, Op: op, Byte: buf[1], Addr: addr}
 		}
 		in.Rd = Reg(buf[1])
 		in.Imm = int32(int16(binary.LittleEndian.Uint16(buf[2:])))
@@ -142,12 +177,12 @@ func Decode(buf []byte, addr uint32) (Inst, error) {
 		in.Target = binary.LittleEndian.Uint32(buf[1:])
 	case OpMovRI:
 		if buf[1] >= NumRegs {
-			return Inst{}, fmt.Errorf("%w: movi reg %d at %#x", ErrBadOperand, buf[1], addr)
+			return Inst{}, &DecodeError{Err: ErrBadOperand, Op: op, Byte: buf[1], Addr: addr}
 		}
 		in.Rd = Reg(buf[1])
 		in.Imm = int32(binary.LittleEndian.Uint32(buf[2:]))
 	default:
-		return Inst{}, fmt.Errorf("%w: %#02x at %#x", ErrBadOpcode, buf[0], addr)
+		return Inst{}, &DecodeError{Err: ErrBadOpcode, Byte: buf[0], Addr: addr}
 	}
 	return in, nil
 }

@@ -91,28 +91,89 @@ func TestEncodeDecodeRoundTripAllOpcodes(t *testing.T) {
 	}
 }
 
+// TestDecodeErrors pins every rejection branch of Decode: each must match
+// its sentinel under errors.Is and, past an empty buffer (which returns the
+// bare ErrTruncated), be a *DecodeError whose message is exactly the text
+// the decoder has always produced (the emulator's "fetch: ..." faults embed
+// it). The switch's default arm is unreachable for a valid opcode and
+// shares the bad-opcode message.
 func TestDecodeErrors(t *testing.T) {
 	tests := []struct {
 		name string
 		buf  []byte
+		addr uint32
 		want error
+		msg  string
 	}{
-		{"empty", nil, ErrTruncated},
-		{"zero byte", []byte{0x00}, ErrBadOpcode},
-		{"undefined opcode", []byte{0xee}, ErrBadOpcode},
-		{"truncated movi", Encode(nil, Inst{Op: OpMovRI, Rd: 1, Imm: 5})[:3], ErrTruncated},
-		{"truncated jmp", Encode(nil, Inst{Op: OpJmp, Target: 0x100})[:2], ErrTruncated},
-		{"push bad reg", []byte{byte(OpPush), 16}, ErrBadOperand},
-		{"movi bad reg", []byte{byte(OpMovRI), 200, 0, 0, 0, 0}, ErrBadOperand},
-		{"loadr bad index", []byte{byte(OpLoadR), 0x12, 99}, ErrBadOperand},
+		{"empty", nil, 0, ErrTruncated, "isa: truncated instruction"},
+		{"zero byte", []byte{0x00}, 0x1000, ErrBadOpcode,
+			"isa: invalid opcode byte: 0x00 at 0x1000"},
+		{"undefined opcode", []byte{0xee}, 0x1002, ErrBadOpcode,
+			"isa: invalid opcode byte: 0xee at 0x1002"},
+		{"first undefined opcode", []byte{byte(numOps)}, 0x1004, ErrBadOpcode,
+			"isa: invalid opcode byte: 0x34 at 0x1004"},
+		{"0xff opcode", []byte{0xff, 1, 2}, 0x40000000, ErrBadOpcode,
+			"isa: invalid opcode byte: 0xff at 0x40000000"},
+		{"truncated movi", Encode(nil, Inst{Op: OpMovRI, Rd: 1, Imm: 5})[:3], 0x2000, ErrTruncated,
+			"isa: truncated instruction: movi at 0x2000 needs 6 bytes, have 3"},
+		{"truncated jmp", Encode(nil, Inst{Op: OpJmp, Target: 0x100})[:2], 0x2010, ErrTruncated,
+			"isa: truncated instruction: jmp at 0x2010 needs 5 bytes, have 2"},
+		{"truncated sys", []byte{byte(OpSys)}, 0, ErrTruncated,
+			"isa: truncated instruction: sys at 0x0 needs 2 bytes, have 1"},
+		{"push bad reg", []byte{byte(OpPush), 16}, 0x3000, ErrBadOperand,
+			"isa: invalid operand encoding: push reg 16 at 0x3000"},
+		{"callr bad reg", []byte{byte(OpCallR), 0xff}, 0x3002, ErrBadOperand,
+			"isa: invalid operand encoding: callr reg 255 at 0x3002"},
+		{"shli bad reg", []byte{byte(OpShlI), 0x20, 3}, 0x3004, ErrBadOperand,
+			"isa: invalid operand encoding: shli reg 32 at 0x3004"},
+		{"sari bad reg", []byte{byte(OpSarI), 17, 3}, 0x3008, ErrBadOperand,
+			"isa: invalid operand encoding: sari reg 17 at 0x3008"},
+		{"loadr bad index", []byte{byte(OpLoadR), 0x12, 99}, 0x3010, ErrBadOperand,
+			"isa: invalid operand encoding: loadr index reg 99 at 0x3010"},
+		{"storer bad index", []byte{byte(OpStoreR), 0x12, 16}, 0x3014, ErrBadOperand,
+			"isa: invalid operand encoding: storer index reg 16 at 0x3014"},
+		{"addi bad reg", []byte{byte(OpAddI), 16, 0, 0}, 0x3020, ErrBadOperand,
+			"isa: invalid operand encoding: addi reg 16 at 0x3020"},
+		{"cmpi bad reg", []byte{byte(OpCmpI), 0xf0, 1, 0}, 0x3024, ErrBadOperand,
+			"isa: invalid operand encoding: cmpi reg 240 at 0x3024"},
+		{"movi bad reg", []byte{byte(OpMovRI), 200, 0, 0, 0, 0}, 0x3030, ErrBadOperand,
+			"isa: invalid operand encoding: movi reg 200 at 0x3030"},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
-			_, err := Decode(tt.buf, 0)
+			_, err := Decode(tt.buf, tt.addr)
 			if !errors.Is(err, tt.want) {
-				t.Errorf("Decode error = %v, want %v", err, tt.want)
+				t.Fatalf("Decode error = %v, want %v", err, tt.want)
+			}
+			if got := err.Error(); got != tt.msg {
+				t.Errorf("Error() = %q, want %q", got, tt.msg)
+			}
+			if len(tt.buf) == 0 {
+				return
+			}
+			var de *DecodeError
+			if !errors.As(err, &de) {
+				t.Fatalf("errors.As(%T) into *DecodeError failed", err)
+			}
+			if de.Addr != tt.addr {
+				t.Errorf("DecodeError.Addr = %#x, want %#x", de.Addr, tt.addr)
 			}
 		})
+	}
+}
+
+// TestDecodeRejectAllocs bounds the cost of the scanner's common case: a
+// zero byte rejects with at most the error value's own allocation, no
+// formatting.
+func TestDecodeRejectAllocs(t *testing.T) {
+	buf := []byte{0x00, 0x00, 0x00}
+	allocs := testing.AllocsPerRun(1000, func() {
+		if _, err := Decode(buf, 0x1000); err == nil {
+			t.Fatal("zero byte decoded")
+		}
+	})
+	if allocs > 1 {
+		t.Errorf("Decode of a zero byte: %.1f allocs, want <= 1", allocs)
 	}
 }
 
