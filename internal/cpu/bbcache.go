@@ -33,14 +33,13 @@ import (
 //     memory from outside the pipeline (test harnesses, attack payloads,
 //     mid-run re-randomization that rewrites image bytes in place).
 //
-// Same-process context switches (Config.ContextSwitchEvery) flush the DRC
-// and iTLB but not this cache: the cached decode depends only on image bytes
-// and the static translator, neither of which such a switch changes. A
-// *tenant* switch on a multi-core cluster is different — the incoming
-// process brings its own image and tables — so Pipeline.SwitchIn drops the
-// cache for per-process-key modes; the drop is timing-invariant (the cache
-// memoizes work, it never changes it), which FuzzBlockCacheInvalidation's
-// context-switch action checks against the per-instruction path.
+// Context switches flush the DRC and iTLB but not this cache: the cached
+// decode depends only on image bytes and the static translator, neither of
+// which a switch changes. That holds for same-process switches
+// (Config.ContextSwitchEvery) and for tenant switches on a multi-core cluster
+// (Pipeline.SwitchIn) alike, because every tenant owns its own Pipeline and
+// so its own cache. FuzzBlockCacheInvalidation's context-switch action
+// checks a switched, still-warm cache against the per-instruction path.
 
 // maxBlockInsts caps one cached block. Blocks end at the first control
 // transfer anyway; the cap only bounds pathological straight-line runs so a
@@ -64,6 +63,36 @@ type decoded struct {
 // ending at the first control transfer (inclusive) or at maxBlockInsts.
 type bblock struct {
 	insts []decoded
+	// succ memoizes the blocks that most recently followed this one, filled
+	// round-robin from slot nextSucc: a branch's two sides, or a loop's
+	// back-edge and exit, reach their block without a map read. Chains only
+	// ever point at blocks of the current cache generation: flush() replaces
+	// the map, and runBlocks drops its predecessor whenever a flush ends a
+	// block, so no block decoded before a flush is linked to or reached again.
+	succ     [2]succ
+	nextSucc uint8
+}
+
+// succ is one memoized successor: the block led by leader (a UPC).
+type succ struct {
+	leader uint32
+	blk    *bblock
+}
+
+// successor returns the memoized block led by pc, or nil.
+func (b *bblock) successor(pc uint32) *bblock {
+	for i := range b.succ {
+		if s := &b.succ[i]; s.blk != nil && s.leader == pc {
+			return s.blk
+		}
+	}
+	return nil
+}
+
+// link memoizes blk, led by pc, as a successor of b.
+func (b *bblock) link(pc uint32, blk *bblock) {
+	b.succ[b.nextSucc] = succ{leader: pc, blk: blk}
+	b.nextSucc ^= 1
 }
 
 // BlockCacheStats counts block-cache activity. The counters are diagnostic
@@ -197,6 +226,33 @@ func (p *Pipeline) decodeBlock(leader uint32) (*bblock, error) {
 	return b, nil
 }
 
+// blockAt returns the cached block led by p.pc, decoding it on a miss.
+// prev, when non-nil, is the block that just ran to completion: its
+// memoized successors are checked before the leader map, and a block found
+// any other way is memoized as its successor. Either kind of lookup that
+// finds the block counts as one cache hit.
+func (p *Pipeline) blockAt(prev *bblock) (*bblock, error) {
+	if prev != nil {
+		if blk := prev.successor(p.pc); blk != nil {
+			p.bb.stats.Hits++
+			return blk, nil
+		}
+	}
+	blk := p.bb.blocks[p.pc]
+	if blk != nil {
+		p.bb.stats.Hits++
+	} else {
+		var err error
+		if blk, err = p.decodeBlock(p.pc); err != nil {
+			return nil, err
+		}
+	}
+	if prev != nil {
+		prev.link(p.pc, blk)
+	}
+	return blk, nil
+}
+
 // runBlocks executes instructions from the block cache until the committed
 // instruction count reaches limit, the machine halts, or an error surfaces.
 // The caller (RunContext) owns all count-triggered events and picks limit so
@@ -228,17 +284,14 @@ func (p *Pipeline) runBlocks(limit uint64) (bool, error) {
 		p.stats.Cycles += cycles
 		p.stats.FetchStall += fetchStall
 	}
+	var prev *bblock // the block that just ran to completion; nil after a flush
 	for base+insts < limit {
-		blk := p.bb.blocks[p.pc]
-		if blk == nil {
-			var err error
-			if blk, err = p.decodeBlock(p.pc); err != nil {
-				flush()
-				return false, err
-			}
-		} else {
-			p.bb.stats.Hits++
+		blk, err := p.blockAt(prev)
+		if err != nil {
+			flush()
+			return false, err
 		}
+		prev = blk
 		p.bb.flushed = false
 		for i := range blk.insts {
 			if base+insts >= limit {
@@ -276,7 +329,7 @@ func (p *Pipeline) runBlocks(limit uint64) (bool, error) {
 			if vcfr && !p.inRand {
 				p.stats.Unrand++
 			}
-			tail, err := p.stepTail(&d.in, &out, d.ctl)
+			tail, err := p.stepTail(&d.in, &out, d.n, d.ctl)
 			if err != nil {
 				flush()
 				return false, err
@@ -292,8 +345,10 @@ func (p *Pipeline) runBlocks(limit uint64) (bool, error) {
 			}
 			if p.bb.flushed {
 				// A store invalidated the cache (possibly rewriting a later
-				// instruction of this very block): abandon the cached form
-				// and re-decode from the current pc.
+				// instruction of this very block, or a chained successor):
+				// abandon the cached form, forget the chain, and re-decode
+				// from the current pc.
+				prev = nil
 				break
 			}
 		}

@@ -31,9 +31,9 @@ import (
 //	               fresh seed derived from a|b<<8 and swap both pipelines
 //	               onto the new layout (no-op under baseline mode)
 //	action%6 == 5  scheduler context switch: SwitchIn on both pipelines —
-//	               the DRC/iTLB flush plus per-process-key block drop a
-//	               multi-tenant cluster charges when a core changes tenants.
-//	               The cached pipeline loses its memoized blocks, the direct
+//	               the DRC/iTLB flush a multi-tenant cluster charges when a
+//	               core changes tenants. The cached pipeline keeps its
+//	               memoized blocks and chains across the switch, the direct
 //	               one has none: timing and state must still agree exactly.
 func FuzzBlockCacheInvalidation(f *testing.F) {
 	f.Add(uint32(300), []byte{0, 100, 10, 0, 1, 40, 0, byte(isa.OpNop), 0, 200, 20, 0})

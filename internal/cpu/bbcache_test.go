@@ -6,6 +6,7 @@ package cpu_test
 import (
 	"fmt"
 	"reflect"
+	"strings"
 	"testing"
 
 	"vcfr/internal/asm"
@@ -162,6 +163,144 @@ func TestBlockCacheSelfModify(t *testing.T) {
 		t.Errorf("block-cached self-modifying run printed %q, want %q", got, "ABCD")
 	}
 	diffResults(t, "selfmod", cached, direct)
+}
+
+// chainPatchSrc runs a 64-instruction block A (63 nops, then a byte store:
+// exactly the block-size cap, so the store is A's last instruction) that
+// falls through into block B, which prints one character. The first three
+// laps store into a data page, so A finishes cleanly and chains to B; the
+// fourth and fifth laps store 'Z' over the immediate B prints. The flush
+// then happens on A's last instruction with a warm A -> B chain in place:
+// following that chain would print the stale 'A'.
+var chainPatchSrc = `
+	.entry main
+	.text 0x1000
+main:
+	movi r5, 5
+	movi r3, 0x9000      ; harmless store target, far from any code page
+	movi r4, 90          ; 'Z'
+	jmp blockA
+blockA:
+` + strings.Repeat("\tnop\n", 63) + `
+	storeb [r3+2], r4    ; 64th instruction: ends A at the cap
+blockB:
+	movi r1, 65          ; the patched instruction; imm32 starts at blockB+2
+	sys 1
+	subi r5, 1
+	cmpi r5, 2
+	jne skip
+	movi r3, blockB      ; from the fourth lap on, A patches B
+skip:
+	cmpi r5, 0
+	jg blockA
+	movi r1, 0
+	sys 0
+`
+
+// chainLoopSrc is a two-block loop (test-and-exit, then print-and-jump
+// back) whose blocks chain to each other; the print's immediate is what the
+// external poke rewrites.
+const chainLoopSrc = `
+	.entry main
+	.text 0x1000
+main:
+	movi r5, 8
+loop:
+	cmpi r5, 0
+	je done
+body:
+	movi r1, 65          ; poked: imm32 starts at body+2
+	sys 1
+	subi r5, 1
+	jmp loop
+done:
+	movi r1, 0
+	sys 0
+`
+
+// sameState fails the test when two pipelines' architectural state differs.
+func sameState(t *testing.T, label string, a, b *cpu.Pipeline) {
+	t.Helper()
+	as, bs := a.State(), b.State()
+	if as.R != bs.R || as.Z != bs.Z || as.N != bs.N || as.C != bs.C || as.V != bs.V ||
+		a.PC() != b.PC() || as.Halted != bs.Halted {
+		t.Errorf("%s: architectural state diverged: cached pc %#x, direct pc %#x", label, a.PC(), b.PC())
+	}
+}
+
+// TestBlockChainInvalidation runs block-cached and per-instruction
+// pipelines in lockstep through the two ways a chain between cached blocks
+// could outlive the code it was built on: a self-modifying store into a
+// chained successor, issued by the last instruction of its predecessor,
+// and an external poke plus InvalidateBlocks between two run slices that
+// re-enter a chained loop (at every slice boundary through the loop). State,
+// every statistic and the output must match, and the output must show the
+// new bytes.
+func TestBlockChainInvalidation(t *testing.T) {
+	build := func(t *testing.T, img *program.Image, noCache bool) *cpu.Pipeline {
+		cfg := cpu.DefaultConfig(cpu.ModeBaseline)
+		cfg.NoBlockCache = noCache
+		p, err := cpu.New(img, cfg, nil, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return p
+	}
+
+	t.Run("store-into-successor", func(t *testing.T) {
+		img, err := asm.Assemble("chainpatch", chainPatchSrc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var res [2]cpu.Result
+		var pipes [2]*cpu.Pipeline
+		for i, noCache := range []bool{false, true} {
+			pipes[i] = build(t, img, noCache)
+			if res[i], err = pipes[i].Run(10_000); err != nil {
+				t.Fatalf("noCache=%v: %v", noCache, err)
+			}
+		}
+		if got, want := string(res[0].Out), "AAAZZ"; got != want {
+			t.Errorf("block-cached run printed %q, want %q", got, want)
+		}
+		diffResults(t, "store-into-successor", res[0], res[1])
+		sameState(t, "store-into-successor", pipes[0], pipes[1])
+	})
+
+	t.Run("invalidate-between-slices", func(t *testing.T) {
+		img, err := asm.Assemble("chainloop", chainLoopSrc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, ok := img.Lookup("body")
+		if !ok {
+			t.Fatal("no body symbol")
+		}
+		// One lap is six instructions; cut the first slice at every point
+		// of laps two to four.
+		for cut := uint64(8); cut < 26; cut++ {
+			var res [2]cpu.Result
+			var pipes [2]*cpu.Pipeline
+			for i, noCache := range []bool{false, true} {
+				p := build(t, img, noCache)
+				if _, err := p.Run(cut); err != nil {
+					t.Fatal(err)
+				}
+				p.State().Mem.SetByte(body+2, 'Y')
+				p.InvalidateBlocks()
+				if res[i], err = p.Run(10_000); err != nil {
+					t.Fatal(err)
+				}
+				pipes[i] = p
+			}
+			if out := string(res[0].Out); !strings.HasSuffix(out, "Y") || strings.Count(out, "A")+strings.Count(out, "Y") != 8 {
+				t.Errorf("cut %d: block-cached run printed %q, want A's then Y's, 8 in all", cut, out)
+			}
+			label := fmt.Sprintf("cut %d", cut)
+			diffResults(t, label, res[0], res[1])
+			sameState(t, label, pipes[0], pipes[1])
+		}
+	})
 }
 
 // TestBlockCacheInjectorBypass proves SetInjector forces the raw-fetch

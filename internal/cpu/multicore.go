@@ -63,7 +63,7 @@ type SchedStats struct {
 	Quanta       uint64 // dispatches (time slices started)
 	Switches     uint64 // dispatches that changed tenants (switch-in cost charged)
 	Preemptions  uint64 // quanta ended with the tenant still runnable
-	BlockDrops   uint64 // decoded-block cache invalidations on switch-in
+	BlockDrops   uint64 // switch-ins of naive-ILR/VCFR tenants; the results schema still names it block_drops
 	SwitchedIn   uint64 // instructions executed in post-switch (cold) quanta
 	TenantsBound uint64 // tenants pinned to this core
 }
@@ -248,8 +248,7 @@ func (cl *Cluster) dispatch(c int, maxInsts uint64) bool {
 	if prev := cl.lastRun[c]; prev != t {
 		if prev >= 0 {
 			// The switch-in cost of Sec. IV-D: the incoming process's
-			// private translation state restarts cold, and per-process-key
-			// modes drop the decoded-block memoization too.
+			// private translation state restarts cold.
 			st.Switches++
 			switched = true
 			p.SwitchIn()

@@ -12,7 +12,7 @@ import (
 // BenchmarkCluster times the scheduled multi-tenant path end to end: four
 // h264ref tenants (distinct randomization epochs) time-sharing two cores
 // through the quantum scheduler, so every dispatch pays the real switch-in
-// machinery (DRC/iTLB flush, block-cache drop under per-process-key modes)
+// machinery (DRC/iTLB flush; each tenant keeps its own warm block cache)
 // and every access goes through the per-tenant physical page tag and the
 // shared L2. The ns/instr metric is the multicore analog of the pipeline
 // budget in BENCH_pipeline.json; scripts/bench_multicore.sh archives it in

@@ -182,7 +182,7 @@ func TestClusterSoloMatchesPipeline(t *testing.T) {
 // TestClusterTimeSharing: more tenants than cores. Scheduling must never
 // change architectural results (outputs, instruction counts match the
 // one-tenant-per-core run); it must charge the paper's switch-in cost (DRC
-// flushes on the VCFR tenants, block-cache drops counted per core).
+// flushes on the VCFR tenants, per-process-key switch-ins counted per core).
 func TestClusterTimeSharing(t *testing.T) {
 	procs := clusterProcs(t)
 
@@ -234,7 +234,7 @@ func TestClusterTimeSharing(t *testing.T) {
 		t.Errorf("implausible scheduling counters: %+v", st[0])
 	}
 	if st[0].BlockDrops == 0 {
-		t.Errorf("per-process-key tenants switched without block-cache drops: %+v", st[0])
+		t.Errorf("per-process-key tenant switch-ins not counted in BlockDrops: %+v", st[0])
 	}
 	if st[0].Preemptions == 0 {
 		t.Errorf("50-instruction quanta never preempted anyone: %+v", st[0])

@@ -338,45 +338,6 @@ func (p *Pipeline) lineOf(addr uint32) uint32 {
 	return addr &^ uint32(p.cfg.Mem.IL1.LineSize-1)
 }
 
-// itlb is the fully associative instruction TLB. A miss pays the page-walk
-// latency. The randomization tables' page-visibility bit lives conceptually
-// in this structure; the pipeline enforces it in Step.
-type itlb struct {
-	pages    map[uint32]uint64 // page number -> last-use clock
-	cap      int
-	clock    uint64
-	accesses uint64
-	misses   uint64
-}
-
-func newITLB(entries int) *itlb {
-	return &itlb{pages: make(map[uint32]uint64, entries), cap: entries}
-}
-
-// access touches the page containing addr and reports whether it missed.
-func (t *itlb) access(addr uint32) bool {
-	page := addr >> 12
-	t.clock++
-	t.accesses++
-	if _, ok := t.pages[page]; ok {
-		t.pages[page] = t.clock
-		return false
-	}
-	t.misses++
-	if len(t.pages) >= t.cap {
-		var victim uint32
-		oldest := ^uint64(0)
-		for pg, use := range t.pages {
-			if use < oldest {
-				oldest, victim = use, pg
-			}
-		}
-		delete(t.pages, victim)
-	}
-	t.pages[page] = t.clock
-	return true
-}
-
 // phys maps a process-virtual address onto the shared hierarchy's physical
 // address space: a page-granular per-tenant tag XORed in above the page
 // offset. Co-tenants of a cluster occupy distinct physical pages, so equal
@@ -475,18 +436,10 @@ func (p *Pipeline) drcLookup(kind lookupKind, key uint32, overlap int) (val uint
 
 // SwitchIn models a scheduler dispatching this pipeline onto a core another
 // process just used: process-private translation state (DRC hierarchy,
-// iTLB) is flushed and refills cold, and for per-process-key modes —
-// everything but the baseline, whose decode is address-space independent —
-// the decoded-block memoization is dropped too, since cached blocks encode
-// the previous process's randomized layout. The drop is timing-invariant
-// (the cache memoizes work, it never changes it), so differential and
-// replay equivalence hold across switches.
-func (p *Pipeline) SwitchIn() {
-	p.contextSwitch()
-	if p.cfg.Mode != ModeBaseline {
-		p.InvalidateBlocks()
-	}
-}
+// iTLB) is flushed and refills cold. That flush is the modelled switch-in
+// cost. The block cache is kept: each tenant owns its own Pipeline, so its
+// cached blocks only ever encode this process's own image and layout.
+func (p *Pipeline) SwitchIn() { p.contextSwitch() }
 
 // contextSwitch models a switch-out/switch-in pair: process-private
 // translation state (DRC hierarchy, iTLB) is flushed.
@@ -497,7 +450,7 @@ func (p *Pipeline) contextSwitch() {
 	if p.drc2 != nil {
 		p.drc2.flush()
 	}
-	p.itlb.pages = make(map[uint32]uint64, p.itlb.cap)
+	p.itlb.flush()
 }
 
 // Step executes one instruction. It returns false once the machine halts.
@@ -553,7 +506,8 @@ func (p *Pipeline) Step() (bool, error) {
 	}
 
 	// Front end.
-	fetchBubble := p.fetchSupply(sAddr, in.Len())
+	n := in.Len()
+	fetchBubble := p.fetchSupply(sAddr, n)
 	p.stats.FetchStall += fetchBubble
 	cost := 1 + fetchBubble
 
@@ -592,7 +546,7 @@ func (p *Pipeline) Step() (bool, error) {
 		p.stats.Unrand++
 	}
 	cls := in.Class()
-	tail, err := p.stepTail(&in, &out, cls.IsControl() && cls != isa.ClassHalt)
+	tail, err := p.stepTail(&in, &out, n, cls.IsControl() && cls != isa.ClassHalt)
 	if err != nil {
 		return false, err
 	}
@@ -612,9 +566,10 @@ func (p *Pipeline) Step() (bool, error) {
 // for the per-instruction Step path and the block-cached executor
 // (runBlocks): page-visibility enforcement, the self-modification watch,
 // execute-stage stalls, auto-de-randomization charges, and control-flow
-// resolution (which advances the pc). The returned cost excludes the base
-// cycle and the fetch bubble, which the caller owns.
-func (p *Pipeline) stepTail(in *isa.Inst, out *emu.Outcome, isCtl bool) (uint64, error) {
+// resolution (which advances the pc). n is the instruction's encoded length,
+// which both callers already hold. The returned cost excludes the base cycle
+// and the fetch bubble, which the caller owns.
+func (p *Pipeline) stepTail(in *isa.Inst, out *emu.Outcome, n int, isCtl bool) (uint64, error) {
 	// Page-visibility enforcement: the translation tables are invisible to
 	// user-space data accesses.
 	if p.cfg.Mode == ModeVCFR && out.MemKind != emu.MemNone &&
@@ -648,7 +603,7 @@ func (p *Pipeline) stepTail(in *isa.Inst, out *emu.Outcome, isCtl bool) (uint64,
 		}
 		cost += ctl
 	} else {
-		p.pc = in.NextAddr()
+		p.pc = in.Addr + uint32(n)
 	}
 	return cost, nil
 }

@@ -126,7 +126,7 @@ func (s *SchedStats) Register(r *stats.Registry) {
 	sc.Counter("quanta", "Time slices dispatched on this core.", &s.Quanta)
 	sc.Counter("switches", "Dispatches that changed tenants (switch-in cost charged).", &s.Switches)
 	sc.Counter("preemptions", "Quanta that expired with the tenant still runnable.", &s.Preemptions)
-	sc.Counter("block_drops", "Decoded-block cache invalidations on switch-in.", &s.BlockDrops)
+	sc.Counter("block_drops", "Switch-ins of per-process-key tenants (naive ILR, VCFR).", &s.BlockDrops)
 	sc.Counter("switched_in", "Instructions executed in post-switch (cold) quanta.", &s.SwitchedIn)
 	sc.Counter("tenants", "Tenant processes pinned to this core.", &s.TenantsBound)
 }

@@ -122,7 +122,7 @@ func (p *Pipeline) Rerandomize(img *program.Image, trans emu.Translator, randRA 
 	p.ras = newRAS(p.cfg.RASDepth)
 	// Code pages changed contents: shoot down the iTLB, drop the queued
 	// fetch line, and invalidate every pre-decoded block.
-	p.itlb.pages = make(map[uint32]uint64, p.itlb.cap)
+	p.itlb.flush()
 	p.curLine = noLine
 	p.InvalidateBlocks()
 	return nil

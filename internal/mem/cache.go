@@ -85,10 +85,12 @@ type line struct {
 }
 
 // Cache is one set-associative write-back, write-allocate cache level.
+// Every line lives in one flat backing array; set s is the Assoc-long run
+// starting at s*Assoc (see ways).
 type Cache struct {
 	cfg      CacheConfig
 	next     Level
-	sets     [][]line
+	lines    []line
 	setMask  uint32
 	lineBits uint
 	clock    uint64 // LRU timestamp source
@@ -107,11 +109,8 @@ func NewCache(cfg CacheConfig, next Level) (*Cache, error) {
 	c := &Cache{
 		cfg:     cfg,
 		next:    next,
-		sets:    make([][]line, nsets),
+		lines:   make([]line, nsets*cfg.Assoc),
 		setMask: uint32(nsets - 1),
-	}
-	for i := range c.sets {
-		c.sets[i] = make([]line, cfg.Assoc)
 	}
 	for l := cfg.LineSize; l > 1; l >>= 1 {
 		c.lineBits++
@@ -136,21 +135,27 @@ func (c *Cache) index(addr uint32) (set uint32, tag uint32) {
 	return lineAddr & c.setMask, lineAddr >> 0
 }
 
-// lookup finds the way holding addr, or -1.
-func (c *Cache) lookup(set, tag uint32) int {
-	for w := range c.sets[set] {
-		if c.sets[set][w].valid && c.sets[set][w].tag == tag {
+// ways returns the lines of one set.
+func (c *Cache) ways(set uint32) []line {
+	base := int(set) * c.cfg.Assoc
+	return c.lines[base : base+c.cfg.Assoc]
+}
+
+// lookup finds the way of a set holding tag, or -1.
+func lookup(ways []line, tag uint32) int {
+	for w := range ways {
+		if ways[w].valid && ways[w].tag == tag {
 			return w
 		}
 	}
 	return -1
 }
 
-// victim picks the LRU way in the set.
-func (c *Cache) victim(set uint32) int {
+// victim picks the LRU way in a set.
+func victim(ways []line) int {
 	v, oldest := 0, ^uint64(0)
-	for w := range c.sets[set] {
-		l := &c.sets[set][w]
+	for w := range ways {
+		l := &ways[w]
 		if !l.valid {
 			return w
 		}
@@ -161,9 +166,8 @@ func (c *Cache) victim(set uint32) int {
 	return v
 }
 
-// evict retires the victim way, accounting write-backs and prefetch waste.
-func (c *Cache) evict(set uint32, w int) {
-	l := &c.sets[set][w]
+// evict retires a victim line, accounting write-backs and prefetch waste.
+func (c *Cache) evict(l *line) {
 	if !l.valid {
 		return
 	}
@@ -174,15 +178,10 @@ func (c *Cache) evict(set uint32, w int) {
 	if l.dirty {
 		c.stats.Writebacks++
 		// Write-back cost is off the critical path (write buffer); the next
-		// level still sees the traffic.
-		c.next.Access(c.unindex(set, l.tag), true)
+		// level still sees the traffic. The tag is the whole line address.
+		c.next.Access(l.tag<<c.lineBits, true)
 	}
 	l.valid = false
-}
-
-// unindex reconstructs a line-aligned address from set and tag.
-func (c *Cache) unindex(set, tag uint32) uint32 {
-	return tag << c.lineBits
 }
 
 // Access performs a demand read or write.
@@ -190,8 +189,9 @@ func (c *Cache) Access(addr uint32, write bool) int {
 	c.clock++
 	c.stats.Accesses++
 	set, tag := c.index(addr)
-	if w := c.lookup(set, tag); w >= 0 {
-		l := &c.sets[set][w]
+	ways := c.ways(set)
+	if w := lookup(ways, tag); w >= 0 {
+		l := &ways[w]
 		l.lru = c.clock
 		if l.prefetched {
 			c.stats.PrefetchUseful++
@@ -204,16 +204,16 @@ func (c *Cache) Access(addr uint32, write bool) int {
 	}
 	c.stats.Misses++
 	lat := c.cfg.Latency + c.next.Access(addr, false)
-	w := c.victim(set)
-	c.evict(set, w)
-	c.sets[set][w] = line{tag: tag, valid: true, dirty: write, lru: c.clock}
+	l := &ways[victim(ways)]
+	c.evict(l)
+	*l = line{tag: tag, valid: true, dirty: write, lru: c.clock}
 	return lat
 }
 
 // Contains probes for addr without touching LRU state or statistics.
 func (c *Cache) Contains(addr uint32) bool {
 	set, tag := c.index(addr)
-	return c.lookup(set, tag) >= 0
+	return lookup(c.ways(set), tag) >= 0
 }
 
 // Prefetch installs addr's line if absent, fetching it from the next level.
@@ -221,22 +221,21 @@ func (c *Cache) Contains(addr uint32) bool {
 // the next level sees the traffic and the fill can displace a line.
 func (c *Cache) Prefetch(addr uint32) {
 	set, tag := c.index(addr)
-	if c.lookup(set, tag) >= 0 {
+	ways := c.ways(set)
+	if lookup(ways, tag) >= 0 {
 		return
 	}
 	c.clock++
 	c.stats.PrefetchIssued++
 	c.next.Access(addr, false)
-	w := c.victim(set)
-	c.evict(set, w)
-	c.sets[set][w] = line{tag: tag, valid: true, prefetched: true, lru: c.clock}
+	l := &ways[victim(ways)]
+	c.evict(l)
+	*l = line{tag: tag, valid: true, prefetched: true, lru: c.clock}
 }
 
-// Flush invalidates every line, writing back dirty ones.
+// Flush invalidates every line, writing back dirty ones in set-major order.
 func (c *Cache) Flush() {
-	for set := range c.sets {
-		for w := range c.sets[set] {
-			c.evict(uint32(set), w)
-		}
+	for i := range c.lines {
+		c.evict(&c.lines[i])
 	}
 }

@@ -170,6 +170,85 @@ func TestCacheSetIndexing(t *testing.T) {
 	}
 }
 
+// recorder is a terminal level that logs every access it sees.
+type recorder struct {
+	addrs  []uint32
+	writes []bool
+}
+
+func (r *recorder) Access(addr uint32, write bool) int {
+	r.addrs = append(r.addrs, addr)
+	r.writes = append(r.writes, write)
+	return 10
+}
+func (r *recorder) Name() string { return "recorder" }
+
+// TestCacheSetsDoNotOverlap fills every way of set 0 with dirty lines in a
+// cache sharing one backing array across sets: set 1's lines must stay
+// resident, and only set 0's own lines may be evicted.
+func TestCacheSetsDoNotOverlap(t *testing.T) {
+	// 4 sets x 4 ways x 64B lines; set = line address mod 4.
+	c, err := NewCache(CacheConfig{Name: "t", Size: 1024, Assoc: 4, LineSize: 64, Latency: 2}, &flat{latency: 10})
+	if err != nil {
+		t.Fatal(err)
+	}
+	set1 := []uint32{0x040, 0x140, 0x240, 0x340}
+	for _, a := range set1 {
+		c.Access(a, false)
+	}
+	for i := uint32(0); i < 8; i++ { // two full rounds through set 0
+		c.Access(i*0x100, true)
+	}
+	for _, a := range set1 {
+		if !c.Contains(a) {
+			t.Errorf("set-1 line %#x evicted by set-0 traffic", a)
+		}
+	}
+	for i := uint32(4); i < 8; i++ {
+		if !c.Contains(i * 0x100) {
+			t.Errorf("set-0 line %#x missing after filling its set", i*0x100)
+		}
+	}
+	if st := c.Stats(); st.Evictions != 4 || st.Writebacks != 4 {
+		t.Errorf("evictions/writebacks = %d/%d, want 4/4 (set 0's first round only)",
+			st.Evictions, st.Writebacks)
+	}
+}
+
+// TestCacheFlushWritebackOrder dirties lines in scrambled order across every
+// set: Flush must write each dirty line back to the next level exactly once,
+// set by set and way by way within a set, and write back nothing clean.
+func TestCacheFlushWritebackOrder(t *testing.T) {
+	next := &recorder{}
+	// 4 sets x 2 ways x 64B lines; set = line address mod 4.
+	c, err := NewCache(CacheConfig{Name: "t", Size: 512, Assoc: 2, LineSize: 64, Latency: 2}, next)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Way assignment follows fill order within a set (cold ways fill from 0).
+	for _, a := range []uint32{0x0c0, 0x100, 0x040, 0x1c0, 0x000, 0x140, 0x080} {
+		c.Access(a, a != 0x080) // 0x080 stays clean
+	}
+	next.addrs, next.writes = nil, nil
+	c.Flush()
+	want := []uint32{0x100, 0x000, 0x040, 0x140, 0x0c0, 0x1c0}
+	if len(next.addrs) != len(want) {
+		t.Fatalf("flush wrote back %d lines %#x, want %d %#x", len(next.addrs), next.addrs, len(want), want)
+	}
+	for i, a := range want {
+		if next.addrs[i] != a || !next.writes[i] {
+			t.Errorf("write-back %d = %#x (write=%v), want %#x (write)", i, next.addrs[i], next.writes[i], a)
+		}
+	}
+	if st := c.Stats(); st.Writebacks != uint64(len(want)) {
+		t.Errorf("writebacks = %d, want %d", st.Writebacks, len(want))
+	}
+	c.Flush()
+	if len(next.addrs) != len(want) {
+		t.Errorf("second flush wrote back %d more lines, want none", len(next.addrs)-len(want))
+	}
+}
+
 func TestDRAMRowBuffer(t *testing.T) {
 	d := NewDRAM(DRAMConfig{})
 	cfg := d.cfg
@@ -266,5 +345,20 @@ func BenchmarkCacheAccessHit(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		c.Access(0x1000, false)
+	}
+}
+
+// BenchmarkNewCache is the construction cost of one cache at the default
+// L2 geometry (512 KB, 8-way, 64 B lines: 1024 sets).
+//
+//	go test ./internal/mem -run '^$' -bench NewCache
+func BenchmarkNewCache(b *testing.B) {
+	cfg := DefaultHierarchyConfig().L2
+	next := &flat{latency: 10}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := NewCache(cfg, next); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
