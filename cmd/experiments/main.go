@@ -55,7 +55,6 @@ import (
 	"vcfr/internal/harness"
 	"vcfr/internal/multicore"
 	"vcfr/internal/results"
-	"vcfr/internal/trace"
 )
 
 func main() {
@@ -79,7 +78,6 @@ func run() error {
 		cellTime   = flag.Duration("cell-timeout", 0, "per-cell time budget (0 = none); overruns become error rows")
 		list       = flag.Bool("list", false, "list experiments and exit")
 		format     = flag.String("format", "text", "output format: text | json")
-		traceCache = flag.Int("trace-cache", 256, "with -mode faults: in-memory trace cache budget in MiB for the clean reference traces, the cache's only use (0 disables)")
 		statsJSON  = flag.Bool("stats-json", false, "instead of table experiments, run every workload under all three modes and emit full per-run Results as JSON (with -mode faults/attacks: emit the campaign envelope)")
 		injections = flag.Int("injections", 0, "with -mode faults: injections per workload x mode cell (0 = default 120)")
 		faultsF    = flag.String("faults", "", "with -mode faults: comma-separated fault kinds (default: the full fault model)")
@@ -147,9 +145,6 @@ func run() error {
 				return err
 			}
 			fcfg.Kinds = kinds
-		}
-		if *traceCache > 0 {
-			r.Traces = trace.NewCache(int64(*traceCache) << 20)
 		}
 		rep, err := fault.RunCampaign(ctx, r, fcfg, nil)
 		if err != nil {

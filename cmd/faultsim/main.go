@@ -29,7 +29,6 @@ import (
 	"vcfr/internal/fault"
 	"vcfr/internal/harness"
 	"vcfr/internal/results"
-	"vcfr/internal/trace"
 )
 
 func main() {
@@ -51,7 +50,6 @@ func run() error {
 		maxInsts   = flag.Uint64("instructions", 0, "reference-run instruction cap (0 = default 25000)")
 		bits       = flag.Int("bits", 1, "bits flipped per injection")
 		workers    = flag.Int("workers", runtime.GOMAXPROCS(0), "parallel injection workers")
-		traceCache = flag.Int("trace-cache", 256, "in-memory trace cache budget in MiB for the clean reference traces, the cache's only use (0 disables)")
 		jsonOut    = flag.Bool("json", false, "emit the campaign as a versioned results envelope instead of a text table")
 	)
 	flag.Parse()
@@ -81,9 +79,6 @@ func run() error {
 	}
 
 	r := harness.NewRunner(*workers)
-	if *traceCache > 0 {
-		r.Traces = trace.NewCache(int64(*traceCache) << 20)
-	}
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
 	defer stop()

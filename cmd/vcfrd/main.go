@@ -1,14 +1,13 @@
 // Command vcfrd serves the VCFR simulator over HTTP/JSON: a long-running
 // service that answers "what is the overhead of config X on workload Y"
 // queries concurrently. Every run executes; the shared runner reuses
-// prepared apps (workload build and ILR rewrite) across requests, and its
-// trace cache shares fault campaigns' clean reference traces.
+// prepared apps (workload build and ILR rewrite) across requests.
 //
 // Usage:
 //
 //	vcfrd                                   # listen on 127.0.0.1:8642
 //	vcfrd -addr :9000 -workers 8 -queue 128
-//	vcfrd -trace-cache 512 -job-timeout 5m
+//	vcfrd -job-timeout 5m
 //
 // The endpoints are listed on internal/server; docs/ARCHITECTURE.md and
 // EXPERIMENTS.md walk through them.
@@ -27,9 +26,7 @@ import (
 	"syscall"
 	"time"
 
-	"vcfr/internal/harness"
 	"vcfr/internal/server"
-	"vcfr/internal/trace"
 )
 
 func main() {
@@ -44,21 +41,11 @@ func run() error {
 		addr       = flag.String("addr", "127.0.0.1:8642", "listen address (port 0 = ephemeral)")
 		workers    = flag.Int("workers", runtime.GOMAXPROCS(0), "concurrent job executors")
 		queue      = flag.Int("queue", 64, "bounded job queue depth; a full queue answers 429")
-		traceCache = flag.Int("trace-cache", 256, "trace cache budget in MiB for fault campaigns' clean reference traces, shared across jobs (0 = no reuse across jobs)")
 		jobTimeout = flag.Duration("job-timeout", 2*time.Minute, "default per-job execution deadline (0 = none)")
 		retention  = flag.Int("job-retention", 256, "finished jobs kept pollable at /v1/jobs/{id}; oldest evicted past this")
 		drain      = flag.Duration("drain-timeout", 30*time.Second, "graceful-shutdown budget for in-flight jobs")
 	)
 	flag.Parse()
-
-	r := harness.NewRunner(0)
-	if *traceCache > 0 {
-		r.Traces = trace.NewCache(int64(*traceCache) << 20)
-	} else {
-		// A zero-budget cache admits nothing but still deduplicates
-		// concurrent identical reference captures via its singleflight.
-		r.Traces = trace.NewCache(0)
-	}
 
 	srv := server.New(server.Config{
 		Addr:         *addr,
@@ -66,14 +53,13 @@ func run() error {
 		QueueDepth:   *queue,
 		JobTimeout:   *jobTimeout,
 		JobRetention: *retention,
-		Runner:       r,
 	})
 	if err := srv.Start(); err != nil {
 		return err
 	}
 	// The smoke test and service managers parse this line; keep its shape.
-	fmt.Fprintf(os.Stderr, "vcfrd: listening on %s (workers=%d queue=%d trace-cache=%dMiB)\n",
-		srv.Addr(), *workers, *queue, *traceCache)
+	fmt.Fprintf(os.Stderr, "vcfrd: listening on %s (workers=%d queue=%d)\n",
+		srv.Addr(), *workers, *queue)
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()

@@ -6,7 +6,6 @@ import (
 
 	"vcfr/internal/harness"
 	"vcfr/internal/results"
-	"vcfr/internal/trace"
 )
 
 // TestAttackCampaignOverRealBinary runs the adversary-in-the-loop evaluation
@@ -18,7 +17,6 @@ import (
 // evaluation unchanged — not that any particular payload lands.
 func TestAttackCampaignOverRealBinary(t *testing.T) {
 	r := harness.NewRunner(0)
-	r.Traces = trace.NewCache(64 << 20)
 	rep, err := RunCampaign(context.Background(), r, Config{
 		Workloads: []string{"elf-dispatch"},
 		Seed:      7,

@@ -25,8 +25,10 @@ import (
 //
 //   - a store that hits a page containing cached instruction bytes
 //     (self-modifying code; detected in stepTail for both execution paths),
-//   - SetInjector arming (a FetchBytes hook must observe every raw fetch, so
-//     injected runs also bypass the cache entirely),
+//   - SetInjector, armed or cleared (a hook may write memory from outside
+//     the pipeline; while hooks are installed the pipeline steps per
+//     instruction so a FetchBytes hook observes every raw fetch, which is
+//     why the fault campaign arms them for exactly one instruction),
 //   - SetReplay installing or removing a trace source (replayed runs do not
 //     execute stores, so memory may silently diverge from an executed run),
 //   - an explicit InvalidateBlocks call, required after mutating program

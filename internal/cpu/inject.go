@@ -39,10 +39,14 @@ type InjectHooks struct {
 // injected pipeline stays deterministic: with the same hooks the same run
 // replays bit-identically.
 //
-// Arming an injector invalidates the basic-block cache and forces the
-// per-instruction fetch path for as long as the hooks stay installed: a
-// FetchBytes hook must observe every raw fetch, which a pre-decoded block
-// would skip.
+// While hooks are installed the pipeline steps per instruction, so a
+// FetchBytes hook observes every raw fetch that a pre-decoded block would
+// skip; with nil installed the block cache takes over again. Per-instruction
+// stepping is the costly path, so a caller that targets one instruction
+// should arm the hooks for exactly that one: the fault campaign runs
+// block-cached to the faulted instruction, arms, runs one instruction, clears
+// the hooks and finishes block-cached. Every call invalidates the block
+// cache, since a hook may have changed state behind it.
 func (p *Pipeline) SetInjector(h *InjectHooks) {
 	p.inject = h
 	p.InvalidateBlocks()

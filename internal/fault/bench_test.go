@@ -6,13 +6,12 @@ import (
 
 	"vcfr/internal/cpu"
 	"vcfr/internal/harness"
-	"vcfr/internal/trace"
 )
 
-// BenchmarkCampaign measures end-to-end campaign throughput (reference
-// capture amortized through the trace cache, then injected runs), reporting
-// injections per second — the number that bounds how large a dependability
-// study the simulator can host.
+// BenchmarkCampaign measures end-to-end campaign throughput (clean
+// references, then injected runs), reporting injections per second — the
+// number that bounds how large a dependability study the simulator can
+// host.
 func BenchmarkCampaign(b *testing.B) {
 	cfg := Config{
 		Workloads:  []string{"bzip2"},
@@ -21,7 +20,6 @@ func BenchmarkCampaign(b *testing.B) {
 		MaxInsts:   10000,
 	}
 	r := harness.NewRunner(0)
-	r.Traces = trace.NewCache(64 << 20)
 	var injected uint64
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -38,17 +36,18 @@ func BenchmarkCampaign(b *testing.B) {
 }
 
 // BenchmarkInjectedRun isolates one injected execution (pipeline build +
-// run under hooks + classification) against a warm reference.
+// block-cached run around the armed instruction + classification) against
+// a warm reference.
 func BenchmarkInjectedRun(b *testing.B) {
 	app, err := harness.Prepare("bzip2", harness.Config{Scale: 1, Spread: 8, Seed: 42})
 	if err != nil {
 		b.Fatal(err)
 	}
-	c := &cell{workload: "bzip2", mode: cpu.ModeVCFR, app: app}
-	if err := c.reference(context.Background(), harness.NewRunner(1), 10000); err != nil {
+	c := &cell{workload: "bzip2", mode: cpu.ModeVCFR, app: app, kinds: []Kind{KindBranchTarget}}
+	if err := c.reference(context.Background(), 10000); err != nil {
 		b.Fatal(err)
 	}
-	cands := candidates(c.trace, KindBranchTarget)
+	cands := c.cands[0]
 	if len(cands) == 0 {
 		b.Fatal("no branch-target candidates")
 	}

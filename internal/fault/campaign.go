@@ -11,7 +11,6 @@ import (
 	"vcfr/internal/cpu"
 	"vcfr/internal/harness"
 	"vcfr/internal/results"
-	"vcfr/internal/trace"
 	"vcfr/internal/workloads"
 )
 
@@ -174,22 +173,6 @@ func splitInjections(total, n int) []int {
 	return out
 }
 
-// candidates lists the dynamic instruction indices of the reference trace
-// the kind can fire on.
-func candidates(t *trace.Trace, k Kind) []uint64 {
-	var out []uint64
-	it := t.Iter()
-	for i := uint64(0); ; i++ {
-		rec, ok := it.Next()
-		if !ok {
-			return out
-		}
-		if k.matches(rec.Inst.Class(), rec.Taken) {
-			out = append(out, i)
-		}
-	}
-}
-
 // injectionSeed derives one injection's PRNG seed from the campaign seed
 // and the injection's coordinates, so neither worker count nor scheduling
 // order changes any injection.
@@ -198,48 +181,44 @@ func injectionSeed(base int64, workload string, mode cpu.Mode, kind Kind, j int)
 		fmt.Sprintf("%s|%s|%s|%d", workload, mode, kind, j))
 }
 
-// cell is one (workload, mode) pair's shared state: the prepared app and
-// the clean reference its injections are judged against.
+// cell is one (workload, mode) pair's shared state: the prepared app, the
+// clean reference its injections are judged against, and per kind (cands
+// is parallel to kinds) the reference's dynamic instruction indices that
+// kind can fire on.
 type cell struct {
 	workload string
 	mode     cpu.Mode
 	app      *harness.App
 	ref      Reference
-	trace    *trace.Trace
 	kinds    []Kind
+	cands    [][]uint64
 	err      error
 }
 
-// reference captures the cell's clean run, through the runner's trace
-// cache when one is present (record once, judge many).
-func (c *cell) reference(ctx context.Context, r *harness.Runner, maxInsts uint64) error {
+// reference runs the cell's clean reference block-cached and records, for
+// each of the cell's kinds, the instruction indices it can fire on.
+func (c *cell) reference(ctx context.Context, maxInsts uint64) error {
 	p, _, err := c.app.Pipeline(c.mode, nil)
 	if err != nil {
 		return err
 	}
-	meta := trace.Meta{
-		Workload:   c.app.W.Name,
-		Mode:       c.mode,
-		LayoutSeed: c.app.R.Opts.Seed,
-		Spread:     c.app.R.Opts.Spread,
-		MaxInsts:   maxInsts,
-	}
-	var t *trace.Trace
-	if r.Traces == nil {
-		t, _, err = trace.CaptureContext(ctx, p, maxInsts, meta)
-	} else {
-		key := harness.TraceKey(c.app, c.mode, maxInsts)
-		meta.ImageHash = key.ImageHash
-		t, _, err = r.Traces.Do(ctx, key, func() (*trace.Trace, error) {
-			tt, _, cerr := trace.CaptureContext(ctx, p, maxInsts, meta)
-			return tt, cerr
-		})
-	}
+	cands := make([][]uint64, len(c.kinds))
+	var seq uint64
+	p.SetRecorder(func(rec cpu.ExecRecord) {
+		class := rec.Inst.Class()
+		for i, k := range c.kinds {
+			if k.matches(class, rec.Taken) {
+				cands[i] = append(cands[i], seq)
+			}
+		}
+		seq++
+	})
+	res, err := p.RunContext(ctx, maxInsts)
 	if err != nil {
 		return err
 	}
-	c.trace = t
-	c.ref = Reference{Insts: uint64(t.Len()), Halted: t.Halted, ExitCode: t.ExitCode, Out: t.Out}
+	c.cands = cands
+	c.ref = Reference{Insts: res.Stats.Instructions, Halted: res.Halted, ExitCode: res.ExitCode, Out: res.Out}
 	return nil
 }
 
@@ -270,90 +249,7 @@ func RunCampaign(ctx context.Context, r *harness.Runner, cfg Config, onProgress 
 	if ctx == nil {
 		ctx = context.Background()
 	}
-
-	// Prepare each workload once; every mode cell shares the layout. The
-	// layout seed derives from the campaign seed and the workload name, so
-	// layouts differ across workloads but never across surfaces.
-	apps := make(map[string]*harness.App, len(cfg.Workloads))
-	appErr := make(map[string]error, len(cfg.Workloads))
-	for _, w := range cfg.Workloads {
-		hcfg := harness.Config{
-			Scale:  cfg.Scale,
-			Spread: cfg.Spread,
-			Seed:   harness.CellSeed(cfg.Seed, "faults", w),
-		}
-		if app, err := harness.Prepare(w, hcfg); err != nil {
-			appErr[w] = err
-		} else {
-			apps[w] = app
-		}
-	}
-
-	cells := make([]*cell, 0, len(cfg.Workloads)*len(cfg.Modes))
-	for _, w := range cfg.Workloads {
-		for _, m := range cfg.Modes {
-			cells = append(cells, &cell{
-				workload: w,
-				mode:     m,
-				app:      apps[w],
-				kinds:    kindsFor(cfg.Kinds, m),
-				err:      appErr[w],
-			})
-		}
-	}
-
-	// Phase 1: clean references, sharded across the pool.
-	r.Shard(ctx, len(cells), func(ctx context.Context, i int) {
-		c := cells[i]
-		if c.err != nil {
-			return
-		}
-		if err := c.reference(ctx, r, cfg.MaxInsts); err != nil {
-			c.err = err
-		}
-	})
-	for _, c := range cells {
-		if c.err == nil && c.trace == nil {
-			c.err = notExecuted(ctx)
-		}
-	}
-
-	// Phase 2: plan every injection up front, in fixed order. The plan is
-	// fully deterministic: injection j of a (workload, mode, kind) row
-	// picks its site and flip mask from a seed derived from exactly those
-	// coordinates.
-	var rows []Row
-	var tasks []task
-	for _, c := range cells {
-		counts := splitInjections(cfg.Injections, len(c.kinds))
-		for ki, k := range c.kinds {
-			rowIdx := len(rows)
-			rows = append(rows, Row{Workload: c.workload, Mode: c.mode, Kind: k})
-			if c.err != nil {
-				rows[rowIdx].Error = firstLine(c.err.Error())
-				continue
-			}
-			cands := candidates(c.trace, k)
-			if len(cands) == 0 {
-				// No site in the reference window can host this kind; the
-				// row reports zero injections rather than an error.
-				continue
-			}
-			for j := 0; j < counts[ki]; j++ {
-				rng := rand.New(rand.NewSource(injectionSeed(cfg.Seed, c.workload, c.mode, k, j)))
-				tasks = append(tasks, task{
-					cell: c,
-					row:  rowIdx,
-					fault: Fault{
-						Kind:  k,
-						Index: cands[rng.Intn(len(cands))],
-						Bits:  cfg.Bits,
-						Seed:  rng.Int63(),
-					},
-				})
-			}
-		}
-	}
+	rows, tasks := plan(cfg, prepareCells(ctx, r, cfg))
 
 	// Phase 3: execute the injections, sharded across the pool. Outcomes
 	// land in a per-task slot, so aggregation order (phase 4) is fixed no
@@ -397,6 +293,97 @@ func RunCampaign(ctx context.Context, r *harness.Runner, cfg Config, onProgress 
 	return rep, nil
 }
 
+// prepareCells builds every (workload, mode) cell of a defaulted config and
+// runs its clean reference (phases 0 and 1). A cell whose preparation or
+// reference failed, or was never reached before cancellation, carries err.
+func prepareCells(ctx context.Context, r *harness.Runner, cfg Config) []*cell {
+	// Prepare each workload once; every mode cell shares the layout. The
+	// layout seed derives from the campaign seed and the workload name, so
+	// layouts differ across workloads but never across surfaces.
+	apps := make(map[string]*harness.App, len(cfg.Workloads))
+	appErr := make(map[string]error, len(cfg.Workloads))
+	for _, w := range cfg.Workloads {
+		hcfg := harness.Config{
+			Scale:  cfg.Scale,
+			Spread: cfg.Spread,
+			Seed:   harness.CellSeed(cfg.Seed, "faults", w),
+		}
+		if app, err := harness.Prepare(w, hcfg); err != nil {
+			appErr[w] = err
+		} else {
+			apps[w] = app
+		}
+	}
+
+	cells := make([]*cell, 0, len(cfg.Workloads)*len(cfg.Modes))
+	for _, w := range cfg.Workloads {
+		for _, m := range cfg.Modes {
+			cells = append(cells, &cell{
+				workload: w,
+				mode:     m,
+				app:      apps[w],
+				kinds:    kindsFor(cfg.Kinds, m),
+				err:      appErr[w],
+			})
+		}
+	}
+
+	// Phase 1: clean references, sharded across the pool.
+	r.Shard(ctx, len(cells), func(ctx context.Context, i int) {
+		c := cells[i]
+		if c.err != nil {
+			return
+		}
+		if err := c.reference(ctx, cfg.MaxInsts); err != nil {
+			c.err = err
+		}
+	})
+	for _, c := range cells {
+		if c.err == nil && c.cands == nil {
+			c.err = notExecuted(ctx)
+		}
+	}
+	return cells
+}
+
+// plan lays out every injection up front, in fixed order (phase 2). The
+// plan is fully deterministic: injection j of a (workload, mode, kind) row
+// picks its site and flip mask from a seed derived from exactly those
+// coordinates.
+func plan(cfg Config, cells []*cell) (rows []Row, tasks []task) {
+	for _, c := range cells {
+		counts := splitInjections(cfg.Injections, len(c.kinds))
+		for ki, k := range c.kinds {
+			rowIdx := len(rows)
+			rows = append(rows, Row{Workload: c.workload, Mode: c.mode, Kind: k})
+			if c.err != nil {
+				rows[rowIdx].Error = firstLine(c.err.Error())
+				continue
+			}
+			cands := c.cands[ki]
+			if len(cands) == 0 {
+				// No site in the reference window can host this kind; the
+				// row reports zero injections rather than an error.
+				continue
+			}
+			for j := 0; j < counts[ki]; j++ {
+				rng := rand.New(rand.NewSource(injectionSeed(cfg.Seed, c.workload, c.mode, k, j)))
+				tasks = append(tasks, task{
+					cell: c,
+					row:  rowIdx,
+					fault: Fault{
+						Kind:  k,
+						Index: cands[rng.Intn(len(cands))],
+						Bits:  cfg.Bits,
+						Seed:  rng.Int63(),
+					},
+				})
+			}
+		}
+	}
+	return rows, tasks
+}
+
 // notExecuted names why planned work never ran: the context's error when it
 // was cancelled, a generic marker otherwise.
 func notExecuted(ctx context.Context) error {
@@ -426,12 +413,33 @@ func runInjection(ctx context.Context, c *cell, f Fault) (o Outcome, insts uint6
 	if err != nil {
 		return OutcomeCrash, 0
 	}
-	p.SetInjector(NewInjector(f).Hooks())
-	res, err := p.RunContext(ctx, c.ref.Budget())
+	res, err := runArmedAt(ctx, p, f, c.ref.Budget())
 	if err != nil && (errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)) {
 		return "", res.Stats.Instructions
 	}
 	return Classify(res, err, c.ref), res.Stats.Instructions
+}
+
+// runArmedAt runs p to budget with fault f injected. Every hook fires only
+// on instruction f.Index, and every instruction before it matches the
+// reference run, so p runs block-cached up to f.Index, steps that one
+// instruction with the injector armed, and finishes block-cached. A
+// block-cached run is bit-identical to the per-instruction path, so the
+// Result equals that of arming the injector for the whole run. f.Index must
+// be below budget.
+func runArmedAt(ctx context.Context, p *cpu.Pipeline, f Fault, budget uint64) (res cpu.Result, err error) {
+	if f.Index > 0 { // RunContext(ctx, 0) means emu.DefaultMaxSteps, not "nothing"
+		res, err = p.RunContext(ctx, f.Index)
+	}
+	if err == nil && !res.Halted {
+		p.SetInjector(NewInjector(f).Hooks())
+		res, err = p.RunContext(ctx, f.Index+1)
+		p.SetInjector(nil)
+	}
+	if err == nil && !res.Halted {
+		res, err = p.RunContext(ctx, budget)
+	}
+	return res, err
 }
 
 // Envelope renders the report as the versioned wire document every surface

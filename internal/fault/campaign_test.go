@@ -12,7 +12,6 @@ import (
 	"vcfr/internal/cpu"
 	"vcfr/internal/harness"
 	"vcfr/internal/results"
-	"vcfr/internal/trace"
 )
 
 var update = flag.Bool("update", false, "rewrite golden files")
@@ -20,9 +19,7 @@ var update = flag.Bool("update", false, "rewrite golden files")
 // canonicalReport runs the canonical campaign (the default Config every
 // surface runs) exactly once per test binary and shares the report.
 var canonicalReport = sync.OnceValues(func() (*Report, error) {
-	r := harness.NewRunner(0)
-	r.Traces = trace.NewCache(256 << 20)
-	return RunCampaign(context.Background(), r, Config{}, nil)
+	return RunCampaign(context.Background(), harness.NewRunner(0), Config{}, nil)
 })
 
 // TestCampaignGolden pins the canonical campaign's results envelope byte for
@@ -113,9 +110,7 @@ func TestCampaignDeterministicAcrossWorkers(t *testing.T) {
 	}
 	run := func(workers int) []byte {
 		t.Helper()
-		r := harness.NewRunner(workers)
-		r.Traces = trace.NewCache(64 << 20)
-		rep, err := RunCampaign(context.Background(), r, cfg, nil)
+		rep, err := RunCampaign(context.Background(), harness.NewRunner(workers), cfg, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

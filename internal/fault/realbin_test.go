@@ -6,7 +6,6 @@ import (
 
 	"vcfr/internal/cpu"
 	"vcfr/internal/harness"
-	"vcfr/internal/trace"
 )
 
 // TestVCFRDetectsMoreControlFaultsOnRealBinary replays the dependability
@@ -18,7 +17,6 @@ import (
 // that entered through the ELF front end.
 func TestVCFRDetectsMoreControlFaultsOnRealBinary(t *testing.T) {
 	r := harness.NewRunner(0)
-	r.Traces = trace.NewCache(64 << 20)
 	rep, err := RunCampaign(context.Background(), r, Config{
 		Workloads:  []string{"elf-dispatch"},
 		Injections: 48,

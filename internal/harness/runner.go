@@ -40,9 +40,10 @@ type Runner struct {
 	// Cache, if non-nil, memoizes finished cells keyed by (experiment,
 	// cell, derived seed, config); see Cache for the disk-backed variant.
 	Cache *Cache
-	// Traces, if non-nil, shares the fault campaign's clean reference
-	// traces (fault.cell.reference) across campaigns and jobs on this
-	// runner. Nothing else reads it: harness cells always execute.
+	// Traces is a trace cache no shipped command or internal package
+	// reads: harness cells, fault references and campaigns always execute.
+	// It stays for the benchmark's traced layer (perfbench/traced), which
+	// sets it, until that layer stops using internal/trace.
 	Traces *trace.Cache
 
 	semOnce sync.Once

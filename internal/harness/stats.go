@@ -116,7 +116,7 @@ func StatsSweepProgress(ctx context.Context, r *Runner, cfg Config, onProgress f
 // query, not a sweep) and runs it under each requested mode, in order, with
 // mutate applied to the machine configuration. Every run executes; a
 // repeated query on the same runner reuses the prepared app (workload build
-// and ILR rewrite) from the runner's memo. Runner.Traces is not consulted.
+// and ILR rewrite) from the runner's memo.
 //
 // Both producers serialize the returned rows through results.NewRun +
 // results.Marshal, which is what makes a service response byte-identical to

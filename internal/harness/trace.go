@@ -12,8 +12,7 @@ import (
 
 // TraceKey and its hashes bind a captured functional trace to the app it
 // came from. Harness cells never capture (runMode always executes); the key
-// serves the fault campaign's reference traces in Runner.Traces and
-// cmd/vxtrace's .vxt files.
+// serves cmd/vxtrace's .vxt files.
 
 // TraceKey derives the trace-cache key for one run: the executed image's
 // content hash and the layout seed identify the (workload, layout) pair; the

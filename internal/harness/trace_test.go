@@ -8,8 +8,8 @@ import (
 	"vcfr/internal/trace"
 )
 
-// tracedRunner returns a runner carrying a trace cache, as experiments and
-// vcfrd build it.
+// tracedRunner returns a runner carrying a trace cache, as the benchmark's
+// traced layer builds it.
 func tracedRunner(workers int) *Runner {
 	r := NewRunner(workers)
 	r.Traces = trace.NewCache(256 << 20)

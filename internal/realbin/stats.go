@@ -10,7 +10,7 @@ import (
 // package accumulates them atomically (lifts can run concurrently under the
 // harness worker pool); consumers hold their own Totals mirror, refresh it
 // from TotalsSnapshot at render time, and register the mirror's fields —
-// the same pattern the server uses for trace-cache and campaign counters.
+// the same pattern the server uses for app-memo and campaign counters.
 type Totals struct {
 	BinariesLifted      uint64 // successful lifts
 	InstructionsLifted  uint64 // RV instructions translated

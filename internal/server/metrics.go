@@ -83,10 +83,6 @@ func newMetrics() *metrics {
 	r.Gauge("queue.capacity", "Bound of the job queue.", &m.queueCap)
 	r.Counter("app.memo.hits", "Prepared-app memo hits (workload build and ILR rewrite reused).", &m.caches.appHits)
 	r.Counter("app.memo.misses", "Prepared-app memo misses (each one built and rewrote a workload).", &m.caches.appMisses)
-	r.Counter("trace.cache.hits", "Fault-campaign reference trace cache hits.", &m.caches.traceHits)
-	r.Counter("trace.cache.misses", "Fault-campaign reference trace cache misses (each one paid a capture).", &m.caches.traceMisses)
-	r.Gauge("trace.cache.bytes", "Bytes of fault-campaign reference traces currently cached.", &m.caches.traceBytes)
-	r.Gauge("trace.cache.entries", "Fault-campaign reference traces currently cached.", &m.caches.traceEntries)
 	r.Counter("fault.campaigns", "Fault-injection campaigns finished.", &m.campaigns)
 	m.faults.Register(r)
 	r.Counter("attack.campaigns", "Adversary-in-the-loop attack campaigns finished.", &m.attackCampaigns)
@@ -187,22 +183,15 @@ func (m *metrics) jobFinished(ok bool, runDur time.Duration) {
 	m.runDur.observe(runDur.Seconds())
 }
 
-// cacheStats is one snapshot of the runner's caches: the prepared-app memo
-// and the trace cache that holds fault-campaign reference traces.
+// cacheStats is one snapshot of the runner's prepared-app memo.
 type cacheStats struct {
-	appHits, appMisses     uint64
-	traceHits, traceMisses uint64
-	traceBytes             int64
-	traceEntries           int64
+	appHits, appMisses uint64
 }
 
-// runnerCaches snapshots r's caches for render.
+// runnerCaches snapshots r's prepared-app memo for render.
 func runnerCaches(r *harness.Runner) cacheStats {
 	var c cacheStats
 	c.appHits, c.appMisses = r.AppMemoStats()
-	var entries int
-	c.traceHits, c.traceMisses, c.traceBytes, entries = r.Traces.Stats()
-	c.traceEntries = int64(entries)
 	return c
 }
 

@@ -29,7 +29,7 @@ func TestMetricsRegistryExactlyOnce(t *testing.T) {
 		Successes: 2, BlockedRPC: 3, Leaks: 40, Rerandomizations: 8})
 
 	var b strings.Builder
-	m.render(&b, 3, 16, cacheStats{appHits: 9, appMisses: 4, traceHits: 7, traceMisses: 2, traceBytes: 4096, traceEntries: 5})
+	m.render(&b, 3, 16, cacheStats{appHits: 9, appMisses: 4})
 	out := b.String()
 	lines := strings.Split(out, "\n")
 
@@ -98,7 +98,7 @@ func TestMetricsRenderFormat(t *testing.T) {
 	}
 
 	var b strings.Builder
-	m.render(&b, 1, 8, cacheStats{appHits: 5, appMisses: 2, traceHits: 3, traceMisses: 1, traceBytes: 1024, traceEntries: 2})
+	m.render(&b, 1, 8, cacheStats{appHits: 5, appMisses: 2})
 	out := b.String()
 
 	want := []string{
@@ -116,10 +116,6 @@ func TestMetricsRenderFormat(t *testing.T) {
 		"vcfrd_queue_capacity 8\n",
 		"vcfrd_app_memo_hits_total 5\n",
 		"vcfrd_app_memo_misses_total 2\n",
-		"vcfrd_trace_cache_hits_total 3\n",
-		"vcfrd_trace_cache_misses_total 1\n",
-		"vcfrd_trace_cache_bytes 1024\n",
-		"vcfrd_trace_cache_entries 2\n",
 		"vcfrd_fault_campaigns_total 1\n",
 		"vcfrd_fault_injected_total 10\n",
 		"vcfrd_fault_detected_unmapped_rpc_total 6\n",

@@ -3,8 +3,7 @@
 // shared harness.Runner, and answers every request in the one versioned wire
 // format of internal/results. Every run executes; what the shared runner
 // saves across requests is the prepared app (workload build and ILR rewrite,
-// reused from its memo) and each fault campaign's clean reference trace
-// (its trace cache).
+// reused from its memo).
 //
 // Endpoints:
 //
@@ -33,8 +32,7 @@
 //	GET  /v1/workloads  the built-in workload catalog
 //	GET  /healthz       liveness
 //	GET  /metrics       Prometheus text: jobs by state, queue pressure,
-//	                    app-memo and trace-cache effectiveness, per-stage
-//	                    latency
+//	                    app-memo effectiveness, per-stage latency
 //	GET  /debug/pprof/  the standard Go profiler
 //
 // Every error answers the one envelope {"error": {"code", "message"}}.
@@ -61,7 +59,6 @@ import (
 
 	"vcfr/internal/harness"
 	"vcfr/internal/results"
-	"vcfr/internal/trace"
 	"vcfr/internal/workloads"
 )
 
@@ -83,8 +80,7 @@ type Config struct {
 	// evicted, which is what keeps a long-running instance's memory bounded.
 	// <= 0 means 256.
 	JobRetention int
-	// Runner executes jobs. nil builds a default runner with a 256 MiB
-	// trace cache, which holds fault campaigns' reference traces only.
+	// Runner executes jobs. nil builds a default runner.
 	Runner *harness.Runner
 }
 
@@ -100,7 +96,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.Runner == nil {
 		c.Runner = harness.NewRunner(0)
-		c.Runner.Traces = trace.NewCache(256 << 20)
 	}
 	return c
 }
