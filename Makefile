@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test test-short bench bench-pipeline bench-pipeline-record bench-check bench-fault bench-attack bench-service bench-multicore bench-realbin experiments results examples vet fmt fmtcheck cover race check trace serve serve-smoke faults fault-smoke attacks attack-smoke multicore realbin
+.PHONY: all build test test-short bench bench-pipeline bench-pipeline-record bench-check bench-fault bench-attack bench-service bench-multicore bench-realbin experiments results examples vet fmt fmtcheck cover race check trace serve serve-smoke faults attacks multicore realbin
 
 all: build test
 
@@ -114,32 +114,24 @@ trace:
 serve:
 	$(GO) run ./cmd/vcfrd
 
-# Boot vcfrd, exercise every endpoint, prove simulate output is
-# byte-identical to vcfrsim -stats-json, and drain on SIGTERM.
+# Boot vcfrd once, exercise every endpoint, prove simulate output is
+# byte-identical to vcfrsim -stats-json and every sweep and campaign job's
+# envelope byte-identical to experiments -stats-json, check the campaign
+# counters on /metrics, and drain on SIGTERM.
 serve-smoke:
 	./scripts/serve_smoke.sh
 
 # The canonical fault-injection campaign as a text coverage table.
 faults:
-	$(GO) run ./cmd/faultsim
-
-# Boot vcfrd, run a kind=faults job through POST /v1/jobs, prove the stored
-# envelope is byte-identical to faultsim -json, and drain on SIGTERM.
-fault-smoke:
-	./scripts/fault_smoke.sh
+	$(GO) run ./cmd/experiments -mode faults
 
 # The canonical adversary-in-the-loop campaign as a text work-factor table.
 attacks:
-	$(GO) run ./cmd/attacksim
-
-# Boot vcfrd, run a kind=attacks job through POST /v1/jobs, prove the stored
-# envelope is byte-identical to attacksim -json, and drain on SIGTERM.
-attack-smoke:
-	./scripts/attack_smoke.sh
+	$(GO) run ./cmd/experiments -mode attacks
 
 # The canonical multi-tenant interference campaign as a text table.
 multicore:
-	$(GO) run ./cmd/clustersim
+	$(GO) run ./cmd/experiments -mode multicore
 
 examples:
 	$(GO) run ./examples/quickstart

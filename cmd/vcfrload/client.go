@@ -10,6 +10,7 @@ import (
 	"net/http"
 	"strings"
 
+	"vcfr/internal/jobs"
 	"vcfr/internal/server"
 )
 
@@ -35,8 +36,8 @@ func (c *client) do(ctx context.Context, method, path string, body io.Reader) (*
 
 // submit posts one job and returns its id. Any answer but 202 is an error
 // carrying the status and the service's error envelope.
-func (c *client) submit(ctx context.Context, kind server.JobKind, req server.SimRequest) (string, error) {
-	body, err := json.Marshal(server.JobRequest{Kind: string(kind), SimRequest: req})
+func (c *client) submit(ctx context.Context, kind jobs.Kind, req jobs.Request) (string, error) {
+	body, err := json.Marshal(server.JobRequest{Kind: string(kind), Request: req})
 	if err != nil {
 		return "", err
 	}

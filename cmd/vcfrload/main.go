@@ -30,7 +30,7 @@ import (
 	"sync/atomic"
 	"time"
 
-	"vcfr/internal/server"
+	"vcfr/internal/jobs"
 )
 
 func main() {
@@ -42,8 +42,8 @@ func main() {
 
 // jobSpec is one weighted entry of the request mix.
 type jobSpec struct {
-	kind server.JobKind
-	req  server.SimRequest
+	kind jobs.Kind
+	req  jobs.Request
 }
 
 func run() error {
@@ -173,21 +173,21 @@ func buildMix(s string) ([]jobSpec, error) {
 			return nil, fmt.Errorf("bad weight in %q", part)
 		}
 		for i := 0; i < weight; i++ {
-			switch kind := server.JobKind(kv[0]); kind {
-			case server.JobRun:
-				specs = append(specs, jobSpec{kind, server.SimRequest{
+			switch kind := jobs.Kind(kv[0]); kind {
+			case jobs.KindRun:
+				specs = append(specs, jobSpec{kind, jobs.Request{
 					Workload: pick(), Mode: "vcfr", Instructions: 2000,
 				}})
-			case server.JobSweep:
-				specs = append(specs, jobSpec{kind, server.SimRequest{
+			case jobs.KindSweep:
+				specs = append(specs, jobSpec{kind, jobs.Request{
 					Workloads: []string{pick()}, Instructions: 2000,
 				}})
-			case server.JobFaults:
-				specs = append(specs, jobSpec{kind, server.SimRequest{
+			case jobs.KindFaults:
+				specs = append(specs, jobSpec{kind, jobs.Request{
 					Workloads: []string{pick()}, Injections: 2, Instructions: 2000,
 				}})
-			case server.JobAttacks:
-				specs = append(specs, jobSpec{kind, server.SimRequest{
+			case jobs.KindAttacks:
+				specs = append(specs, jobSpec{kind, jobs.Request{
 					Workloads: []string{pick()}, MaxLeaks: 4, AdvanceInsts: 500, Instructions: 2000,
 				}})
 			default:

@@ -87,7 +87,7 @@ func run() error {
 		return nil
 	}
 
-	modes, err := parseModes(*mode)
+	modes, err := cpu.ParseModes(*mode)
 	if err != nil {
 		return err
 	}
@@ -357,21 +357,6 @@ func simulate(sys *core.System, m cpu.Mode, mutate func(*cpu.Config), maxInsts, 
 		}
 	})
 	return p.Run(maxInsts)
-}
-
-func parseModes(s string) ([]cpu.Mode, error) {
-	switch s {
-	case "baseline":
-		return []cpu.Mode{cpu.ModeBaseline}, nil
-	case "naive":
-		return []cpu.Mode{cpu.ModeNaiveILR}, nil
-	case "vcfr":
-		return []cpu.Mode{cpu.ModeVCFR}, nil
-	case "all":
-		return []cpu.Mode{cpu.ModeBaseline, cpu.ModeNaiveILR, cpu.ModeVCFR}, nil
-	default:
-		return nil, fmt.Errorf("unknown -mode %q", s)
-	}
 }
 
 // report renders the text report by resolving canonical names against the

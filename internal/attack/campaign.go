@@ -57,32 +57,18 @@ type Config struct {
 // text sizes span one page (bzip2, sjeng) to several (xalan).
 func DefaultWorkloads() []string { return []string{"bzip2", "sjeng", "xalan"} }
 
-// AllModes returns the three architecture modes in report order.
-func AllModes() []cpu.Mode {
-	return []cpu.Mode{cpu.ModeBaseline, cpu.ModeNaiveILR, cpu.ModeVCFR}
-}
-
-// ParseModes maps a CLI/request mode string onto the campaign's mode list.
-func ParseModes(s string) ([]cpu.Mode, error) {
-	switch s {
-	case "", "all":
-		return AllModes(), nil
-	case "baseline":
-		return []cpu.Mode{cpu.ModeBaseline}, nil
-	case "naive":
-		return []cpu.Mode{cpu.ModeNaiveILR}, nil
-	case "vcfr":
-		return []cpu.Mode{cpu.ModeVCFR}, nil
-	}
-	return nil, fmt.Errorf("attack: unknown mode %q (want baseline, naive, vcfr, or all)", s)
-}
+// ParseModes forwards to cpu.ParseModes.
+//
+// Deprecated: use cpu.ParseModes. The forward stays while the benchmark
+// module (perfbench) calls it.
+func ParseModes(s string) ([]cpu.Mode, error) { return cpu.ParseModes(s) }
 
 func (c Config) withDefaults() Config {
 	if len(c.Workloads) == 0 {
 		c.Workloads = DefaultWorkloads()
 	}
 	if len(c.Modes) == 0 {
-		c.Modes = AllModes()
+		c.Modes = cpu.AllModes()
 	}
 	if len(c.Payloads) == 0 {
 		c.Payloads = AllPayloads()
@@ -558,7 +544,7 @@ func disclosureDoc(d Disclosure) results.AttackDisclosure {
 }
 
 // Table renders the report as the human-readable work-factor table
-// attacksim and experiments print: one row per cell, then the per-mode
+// `experiments -mode attacks` prints: one row per cell, then the per-mode
 // summary — the paper's headline comparison (baseline falls in a page or
 // two, naive ILR falls to map+code pairing, VCFR converts every attempt
 // into a detection).

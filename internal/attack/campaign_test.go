@@ -196,7 +196,7 @@ func TestCampaignCancellation(t *testing.T) {
 	if !rep.Partial {
 		t.Error("cancelled campaign not marked partial")
 	}
-	wantRows := len(AllModes()) * len(AllPayloads())
+	wantRows := len(cpu.AllModes()) * len(AllPayloads())
 	if len(rep.Rows) != wantRows {
 		t.Errorf("cancelled campaign has %d rows, want the full plan of %d", len(rep.Rows), wantRows)
 	}
@@ -240,33 +240,7 @@ func TestCampaignProgress(t *testing.T) {
 	}
 }
 
-// TestParseModes and TestParsePayloads pin the CLI/request vocabularies.
-func TestParseModes(t *testing.T) {
-	for _, tc := range []struct {
-		in   string
-		want []cpu.Mode
-	}{
-		{"", AllModes()},
-		{"all", AllModes()},
-		{"baseline", []cpu.Mode{cpu.ModeBaseline}},
-		{"naive", []cpu.Mode{cpu.ModeNaiveILR}},
-		{"vcfr", []cpu.Mode{cpu.ModeVCFR}},
-	} {
-		got, err := ParseModes(tc.in)
-		if err != nil || len(got) != len(tc.want) {
-			t.Fatalf("ParseModes(%q) = %v, %v; want %v", tc.in, got, err, tc.want)
-		}
-		for i := range got {
-			if got[i] != tc.want[i] {
-				t.Errorf("ParseModes(%q)[%d] = %v, want %v", tc.in, i, got[i], tc.want[i])
-			}
-		}
-	}
-	if _, err := ParseModes("bogus"); err == nil {
-		t.Error("ParseModes(bogus) accepted")
-	}
-}
-
+// TestParsePayloads pins the CLI/request payload vocabulary.
 func TestParsePayloads(t *testing.T) {
 	got, err := ParsePayloads([]string{"print-and-exit", " exfiltrate"})
 	if err != nil || len(got) != 2 || got[0] != PayloadPrint || got[1] != PayloadExfil {

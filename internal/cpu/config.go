@@ -54,6 +54,25 @@ func (m Mode) String() string {
 	}
 }
 
+// AllModes returns the three architecture modes in report order.
+func AllModes() []Mode { return []Mode{ModeBaseline, ModeNaiveILR, ModeVCFR} }
+
+// ParseModes maps a CLI flag or request mode string onto a mode list: one
+// of baseline, naive or vcfr, or all three for "all" and "".
+func ParseModes(s string) ([]Mode, error) {
+	switch s {
+	case "", "all":
+		return AllModes(), nil
+	case "baseline":
+		return []Mode{ModeBaseline}, nil
+	case "naive":
+		return []Mode{ModeNaiveILR}, nil
+	case "vcfr":
+		return []Mode{ModeVCFR}, nil
+	}
+	return nil, fmt.Errorf("unknown mode %q (want baseline, naive, vcfr, or all)", s)
+}
+
 // Config parameterizes the machine. DefaultConfig matches Sec. VI-C.
 type Config struct {
 	Mode Mode

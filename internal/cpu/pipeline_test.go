@@ -453,3 +453,31 @@ func BenchmarkPipelineVCFRStep(b *testing.B) {
 		}
 	}
 }
+
+// TestParseModes pins the mode vocabulary shared by every CLI flag and
+// request field.
+func TestParseModes(t *testing.T) {
+	for _, tc := range []struct {
+		in   string
+		want []Mode
+	}{
+		{"", AllModes()},
+		{"all", AllModes()},
+		{"baseline", []Mode{ModeBaseline}},
+		{"naive", []Mode{ModeNaiveILR}},
+		{"vcfr", []Mode{ModeVCFR}},
+	} {
+		got, err := ParseModes(tc.in)
+		if err != nil || len(got) != len(tc.want) {
+			t.Fatalf("ParseModes(%q) = %v, %v; want %v", tc.in, got, err, tc.want)
+		}
+		for i := range got {
+			if got[i] != tc.want[i] {
+				t.Errorf("ParseModes(%q)[%d] = %v, want %v", tc.in, i, got[i], tc.want[i])
+			}
+		}
+	}
+	if _, err := ParseModes("bogus"); err == nil {
+		t.Error("ParseModes(bogus) accepted")
+	}
+}

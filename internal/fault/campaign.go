@@ -55,32 +55,18 @@ type Config struct {
 // bzip2 is the branchy sequential case).
 func DefaultWorkloads() []string { return []string{"bzip2", "sjeng", "xalan"} }
 
-// AllModes returns the three architecture modes in report order.
-func AllModes() []cpu.Mode {
-	return []cpu.Mode{cpu.ModeBaseline, cpu.ModeNaiveILR, cpu.ModeVCFR}
-}
-
-// ParseModes maps a CLI/request mode string onto the campaign's mode list.
-func ParseModes(s string) ([]cpu.Mode, error) {
-	switch s {
-	case "", "all":
-		return AllModes(), nil
-	case "baseline":
-		return []cpu.Mode{cpu.ModeBaseline}, nil
-	case "naive":
-		return []cpu.Mode{cpu.ModeNaiveILR}, nil
-	case "vcfr":
-		return []cpu.Mode{cpu.ModeVCFR}, nil
-	}
-	return nil, fmt.Errorf("fault: unknown mode %q (want baseline, naive, vcfr, or all)", s)
-}
+// ParseModes forwards to cpu.ParseModes.
+//
+// Deprecated: use cpu.ParseModes. The forward stays while the benchmark
+// module (perfbench) calls it.
+func ParseModes(s string) ([]cpu.Mode, error) { return cpu.ParseModes(s) }
 
 func (c Config) withDefaults() Config {
 	if len(c.Workloads) == 0 {
 		c.Workloads = DefaultWorkloads()
 	}
 	if len(c.Modes) == 0 {
-		c.Modes = AllModes()
+		c.Modes = cpu.AllModes()
 	}
 	if len(c.Kinds) == 0 {
 		c.Kinds = AllKinds()
@@ -491,8 +477,8 @@ func counts(s Stats) results.CampaignCounts {
 	}
 }
 
-// Table renders the report as the human-readable coverage table faultsim
-// and experiments print: one row per (workload, mode, fault kind), then a
+// Table renders the report as the human-readable coverage table
+// `experiments -mode faults` prints: one row per (workload, mode, fault kind), then a
 // per-mode aggregate over the control-flow kinds — the paper's headline
 // comparison.
 func (rep *Report) Table() *harness.Table {

@@ -27,16 +27,6 @@ type Runner struct {
 	// Workers bounds the number of concurrently executing cells across
 	// every experiment this runner is driving. <= 0 means GOMAXPROCS.
 	Workers int
-	// CellTimeout caps one cell's wall-clock time; 0 means no limit. A
-	// timed-out cell is cancelled mid-run (see cpu.Pipeline.RunContext)
-	// and surfaces as an error row while the rest of the sweep completes.
-	//
-	// Deprecated: field-based timeouts predate context plumbing. New
-	// callers should bound the context they pass to Run/RunAll/StatsSweep
-	// (context.WithTimeout / WithDeadline) instead; CellTimeout remains as
-	// a per-cell refinement of that budget and is honored as a derived
-	// per-cell context.WithTimeout.
-	CellTimeout time.Duration
 	// Cache, if non-nil, memoizes finished cells keyed by (experiment,
 	// cell, derived seed, config); see Cache for the disk-backed variant.
 	Cache *Cache
@@ -277,20 +267,14 @@ func (s *Sweep) mapCells(cfg Config, names []string, fn cellFn) []Cell {
 	return cells
 }
 
-// runCell executes one cell with panic capture and the per-cell timeout.
+// runCell executes one cell with panic capture.
 func (s *Sweep) runCell(cfg Config, name, key string, fn cellFn) (c Cell) {
 	defer func() {
 		if r := recover(); r != nil {
 			c = errCell(name, fmt.Errorf("panic: %v\n%s", r, debug.Stack()))
 		}
 	}()
-	ctx := s.ctx
-	if s.r.CellTimeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, s.r.CellTimeout)
-		defer cancel()
-	}
-	cell, err := fn(ctx, cfg, name)
+	cell, err := fn(s.ctx, cfg, name)
 	if err != nil {
 		return errCell(name, err)
 	}

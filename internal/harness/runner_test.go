@@ -141,12 +141,13 @@ func TestCellPanicBecomesRow(t *testing.T) {
 	}
 }
 
-// TestCellTimeout: a cell that overruns the per-cell budget is cancelled
-// at the next run boundary and surfaces as an error row.
+// TestCellTimeout: a cell that overruns the deadline of the sweep's
+// context surfaces as an error row.
 func TestCellTimeout(t *testing.T) {
 	r := NewRunner(2)
-	r.CellTimeout = time.Nanosecond
-	s := r.Sweep(context.Background(), "timeout-test")
+	ctx, cancel := context.WithTimeout(context.Background(), time.Nanosecond)
+	defer cancel()
+	s := r.Sweep(ctx, "timeout-test")
 	cells := s.mapCells(tiny(), []string{"slow"},
 		func(ctx context.Context, cfg Config, name string) (Cell, error) {
 			time.Sleep(2 * time.Millisecond)

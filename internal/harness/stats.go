@@ -11,9 +11,6 @@ import (
 	"vcfr/internal/workloads"
 )
 
-// statsModes is the fixed mode order of a stats sweep.
-var statsModes = [...]cpu.Mode{cpu.ModeBaseline, cpu.ModeNaiveILR, cpu.ModeVCFR}
-
 // StatsSweep simulates every configured workload (default: the 11 SPEC
 // analogs) under all three architecture modes on the runner's worker pool
 // and returns one row per (workload, mode) in stable (workload, mode) order.
@@ -71,7 +68,7 @@ func StatsSweepProgress(ctx context.Context, r *Runner, cfg Config, onProgress f
 			}
 			var rows [][]string
 			var cellInsts uint64
-			for _, mode := range statsModes {
+			for _, mode := range cpu.AllModes() {
 				res, ccfg, err := s.runMode(ctx, app, mode, cfg.MaxInsts, nil)
 				if err != nil {
 					return Cell{}, err

@@ -4,6 +4,7 @@ import (
 	"context"
 	"reflect"
 	"testing"
+	"time"
 
 	"vcfr/internal/cpu"
 )
@@ -72,15 +73,17 @@ func TestStatsSweepCancelledPartial(t *testing.T) {
 	}
 }
 
-// TestStatsSweepTimeoutMidRun proves per-cell timeouts cancel a cell
-// mid-simulation (not just at run boundaries): an absurdly small budget
-// must fail every cell while the sweep itself still returns rows.
+// TestStatsSweepTimeoutMidRun proves a deadline on the caller's context
+// fails an uncapped cell instead of hanging or discarding the sweep: an
+// absurdly small budget must fail every cell while the sweep itself still
+// returns rows.
 func TestStatsSweepTimeoutMidRun(t *testing.T) {
 	r := NewRunner(2)
-	r.CellTimeout = 1 // 1ns: expires during the first cell's first run
+	ctx, cancel := context.WithTimeout(context.Background(), time.Nanosecond)
+	defer cancel()
 	cfg := tiny("h264ref")
 	cfg.MaxInsts = 0 // uncapped: only cancellation can stop the run early
-	rows, err := StatsSweep(context.Background(), r, cfg)
+	rows, err := StatsSweep(ctx, r, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

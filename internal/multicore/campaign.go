@@ -98,32 +98,12 @@ func DefaultWorkloads() []string { return []string{"bzip2", "sjeng", "xalan"} }
 // switch-in cost (two tenants time-sharing one core).
 func DefaultCells() []Cell { return []Cell{{Cores: 2, Tenants: 2}, {Cores: 1, Tenants: 2}} }
 
-// AllModes returns the three architecture modes in report order.
-func AllModes() []cpu.Mode {
-	return []cpu.Mode{cpu.ModeBaseline, cpu.ModeNaiveILR, cpu.ModeVCFR}
-}
-
-// ParseModes maps a CLI/request mode string onto the campaign's mode list.
-func ParseModes(s string) ([]cpu.Mode, error) {
-	switch s {
-	case "", "all":
-		return AllModes(), nil
-	case "baseline":
-		return []cpu.Mode{cpu.ModeBaseline}, nil
-	case "naive":
-		return []cpu.Mode{cpu.ModeNaiveILR}, nil
-	case "vcfr":
-		return []cpu.Mode{cpu.ModeVCFR}, nil
-	}
-	return nil, fmt.Errorf("multicore: unknown mode %q (want baseline, naive, vcfr, or all)", s)
-}
-
 func (c Config) withDefaults() Config {
 	if len(c.Workloads) == 0 {
 		c.Workloads = DefaultWorkloads()
 	}
 	if len(c.Modes) == 0 {
-		c.Modes = AllModes()
+		c.Modes = cpu.AllModes()
 	}
 	if len(c.Cells) == 0 {
 		c.Cells = DefaultCells()
@@ -519,7 +499,7 @@ func (rep *Report) Envelope() results.Envelope {
 }
 
 // Table renders the report as the human-readable interference table
-// clustersim and experiments print: one row per tenant (solo references
+// `experiments -mode multicore` prints: one row per tenant (solo references
 // included), then the per-(cell, mode) totals, then the per-mode summary —
 // the headline comparison.
 func (rep *Report) Table() *harness.Table {

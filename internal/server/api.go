@@ -9,25 +9,16 @@ import (
 	"strconv"
 	"strings"
 	"time"
+
+	"vcfr/internal/jobs"
 )
 
 // JobRequest is the body of POST /v1/jobs: the kind discriminator plus the
 // selected kind's parameters.
 type JobRequest struct {
-	// Kind selects the computation: run | sweep | faults | attacks | multicore.
+	// Kind selects the computation; jobs.ParseKind lists the kinds.
 	Kind string `json:"kind"`
-	SimRequest
-}
-
-func parseKind(s string) (JobKind, error) {
-	switch k := JobKind(s); k {
-	case JobRun, JobSweep, JobFaults, JobAttacks, JobMulticore:
-		return k, nil
-	case "":
-		return "", fmt.Errorf(`job needs a "kind" (run, sweep, faults, attacks, or multicore)`)
-	default:
-		return "", fmt.Errorf("unknown job kind %q (want run, sweep, faults, attacks, or multicore)", s)
-	}
+	jobs.Request
 }
 
 // handleJobs is the unified submission endpoint: every kind, one route, one
@@ -41,13 +32,13 @@ func (s *Server) handleJobs(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "bad_request", "bad request body: %v", err)
 		return
 	}
-	kind, err := parseKind(jr.Kind)
+	kind, err := jobs.ParseKind(jr.Kind)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, "bad_request", "%v", err)
 		return
 	}
-	req := jr.SimRequest
-	if err := req.normalize(kind); err != nil {
+	req := jr.Request
+	if err := req.Normalize(kind); err != nil {
 		writeError(w, http.StatusBadRequest, "bad_request", "%v", err)
 		return
 	}
@@ -59,7 +50,7 @@ func (s *Server) handleJobs(w http.ResponseWriter, r *http.Request) {
 // with the same key collapse onto one job: the key table is checked and
 // claimed under one lock, so of 8 identical concurrent POSTs exactly one
 // enqueues and 7 replay its id (marked with Idempotency-Replayed: true).
-func (s *Server) submitAsync(w http.ResponseWriter, r *http.Request, kind JobKind, req SimRequest) {
+func (s *Server) submitAsync(w http.ResponseWriter, r *http.Request, kind jobs.Kind, req jobs.Request) {
 	key := r.Header.Get("Idempotency-Key")
 	if key == "" {
 		j := s.newJob(kind, req)
@@ -120,7 +111,7 @@ func writeAccepted(w http.ResponseWriter, j *Job, replayed bool) {
 // result payload.
 type jobSummary struct {
 	ID       string     `json:"id"`
-	Kind     JobKind    `json:"kind"`
+	Kind     jobs.Kind  `json:"kind"`
 	State    JobState   `json:"state"`
 	Created  time.Time  `json:"created"`
 	Finished *time.Time `json:"finished,omitempty"`

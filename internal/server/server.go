@@ -58,6 +58,7 @@ import (
 	"time"
 
 	"vcfr/internal/harness"
+	"vcfr/internal/jobs"
 	"vcfr/internal/results"
 	"vcfr/internal/workloads"
 )
@@ -294,7 +295,7 @@ func (s *Server) retireJob(j *Job) {
 	}
 }
 
-func (s *Server) newJob(kind JobKind, req SimRequest) *Job {
+func (s *Server) newJob(kind jobs.Kind, req jobs.Request) *Job {
 	seq := s.jobSeq.Add(1)
 	return newJob(fmt.Sprintf("job-%06d", seq), seq, kind, req)
 }
@@ -343,14 +344,14 @@ func (s *Server) writeRefusal(w http.ResponseWriter, err error) {
 	writeError(w, http.StatusServiceUnavailable, "draining", "%v", err)
 }
 
-func decodeRequest(r *http.Request, kind JobKind) (SimRequest, error) {
-	var req SimRequest
+func decodeRequest(r *http.Request, kind jobs.Kind) (jobs.Request, error) {
+	var req jobs.Request
 	dec := json.NewDecoder(r.Body)
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&req); err != nil {
 		return req, fmt.Errorf("bad request body: %w", err)
 	}
-	if err := req.normalize(kind); err != nil {
+	if err := req.Normalize(kind); err != nil {
 		return req, err
 	}
 	return req, nil
@@ -362,12 +363,12 @@ func decodeRequest(r *http.Request, kind JobKind) (SimRequest, error) {
 // untouched — the bytes results.Marshal produced, hence byte-identical to
 // the CLI.
 func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
-	req, err := decodeRequest(r, JobRun)
+	req, err := decodeRequest(r, jobs.KindRun)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, "bad_request", "%v", err)
 		return
 	}
-	j := s.newJob(JobRun, req)
+	j := s.newJob(jobs.KindRun, req)
 	if err := s.enqueue(j); err != nil {
 		s.writeRefusal(w, err)
 		return

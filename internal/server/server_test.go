@@ -330,51 +330,6 @@ func TestFinishedJobRetention(t *testing.T) {
 	}
 }
 
-// TestNormalizeExplicitZero locks the zero-vs-unset distinction: an explicit
-// zero in the request survives normalize (reaching the harness exactly as a
-// CLI `-seed 0` etc. would), while absent fields take the per-kind defaults.
-func TestNormalizeExplicitZero(t *testing.T) {
-	zero64, zero := int64(0), 0
-	r := SimRequest{Workload: "lbm", Seed: &zero64, Spread: &zero, Scale: &zero}
-	if err := r.normalize(JobRun); err != nil {
-		t.Fatal(err)
-	}
-	if *r.Seed != 0 || *r.Spread != 0 || *r.Scale != 0 {
-		t.Errorf("explicit zeros rewritten: seed=%d spread=%d scale=%d, want all 0",
-			*r.Seed, *r.Spread, *r.Scale)
-	}
-
-	// The machine knobs keep the same zero-vs-unset distinction, but an
-	// explicit zero is an invalid machine config, and normalize now rejects
-	// it up front via cpu.Config.Validate — with the exact message the CLI
-	// produces for the equivalent bad flag, because it is the same check.
-	badWidth := SimRequest{Workload: "lbm", Width: &zero}
-	if err := badWidth.normalize(JobRun); err == nil || err.Error() != "cpu: issue width 0 out of range [1,4]" {
-		t.Errorf("width 0: err = %v, want cpu.Config.Validate's message", err)
-	}
-	badDRC := SimRequest{Workload: "lbm", DRC: &zero}
-	if err := badDRC.normalize(JobRun); err == nil || !strings.Contains(err.Error(), "cpu: DRC 0 entries") {
-		t.Errorf("drc 0: err = %v, want cpu.Config.Validate's message", err)
-	}
-
-	run := SimRequest{Workload: "lbm"}
-	if err := run.normalize(JobRun); err != nil {
-		t.Fatal(err)
-	}
-	if *run.Seed != 1 || *run.Spread != 8 || *run.Scale != 1 || *run.DRC != 128 || *run.Width != 1 {
-		t.Errorf("simulate defaults: seed=%d spread=%d scale=%d drc=%d width=%d, want 1/8/1/128/1",
-			*run.Seed, *run.Spread, *run.Scale, *run.DRC, *run.Width)
-	}
-
-	sweep := SimRequest{}
-	if err := sweep.normalize(JobSweep); err != nil {
-		t.Fatal(err)
-	}
-	if *sweep.Seed != 42 {
-		t.Errorf("sweep default seed = %d, want 42", *sweep.Seed)
-	}
-}
-
 // TestRequestValidation locks the 400 surface: bad bodies, unknown fields,
 // unknown workloads and modes are rejected before touching the queue.
 func TestRequestValidation(t *testing.T) {
@@ -530,7 +485,7 @@ func pollJob(t *testing.T, s *Server, id string) jobView {
 // TestFaultsEndpointLifecycle follows a fault campaign from 202 through done
 // and pins the acceptance criterion for the service surface: the finished
 // result must be byte-identical to what fault.RunCampaign emits for the same
-// config (which is what `faultsim -json` prints).
+// config (the entry point `experiments -mode faults -stats-json` drives).
 func TestFaultsEndpointLifecycle(t *testing.T) {
 	s := startServer(t, Config{Workers: 2, QueueDepth: 8})
 	resp, body := post(t, s, "/v1/jobs",
@@ -554,8 +509,8 @@ func TestFaultsEndpointLifecycle(t *testing.T) {
 		t.Errorf("final progress = %+v, want all injections done", v.Progress)
 	}
 
-	// The CLI equivalent: faultsim -workloads bzip2 -mode vcfr
-	// -injections 10 -instructions 5000 (defaults: seed 42, spread 8).
+	// The same campaign called directly: bzip2 under vcfr, 10 injections,
+	// 5000-instruction cap (defaults: seed 42, spread 8).
 	rep, err := fault.RunCampaign(context.Background(), harness.NewRunner(1), fault.Config{
 		Workloads:  []string{"bzip2"},
 		Modes:      []cpu.Mode{cpu.ModeVCFR},
@@ -598,7 +553,8 @@ func TestFaultsEndpointLifecycle(t *testing.T) {
 // TestAttacksEndpointLifecycle follows an attack campaign from 202 through
 // done and pins the same acceptance criterion as the faults surface: the
 // finished result must be byte-identical to what attack.RunCampaign emits for
-// the same config (which is what `attacksim -json` prints).
+// the same config (the entry point `experiments -mode attacks -stats-json`
+// drives).
 func TestAttacksEndpointLifecycle(t *testing.T) {
 	s := startServer(t, Config{Workers: 2, QueueDepth: 8})
 	resp, body := post(t, s, "/v1/jobs",
@@ -622,8 +578,8 @@ func TestAttacksEndpointLifecycle(t *testing.T) {
 		t.Errorf("final progress = %+v, want all cells done", v.Progress)
 	}
 
-	// The CLI equivalent: attacksim -workloads bzip2 -mode vcfr
-	// -payloads print-and-exit (defaults: seed 42, spread 8, budget 16).
+	// The same campaign called directly: bzip2 under vcfr, payload
+	// print-and-exit (defaults: seed 42, spread 8, budget 16).
 	rep, err := attack.RunCampaign(context.Background(), harness.NewRunner(1), attack.Config{
 		Workloads: []string{"bzip2"},
 		Modes:     []cpu.Mode{cpu.ModeVCFR},
@@ -672,7 +628,7 @@ func TestAttacksEndpointLifecycle(t *testing.T) {
 // through the unified jobs route from 202 through done and pins the
 // acceptance criterion for the service surface: the finished result must be
 // byte-identical to what multicore.RunCampaign emits for the same config
-// (which is what `clustersim -json` prints).
+// (the entry point `experiments -mode multicore -stats-json` drives).
 func TestMulticoreEndpointLifecycle(t *testing.T) {
 	s := startServer(t, Config{Workers: 2, QueueDepth: 8})
 	resp, body := post(t, s, "/v1/jobs",
@@ -693,8 +649,8 @@ func TestMulticoreEndpointLifecycle(t *testing.T) {
 		t.Errorf("final progress = %+v, want all units done", v.Progress)
 	}
 
-	// The CLI equivalent: clustersim -workloads bzip2 -mode vcfr -cells 1c2t
-	// -quantum 1000 -instructions 5000 (defaults: seed 42, spread 8).
+	// The same campaign called directly: bzip2 under vcfr, cell 1c2t,
+	// quantum 1000, 5000-instruction cap (defaults: seed 42, spread 8).
 	rep, err := multicore.RunCampaign(context.Background(), harness.NewRunner(1), multicore.Config{
 		Workloads: []string{"bzip2"},
 		Modes:     []cpu.Mode{cpu.ModeVCFR},

@@ -115,6 +115,18 @@ func Names() []string {
 	return out
 }
 
+// CheckName reports whether name is an available workload without building
+// it: nil, or the error ByName returns for an unknown name.
+func CheckName(name string) error {
+	if _, ok := fixtures.ByName(name); ok {
+		return nil
+	}
+	if _, ok := registry[name]; ok {
+		return nil
+	}
+	return fmt.Errorf("workloads: unknown workload %q (have %v)", name, Names())
+}
+
 // ByName builds the named workload at the given scale (scale <= 0 means 1).
 // Scale multiplies iteration counts, not code size, so static analyses are
 // scale-invariant while dynamic instruction counts grow. ELF workloads are
@@ -129,7 +141,7 @@ func ByName(name string, scale int) (Workload, error) {
 	}
 	g, ok := registry[name]
 	if !ok {
-		return Workload{}, fmt.Errorf("workloads: unknown workload %q (have %v)", name, Names())
+		return Workload{}, CheckName(name)
 	}
 	if scale <= 0 {
 		scale = 1

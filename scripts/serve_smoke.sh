@@ -1,10 +1,12 @@
 #!/bin/sh
-# Smoke test for vcfrd: boot the service, hit every endpoint once, prove the
+# Smoke test for vcfrd: boot the service once, hit every endpoint, prove the
 # simulate response is byte-identical to vcfrsim -stats-json, prove a
 # timing-only repeat reuses the prepared app, exercise the unified
-# /v1/jobs API, prove a kind=multicore job's envelope is byte-identical to
-# clustersim -json, and prove SIGTERM drains cleanly. Exits non-zero on the
-# first failure.
+# /v1/jobs API, prove each sweep and campaign job's stored envelope is
+# byte-identical to `experiments -stats-json` with the same parameters,
+# check the fault.* and attack.* counters on /metrics against the
+# campaigns' own totals, and prove SIGTERM drains cleanly. Exits non-zero
+# on the first failure.
 set -eu
 
 GO="${GO:-go}"
@@ -27,6 +29,7 @@ poll_job() {
 
 echo "== build"
 "$GO" build -o "$TMP/vcfrd" ./cmd/vcfrd
+"$GO" build -o "$TMP/experiments" ./cmd/experiments
 
 echo "== start"
 "$TMP/vcfrd" -addr 127.0.0.1:0 >/dev/null 2>"$TMP/vcfrd.log" &
@@ -58,11 +61,23 @@ curl -fsS "http://$ADDR/metrics" >"$TMP/metrics.txt"
 HITS="$(sed -n 's/^vcfrd_app_memo_hits_total //p' "$TMP/metrics.txt")"
 [ "${HITS:-0}" -ge 1 ] || { echo "no app memo hit (hits=$HITS)"; exit 1; }
 
-echo "== unified submission via POST /v1/jobs"
-JOB="$(curl -fsS -d '{"kind": "sweep", "workloads": ["lbm"], "instructions": 50000}' "http://$ADDR/v1/jobs" \
-    | sed -n 's/.*"id": *"\([^"]*\)".*/\1/p')"
-[ -n "$JOB" ] || { echo "/v1/jobs returned no job id"; exit 1; }
-poll_job "$ADDR" "$JOB"
+# job_matches_cli NAME BODY ARGS... -> submits BODY to POST /v1/jobs, polls
+# it to completion, and compares the stored envelope at
+# /v1/jobs/{id}/result byte for byte with `experiments ARGS -stats-json`,
+# leaving both in $TMP/NAME.json and $TMP/NAME-cli.json.
+job_matches_cli() {
+    name="$1"; body="$2"; shift 2
+    job="$(curl -fsS -d "$body" "http://$ADDR/v1/jobs" | sed -n 's/.*"id": *"\([^"]*\)".*/\1/p')"
+    [ -n "$job" ] || { echo "/v1/jobs returned no $name job id"; return 1; }
+    poll_job "$ADDR" "$job"
+    curl -fsS "http://$ADDR/v1/jobs/$job/result" >"$TMP/$name.json"
+    "$TMP/experiments" "$@" -stats-json >"$TMP/$name-cli.json"
+    cmp "$TMP/$name.json" "$TMP/$name-cli.json"
+}
+
+echo "== sweep via POST /v1/jobs is byte-identical to experiments -stats-json"
+job_matches_cli sweep '{"kind": "sweep", "workloads": ["lbm"], "instructions": 50000}' \
+    -workloads lbm -instructions 50000
 
 echo "== job listing paginates"
 curl -fsS "http://$ADDR/v1/jobs?state=done&limit=1" | grep -q '"jobs"'
@@ -70,15 +85,37 @@ curl -fsS "http://$ADDR/v1/jobs?state=done&limit=1" | grep -q '"jobs"'
 echo "== workloads catalog"
 curl -fsS "http://$ADDR/v1/workloads" | grep -q '"name"'
 
-echo "== multicore campaign via POST /v1/jobs is byte-identical to clustersim -json"
-MREQ='{"kind": "multicore", "workloads": ["bzip2", "sjeng"], "mode": "vcfr", "cells": ["1c2t"], "quantum": 2000, "instructions": 10000}'
-MJOB="$(curl -fsS -d "$MREQ" "http://$ADDR/v1/jobs" | sed -n 's/.*"id": *"\([^"]*\)".*/\1/p')"
-[ -n "$MJOB" ] || { echo "/v1/jobs returned no multicore job id"; exit 1; }
-poll_job "$ADDR" "$MJOB"
-curl -fsS "http://$ADDR/v1/jobs/$MJOB/result" >"$TMP/multicore.json"
-"$GO" run ./cmd/clustersim -workloads bzip2,sjeng -mode vcfr -cells 1c2t \
-    -quantum 2000 -instructions 10000 -json >"$TMP/multicore-cli.json"
-cmp "$TMP/multicore.json" "$TMP/multicore-cli.json"
+echo "== fault campaign is byte-identical to experiments -mode faults"
+job_matches_cli faults '{"kind": "faults", "workloads": ["bzip2"], "mode": "all", "injections": 30, "instructions": 10000}' \
+    -mode faults -workloads bzip2 -injections 30 -instructions 10000
+
+echo "== attack campaign is byte-identical to experiments -mode attacks"
+job_matches_cli attacks '{"kind": "attacks", "workloads": ["bzip2"], "mode": "all"}' \
+    -mode attacks -workloads bzip2
+
+echo "== multicore campaign is byte-identical to experiments -mode multicore"
+job_matches_cli multicore '{"kind": "multicore", "workloads": ["bzip2", "sjeng"], "cells": ["1c2t"], "quantum": 2000, "instructions": 10000}' \
+    -mode multicore -workloads bzip2,sjeng -cells 1c2t -quantum 2000 -instructions 10000
+
+echo "== campaign counters reached /metrics"
+curl -fsS "http://$ADDR/metrics" >"$TMP/metrics.txt"
+# total FILE KEY -> the KEY figure of the envelope's totals block.
+total() { sed -n '/"totals"/,/}/{s/.*"'"$2"'": *\([0-9]*\).*/\1/p;}' "$1" | head -1; }
+CAMPAIGNS="$(sed -n 's/^vcfrd_fault_campaigns_total //p' "$TMP/metrics.txt")"
+[ "${CAMPAIGNS:-0}" -ge 1 ] || { echo "no fault campaign counted (campaigns=$CAMPAIGNS)"; exit 1; }
+CAMPAIGNS="$(sed -n 's/^vcfrd_attack_campaigns_total //p' "$TMP/metrics.txt")"
+[ "${CAMPAIGNS:-0}" -ge 1 ] || { echo "no attack campaign counted (campaigns=$CAMPAIGNS)"; exit 1; }
+# Each campaign's own totals are the reference: the service merges every
+# finished campaign's Stats into the registry, and this instance ran one
+# campaign of each, so each counter must match its envelope's totals.
+WANT="$(total "$TMP/faults-cli.json" injected)"
+INJECTED="$(sed -n 's/^vcfrd_fault_injected_total //p' "$TMP/metrics.txt")"
+[ -n "$WANT" ] || { echo "could not find fault campaign totals"; exit 1; }
+[ "${INJECTED:-0}" = "$WANT" ] || { echo "injected counter $INJECTED != campaign total $WANT"; exit 1; }
+WANT="$(total "$TMP/attacks-cli.json" leaks)"
+LEAKS="$(sed -n 's/^vcfrd_attack_leaks_total //p' "$TMP/metrics.txt")"
+[ -n "$WANT" ] || { echo "could not find attack campaign totals"; exit 1; }
+[ "${LEAKS:-0}" = "$WANT" ] || { echo "leaks counter $LEAKS != campaign total $WANT"; exit 1; }
 
 echo "== SIGTERM drains"
 kill -TERM "$PID"
