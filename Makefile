@@ -38,8 +38,11 @@ realbin:
 	./scripts/realbin_fixtures.sh
 	$(GO) test ./internal/realbin/...
 
+# perfbench is its own module (./... above stops at its go.mod); vetting it
+# here keeps the benchmark building against the cpu/harness APIs it calls.
 vet:
 	$(GO) vet ./...
+	cd perfbench && $(GO) vet ./...
 
 fmt:
 	gofmt -l -w .

@@ -185,19 +185,7 @@ func run() error {
 	var jsonRows []results.Run
 	emit := func(w io.Writer, m cpu.Mode, res cpu.Result) error {
 		if *jsonOut {
-			row := results.Run{
-				Workload:  name,
-				Mode:      m.String(),
-				Seed:      *seed,
-				Config:    ccfgOf(m),
-				Result:    res,
-				Intervals: results.MakeIntervals(res.Intervals),
-			}
-			if m != cpu.ModeBaseline {
-				st := sys.Stats()
-				row.Ilr = &st
-			}
-			jsonRows = append(jsonRows, row)
+			jsonRows = append(jsonRows, harness.RunRow(name, m, *seed, ccfgOf(m), res, sys.Rewrite()))
 			return nil
 		}
 		report(w, m, res, *drc)

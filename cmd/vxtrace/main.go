@@ -49,19 +49,6 @@ func run(args []string) error {
 	}
 }
 
-func parseMode(s string) (cpu.Mode, error) {
-	switch s {
-	case "baseline":
-		return cpu.ModeBaseline, nil
-	case "naive":
-		return cpu.ModeNaiveILR, nil
-	case "vcfr":
-		return cpu.ModeVCFR, nil
-	default:
-		return 0, fmt.Errorf("unknown -mode %q (want baseline, naive, or vcfr)", s)
-	}
-}
-
 func record(args []string) error {
 	fs := flag.NewFlagSet("vxtrace record", flag.ExitOnError)
 	var (
@@ -79,10 +66,14 @@ func record(args []string) error {
 	if *workload == "" || *out == "" {
 		return fmt.Errorf("record needs -workload and -o")
 	}
-	mode, err := parseMode(*modeF)
+	modes, err := cpu.ParseModes(*modeF)
 	if err != nil {
 		return err
 	}
+	if len(modes) != 1 {
+		return fmt.Errorf("record needs a single -mode")
+	}
+	mode := modes[0]
 	cfg := harness.Config{Scale: *scale, Seed: *seed, Spread: *spread}
 	app, err := harness.Prepare(*workload, cfg)
 	if err != nil {

@@ -104,9 +104,7 @@ func (c Config) validate() error {
 		}
 	}
 	for _, m := range c.Modes {
-		switch m {
-		case cpu.ModeBaseline, cpu.ModeNaiveILR, cpu.ModeVCFR:
-		default:
+		if !m.Valid() {
 			return fmt.Errorf("attack: unknown mode %v", m)
 		}
 	}

@@ -12,34 +12,7 @@ import (
 	"vcfr/internal/harness"
 	"vcfr/internal/ilr"
 	"vcfr/internal/isa"
-	"vcfr/internal/program"
 )
-
-// epochPipeline builds a fresh victim from one epoch's artifacts — the
-// deployment the attacker's chain is fired against. (app.Pipeline always
-// uses the first epoch; re-randomized cells need the current one.)
-func epochPipeline(app *harness.App, mode cpu.Mode, res *ilr.Result) (*cpu.Pipeline, error) {
-	ccfg := cpu.DefaultConfig(mode)
-	var (
-		img    *program.Image
-		trans  emu.Translator
-		randRA map[uint32]uint32
-	)
-	switch mode {
-	case cpu.ModeNaiveILR:
-		img, trans = res.Scattered, res.Tables
-	case cpu.ModeVCFR:
-		img, trans, randRA = res.VCFR, res.Tables, res.RandRA
-	default:
-		img = res.Orig
-	}
-	p, err := cpu.New(img, ccfg, trans, randRA)
-	if err != nil {
-		return nil, err
-	}
-	p.SetInput(app.W.Input)
-	return p, nil
-}
 
 // fire launches the chain through the canonical memory-corruption entry
 // point: the victim runs normally until its first return, whose popped
@@ -56,7 +29,7 @@ func fire(ctx context.Context, app *harness.App, mode cpu.Mode, res *ilr.Result,
 			o = OutcomeCrash
 		}
 	}()
-	p, err := epochPipeline(app, mode, res)
+	p, _, err := (&harness.App{W: app.W, R: res}).Pipeline(mode, nil)
 	if err != nil {
 		return OutcomeCrash
 	}

@@ -21,13 +21,8 @@ const mapEntryBytes = 8
 
 // executedImage returns the image a pipeline in the given mode fetches from.
 func executedImage(res *ilr.Result, mode cpu.Mode) *program.Image {
-	switch mode {
-	case cpu.ModeNaiveILR:
-		return res.Scattered
-	case cpu.ModeVCFR:
-		return res.VCFR
-	}
-	return res.Orig
+	img, _, _ := mode.Deploy(res)
+	return img
 }
 
 // viewImage wraps the attacker's reconstructed bytes as a scannable image.
@@ -129,7 +124,7 @@ func (o *oracle) resetEpoch() {
 // dies (it described the old image's randomized immediates); under naive
 // ILR the original-space bytes already paired stay good.
 func (o *oracle) applyEpoch(next *ilr.Result) error {
-	if err := o.victim.Rerandomize(executedImage(next, o.mode), next.Tables, next.RandRA); err != nil {
+	if err := o.victim.Rerandomize(next); err != nil {
 		return err
 	}
 	o.res = next

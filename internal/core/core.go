@@ -164,19 +164,7 @@ func (s *System) Pipeline(mode cpu.Mode, mutate func(*cpu.Config)) (*cpu.Pipelin
 	if mutate != nil {
 		mutate(&cfg)
 	}
-	var img *program.Image
-	var trans emu.Translator
-	var randRA map[uint32]uint32
-	switch mode {
-	case cpu.ModeBaseline:
-		img = s.rewrite.Orig
-	case cpu.ModeNaiveILR:
-		img, trans = s.rewrite.Scattered, s.rewrite.Tables
-	case cpu.ModeVCFR:
-		img, trans, randRA = s.rewrite.VCFR, s.rewrite.Tables, s.rewrite.RandRA
-	default:
-		return nil, fmt.Errorf("core: unknown cpu mode %v", mode)
-	}
+	img, trans, randRA := mode.Deploy(s.rewrite)
 	return cpu.New(img, cfg, trans, randRA)
 }
 

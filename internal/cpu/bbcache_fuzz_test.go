@@ -71,13 +71,8 @@ func FuzzBlockCacheInvalidation(f *testing.F) {
 		// The executed image: pokes must land on the bytes this mode
 		// actually fetches (the scattered/VCFR image, not the original).
 		executed := func(r *ilr.Result) *program.Image {
-			switch mode {
-			case cpu.ModeNaiveILR:
-				return r.Scattered
-			case cpu.ModeVCFR:
-				return r.VCFR
-			}
-			return r.Orig
+			img, _, _ := mode.Deploy(r)
+			return img
 		}
 		text := executed(res).Seg("text")
 		if text == nil || len(text.Data) == 0 {
@@ -151,10 +146,10 @@ func FuzzBlockCacheInvalidation(f *testing.F) {
 					t.Fatal(err) // deterministic rewrite; never fails
 				}
 				img := executed(next)
-				if cerr := cached.Rerandomize(img, next.Tables, next.RandRA); cerr != nil {
+				if cerr := cached.Rerandomize(next); cerr != nil {
 					t.Fatalf("record %d: cached swap: %v", rec, cerr)
 				}
-				if derr := direct.Rerandomize(img, next.Tables, next.RandRA); derr != nil {
+				if derr := direct.Rerandomize(next); derr != nil {
 					t.Fatalf("record %d: direct swap: %v", rec, derr)
 				}
 				res = next

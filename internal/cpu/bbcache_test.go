@@ -11,7 +11,6 @@ import (
 
 	"vcfr/internal/asm"
 	"vcfr/internal/cpu"
-	"vcfr/internal/emu"
 	"vcfr/internal/ilr"
 	"vcfr/internal/isa"
 	"vcfr/internal/program"
@@ -26,19 +25,7 @@ func pipeFor(t testing.TB, res *ilr.Result, mode cpu.Mode, input []byte,
 	if mutate != nil {
 		mutate(&cfg)
 	}
-	var (
-		img    *program.Image
-		trans  emu.Translator
-		randRA map[uint32]uint32
-	)
-	switch mode {
-	case cpu.ModeBaseline:
-		img = res.Orig
-	case cpu.ModeNaiveILR:
-		img, trans = res.Scattered, res.Tables
-	case cpu.ModeVCFR:
-		img, trans, randRA = res.VCFR, res.Tables, res.RandRA
-	}
+	img, trans, randRA := mode.Deploy(res)
 	p, err := cpu.New(img, cfg, trans, randRA)
 	if err != nil {
 		t.Fatal(err)

@@ -20,7 +20,10 @@ package cpu
 import (
 	"fmt"
 
+	"vcfr/internal/emu"
+	"vcfr/internal/ilr"
 	"vcfr/internal/mem"
+	"vcfr/internal/program"
 )
 
 // Mode selects the fetch-path architecture being simulated.
@@ -52,6 +55,35 @@ func (m Mode) String() string {
 	default:
 		return fmt.Sprintf("mode(%d)", int(m))
 	}
+}
+
+// Valid reports whether m is one of the simulated architectures.
+func (m Mode) Valid() bool { return m >= ModeBaseline && m <= ModeVCFR }
+
+// Deploy selects what mode m runs of one ILR rewrite: the image the pipeline
+// loads and fetches from, the translator behind its randomized control flow,
+// and the randomized return address of each call site. It is the one place a
+// mode's artifacts are chosen. Baseline gets the original binary and an
+// untyped nil translator; an invalid mode or a nil res gets all nils, and a
+// nil res.Tables a nil translator.
+func (m Mode) Deploy(res *ilr.Result) (img *program.Image, trans emu.Translator, randRA map[uint32]uint32) {
+	if res == nil {
+		return nil, nil, nil
+	}
+	switch m {
+	case ModeBaseline:
+		return res.Orig, nil, nil
+	case ModeNaiveILR:
+		img = res.Scattered
+	case ModeVCFR:
+		img, randRA = res.VCFR, res.RandRA
+	default:
+		return nil, nil, nil
+	}
+	if res.Tables != nil { // a nil *ilr.Tables must not become a non-nil interface
+		trans = res.Tables
+	}
+	return img, trans, randRA
 }
 
 // AllModes returns the three architecture modes in report order.
@@ -178,7 +210,7 @@ func DefaultConfig(mode Mode) Config {
 
 // Validate sanity-checks the configuration.
 func (c Config) Validate() error {
-	if c.Mode < ModeBaseline || c.Mode > ModeVCFR {
+	if !c.Mode.Valid() {
 		return fmt.Errorf("cpu: invalid mode %d", int(c.Mode))
 	}
 	if c.GshareBits <= 0 || c.GshareBits > 24 {

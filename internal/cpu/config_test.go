@@ -1,8 +1,13 @@
 package cpu
 
 import (
+	"reflect"
 	"strings"
 	"testing"
+
+	"vcfr/internal/emu"
+	"vcfr/internal/ilr"
+	"vcfr/internal/program"
 )
 
 // TestValidateRejections pins Config.Validate's rejection messages. Validate
@@ -84,5 +89,57 @@ func TestValidateMessagePrefix(t *testing.T) {
 	c.IssueWidth = 0
 	if err := c.Validate(); err == nil || !strings.HasPrefix(err.Error(), "cpu: ") {
 		t.Errorf("Validate() = %v, want a message prefixed \"cpu: \"", err)
+	}
+}
+
+// TestModeDeploy pins the one mode->artifact selection behind New, every
+// ClusterProc and Rerandomize: each mode's image, translator and RandRA are
+// exactly the rewrite's own, baseline's translator is an untyped nil, and an
+// invalid mode selects nothing (New then rejects it through Validate).
+func TestModeDeploy(t *testing.T) {
+	res := rewriteSrc(t, "fib", fibSrc)
+	tests := []struct {
+		mode   Mode
+		img    *program.Image
+		trans  emu.Translator
+		randRA map[uint32]uint32
+	}{
+		{ModeBaseline, res.Orig, nil, nil},
+		{ModeNaiveILR, res.Scattered, res.Tables, nil},
+		{ModeVCFR, res.VCFR, res.Tables, res.RandRA},
+		{Mode(0), nil, nil, nil},
+		{Mode(9), nil, nil, nil},
+	}
+	for _, tc := range tests {
+		img, trans, randRA := tc.mode.Deploy(res)
+		if img != tc.img {
+			t.Errorf("%v: image %p, want %p", tc.mode, img, tc.img)
+		}
+		if trans != tc.trans {
+			t.Errorf("%v: translator %#v, want %#v", tc.mode, trans, tc.trans)
+		}
+		if reflect.ValueOf(randRA).Pointer() != reflect.ValueOf(tc.randRA).Pointer() {
+			t.Errorf("%v: RandRA is not the rewrite's own map", tc.mode)
+		}
+		if tc.mode.Valid() != (img != nil) {
+			t.Errorf("%v: Valid() = %v with image %p", tc.mode, tc.mode.Valid(), img)
+		}
+		_, err := New(img, DefaultConfig(tc.mode), trans, randRA)
+		if (err == nil) != tc.mode.Valid() {
+			t.Errorf("%v: New error = %v", tc.mode, err)
+		}
+	}
+
+	if _, trans, _ := ModeBaseline.Deploy(res); trans != nil {
+		t.Errorf("baseline translator = %#v, want an untyped nil", trans)
+	}
+	noTables := &ilr.Result{Orig: res.Orig, Scattered: res.Scattered, VCFR: res.VCFR, RandRA: res.RandRA}
+	for _, m := range AllModes() {
+		if _, trans, _ := m.Deploy(noTables); trans != nil {
+			t.Errorf("%v: nil Tables deployed as translator %#v", m, trans)
+		}
+		if img, trans, randRA := m.Deploy(nil); img != nil || trans != nil || randRA != nil {
+			t.Errorf("%v: nil result deployed %p/%#v/%v", m, img, trans, randRA)
+		}
 	}
 }

@@ -35,12 +35,8 @@ func BenchmarkCluster(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				switch mode {
-				case cpu.ModeBaseline:
-					procs[i] = cpu.ClusterProc{Img: res.Orig, Input: w.Input}
-				default:
-					procs[i] = cpu.ClusterProc{Img: res.VCFR, Trans: res.Tables, RandRA: res.RandRA, Input: w.Input}
-				}
+				img, trans, randRA := mode.Deploy(res)
+				procs[i] = cpu.ClusterProc{Img: img, Trans: trans, RandRA: randRA, Input: w.Input}
 			}
 			b.ResetTimer()
 			var insts uint64

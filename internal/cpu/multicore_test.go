@@ -129,16 +129,8 @@ func TestClusterSoloMatchesPipeline(t *testing.T) {
 			single := runPipe(t, res, mode, func(c *Config) { c.SampleEvery = 997 })
 			cfg := DefaultConfig(mode)
 			cfg.SampleEvery = 997
-			var proc ClusterProc
-			switch mode {
-			case ModeBaseline:
-				proc = ClusterProc{Img: res.Orig}
-			case ModeNaiveILR:
-				proc = ClusterProc{Img: res.Scattered, Trans: res.Tables}
-			case ModeVCFR:
-				proc = ClusterProc{Img: res.VCFR, Trans: res.Tables, RandRA: res.RandRA}
-			}
-			cl, err := NewCluster(cfg, []ClusterProc{proc})
+			img, trans, randRA := mode.Deploy(res)
+			cl, err := NewCluster(cfg, []ClusterProc{{Img: img, Trans: trans, RandRA: randRA}})
 			if err != nil {
 				t.Fatal(err)
 			}

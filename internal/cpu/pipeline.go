@@ -158,7 +158,8 @@ type Pipeline struct {
 
 // New builds a pipeline for img under cfg. trans and randRA supply the
 // randomization artifacts; both must be nil for ModeBaseline and non-nil
-// (trans at least) otherwise.
+// (trans at least) otherwise. cfg.Mode.Deploy selects all three from one
+// ilr.Result.
 func New(img *program.Image, cfg Config, trans emu.Translator, randRA map[uint32]uint32) (*Pipeline, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err

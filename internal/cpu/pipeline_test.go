@@ -8,7 +8,6 @@ import (
 	"vcfr/internal/asm"
 	"vcfr/internal/emu"
 	"vcfr/internal/ilr"
-	"vcfr/internal/program"
 )
 
 const fibSrc = `
@@ -87,17 +86,7 @@ func runPipe(t *testing.T, res *ilr.Result, mode Mode, mutate func(*Config)) Res
 	if mutate != nil {
 		mutate(&cfg)
 	}
-	var img *program.Image
-	var trans emu.Translator
-	var randRA map[uint32]uint32
-	switch mode {
-	case ModeBaseline:
-		img = res.Orig
-	case ModeNaiveILR:
-		img, trans = res.Scattered, res.Tables
-	case ModeVCFR:
-		img, trans, randRA = res.VCFR, res.Tables, res.RandRA
-	}
+	img, trans, randRA := mode.Deploy(res)
 	p, err := New(img, cfg, trans, randRA)
 	if err != nil {
 		t.Fatalf("New(%v): %v", mode, err)

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"vcfr/internal/emu"
+	"vcfr/internal/ilr"
 	"vcfr/internal/isa"
 	"vcfr/internal/program"
 )
@@ -17,9 +18,10 @@ import (
 // control to it faults on the default-deny prohibition check.
 //
 // Rerandomize is the processor/kernel half of that hand-off. The caller
-// produces the new epoch's artifacts (ilr.Result.Rerandomize) and passes the
-// mode-appropriate executed image plus the new translator; Rerandomize swaps
-// the live pipeline onto them in place, preserving architectural state:
+// produces the new epoch's rewrite (ilr.Result.Rerandomize) and passes it
+// whole; Rerandomize deploys it under the pipeline's own mode (Mode.Deploy),
+// so one mode's image can never be paired with another's tables, and swaps
+// the live pipeline onto it in place, preserving architectural state:
 //
 //   - the executed image's text bytes are rewritten in memory (under VCFR the
 //     new image re-encodes direct-transfer immediates and movi code constants
@@ -43,12 +45,16 @@ import (
 // practice; the documented approximation is that a program storing a
 // deliberately crafted integer equal to an old randomized address would see
 // it re-translated.
-func (p *Pipeline) Rerandomize(img *program.Image, trans emu.Translator, randRA map[uint32]uint32) error {
+func (p *Pipeline) Rerandomize(next *ilr.Result) error {
 	if p.cfg.Mode == ModeBaseline {
 		return fmt.Errorf("cpu: mode %v does not re-randomize", p.cfg.Mode)
 	}
+	img, trans, randRA := p.cfg.Mode.Deploy(next)
 	if trans == nil {
 		return fmt.Errorf("cpu: Rerandomize requires a Translator")
+	}
+	if img == nil {
+		return fmt.Errorf("cpu: Rerandomize requires the %v image", p.cfg.Mode)
 	}
 	old := p.trans
 

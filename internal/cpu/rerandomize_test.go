@@ -8,20 +8,8 @@ import (
 	"vcfr/internal/emu"
 	"vcfr/internal/ilr"
 	"vcfr/internal/isa"
-	"vcfr/internal/program"
 	"vcfr/internal/workloads"
 )
-
-// executedImage returns the image a pipeline in the given mode fetches from.
-func executedImage(res *ilr.Result, mode cpu.Mode) *program.Image {
-	switch mode {
-	case cpu.ModeNaiveILR:
-		return res.Scattered
-	case cpu.ModeVCFR:
-		return res.VCFR
-	}
-	return res.Orig
-}
 
 // TestRerandomizePreservesComputation runs each workload to completion twice
 // — once untouched, once swapped onto a fresh layout at several mid-run
@@ -62,7 +50,7 @@ func TestRerandomizePreservesComputation(t *testing.T) {
 					if err != nil {
 						t.Fatalf("rewriter epoch %d: %v", i, err)
 					}
-					if err := swapped.Rerandomize(executedImage(next, mode), next.Tables, next.RandRA); err != nil {
+					if err := swapped.Rerandomize(next); err != nil {
 						t.Fatalf("swap %d: %v", i, err)
 					}
 					cur = next
@@ -102,7 +90,8 @@ func TestRerandomizePreservesComputation(t *testing.T) {
 }
 
 // TestRerandomizeBaselineErrors pins that a baseline pipeline refuses the
-// swap: there is no layout to replace.
+// swap (there is no layout to replace), and that a rewrite missing its tables
+// or its image, or no rewrite at all, is refused rather than deployed.
 func TestRerandomizeBaselineErrors(t *testing.T) {
 	w, err := workloads.ByName("bzip2", 1)
 	if err != nil {
@@ -113,12 +102,18 @@ func TestRerandomizeBaselineErrors(t *testing.T) {
 		t.Fatal(err)
 	}
 	p := pipeFor(t, res, cpu.ModeBaseline, w.Input, nil)
-	if err := p.Rerandomize(res.Orig, res.Tables, nil); err == nil {
+	if err := p.Rerandomize(res); err == nil {
 		t.Fatal("baseline Rerandomize succeeded")
 	}
 	vp := pipeFor(t, res, cpu.ModeVCFR, w.Input, nil)
-	if err := vp.Rerandomize(res.VCFR, nil, nil); err == nil {
+	if err := vp.Rerandomize(&ilr.Result{VCFR: res.VCFR}); err == nil {
 		t.Fatal("nil-translator Rerandomize succeeded")
+	}
+	if err := vp.Rerandomize(nil); err == nil {
+		t.Fatal("nil-result Rerandomize succeeded")
+	}
+	if err := vp.Rerandomize(&ilr.Result{Tables: res.Tables}); err == nil {
+		t.Fatal("image-less Rerandomize succeeded")
 	}
 }
 
@@ -155,7 +150,7 @@ func TestRerandomizeKillsStaleTarget(t *testing.T) {
 	}
 
 	p := pipeFor(t, res, cpu.ModeVCFR, w.Input, nil)
-	if err := p.Rerandomize(next.VCFR, next.Tables, next.RandRA); err != nil {
+	if err := p.Rerandomize(next); err != nil {
 		t.Fatal(err)
 	}
 	fired := false

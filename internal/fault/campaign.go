@@ -99,9 +99,7 @@ func (c Config) validate() error {
 		}
 	}
 	for _, m := range c.Modes {
-		switch m {
-		case cpu.ModeBaseline, cpu.ModeNaiveILR, cpu.ModeVCFR:
-		default:
+		if !m.Valid() {
 			return fmt.Errorf("fault: unknown mode %v", m)
 		}
 	}

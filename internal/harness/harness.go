@@ -14,7 +14,6 @@ import (
 	"vcfr/internal/cpu"
 	"vcfr/internal/emu"
 	"vcfr/internal/ilr"
-	"vcfr/internal/program"
 	"vcfr/internal/workloads"
 )
 
@@ -101,22 +100,6 @@ func PrepareOpts(name string, cfg Config, opts ilr.Options) (*App, error) {
 	return &App{W: w, R: res}, nil
 }
 
-// artifacts selects the executed image and the randomization artifacts for
-// one architecture mode.
-func (a *App) artifacts(mode cpu.Mode) (img *program.Image, trans emu.Translator, randRA map[uint32]uint32, err error) {
-	switch mode {
-	case cpu.ModeBaseline:
-		img = a.R.Orig
-	case cpu.ModeNaiveILR:
-		img, trans = a.R.Scattered, a.R.Tables
-	case cpu.ModeVCFR:
-		img, trans, randRA = a.R.VCFR, a.R.Tables, a.R.RandRA
-	default:
-		err = fmt.Errorf("harness: unknown mode %v", mode)
-	}
-	return img, trans, randRA, err
-}
-
 // Pipeline builds a fresh pipeline for one run of the app in the given mode,
 // with the workload's input installed. mutate, if non-nil, adjusts the
 // default machine configuration (DRC size, ablation switches, ...).
@@ -125,10 +108,7 @@ func (a *App) Pipeline(mode cpu.Mode, mutate func(*cpu.Config)) (*cpu.Pipeline, 
 	if mutate != nil {
 		mutate(&ccfg)
 	}
-	img, trans, randRA, err := a.artifacts(mode)
-	if err != nil {
-		return nil, ccfg, err
-	}
+	img, trans, randRA := mode.Deploy(a.R)
 	p, err := cpu.New(img, ccfg, trans, randRA)
 	if err != nil {
 		return nil, ccfg, err

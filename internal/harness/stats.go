@@ -7,6 +7,7 @@ import (
 	"sync"
 
 	"vcfr/internal/cpu"
+	"vcfr/internal/ilr"
 	"vcfr/internal/results"
 	"vcfr/internal/workloads"
 )
@@ -76,7 +77,7 @@ func StatsSweepProgress(ctx context.Context, r *Runner, cfg Config, onProgress f
 				cellInsts += res.Stats.Instructions
 				// Cells carry [][]string rows (and must stay cacheable), so
 				// the structured row travels JSON-encoded in a single column.
-				enc, err := encodeStatsRow(runRow(name, mode, cfg.Seed, ccfg, res, app))
+				enc, err := encodeStatsRow(RunRow(name, mode, cfg.Seed, ccfg, res, app.R))
 				if err != nil {
 					return Cell{}, err
 				}
@@ -131,16 +132,17 @@ func SimulateRuns(ctx context.Context, r *Runner, name string, modes []cpu.Mode,
 		if err != nil {
 			return rows, err
 		}
-		rows = append(rows, runRow(name, mode, cfg.Seed, ccfg, res, app))
+		rows = append(rows, RunRow(name, mode, cfg.Seed, ccfg, res, app.R))
 	}
 	return rows, nil
 }
 
-// runRow builds the wire row for one finished (workload, mode) simulation,
-// attaching the spine-derived extras every producer must agree on: the
-// rewriter statistics (absent under baseline, which runs the original
-// binary) and the interval series derived from the run's sampled snapshots.
-func runRow(name string, mode cpu.Mode, seed int64, ccfg cpu.Config, res cpu.Result, app *App) results.Run {
+// RunRow builds the wire row for one finished (workload, mode) simulation
+// of the rewrite rw, attaching the spine-derived extras every producer must
+// agree on: the rewriter statistics (absent under baseline, which runs the
+// original binary) and the interval series derived from the run's sampled
+// snapshots.
+func RunRow(name string, mode cpu.Mode, seed int64, ccfg cpu.Config, res cpu.Result, rw *ilr.Result) results.Run {
 	row := results.Run{
 		Workload:  name,
 		Mode:      mode.String(),
@@ -150,7 +152,7 @@ func runRow(name string, mode cpu.Mode, seed int64, ccfg cpu.Config, res cpu.Res
 		Intervals: results.MakeIntervals(res.Intervals),
 	}
 	if mode != cpu.ModeBaseline {
-		st := app.R.Stats
+		st := rw.Stats
 		row.Ilr = &st
 	}
 	return row

@@ -20,7 +20,7 @@ import (
 // remaining stream-shaping inputs (rewriter options, program input) so two
 // layouts that happen to share image bytes and seed still key apart.
 func TraceKey(app *App, mode cpu.Mode, maxInsts uint64) trace.Key {
-	img, _, _, _ := app.artifacts(mode)
+	img, _, _ := mode.Deploy(app.R)
 	return trace.Key{
 		ImageHash:  imageHash(img),
 		LayoutSeed: app.R.Opts.Seed,

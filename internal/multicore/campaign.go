@@ -133,9 +133,7 @@ func (c Config) validate() error {
 		}
 	}
 	for _, m := range c.Modes {
-		switch m {
-		case cpu.ModeBaseline, cpu.ModeNaiveILR, cpu.ModeVCFR:
-		default:
+		if !m.Valid() {
 			return fmt.Errorf("multicore: unknown mode %v", m)
 		}
 	}
@@ -173,23 +171,6 @@ type instance struct {
 // membership changes any layout.
 func instanceSeed(base int64, workload string, epoch int) int64 {
 	return harness.CellSeed(base, "multicore", fmt.Sprintf("%s#%d", workload, epoch))
-}
-
-// procFor selects the executed image and randomization artifacts of one
-// prepared instance for a mode.
-func procFor(app *harness.App, mode cpu.Mode) (cpu.ClusterProc, error) {
-	pr := cpu.ClusterProc{Input: app.W.Input, Mode: mode}
-	switch mode {
-	case cpu.ModeBaseline:
-		pr.Img = app.R.Orig
-	case cpu.ModeNaiveILR:
-		pr.Img, pr.Trans = app.R.Scattered, app.R.Tables
-	case cpu.ModeVCFR:
-		pr.Img, pr.Trans, pr.RandRA = app.R.VCFR, app.R.Tables, app.R.RandRA
-	default:
-		return pr, fmt.Errorf("multicore: unknown mode %v", mode)
-	}
-	return pr, nil
 }
 
 // soloRun is one (instance, mode) reference: the tenant alone on one core.
@@ -299,11 +280,8 @@ func RunCampaign(ctx context.Context, r *harness.Runner, cfg Config, onProgress 
 				c.err = err
 				return
 			}
-			var err error
-			if procs[i], err = procFor(instances[i].app, mode); err != nil {
-				c.err = err
-				return
-			}
+			img, trans, randRA := mode.Deploy(instances[i].app.R)
+			procs[i] = cpu.ClusterProc{Img: img, Trans: trans, RandRA: randRA, Input: instances[i].app.W.Input}
 		}
 		cl, err := cpu.NewScheduledCluster(cpu.DefaultConfig(mode),
 			cpu.SchedConfig{Cores: cell.Cores, Quantum: cfg.Quantum}, procs)

@@ -54,15 +54,7 @@ func TestRandomProgramsDifferential(t *testing.T) {
 		check("vcfr-emu", r.Out, err)
 
 		for _, mode := range []cpu.Mode{cpu.ModeBaseline, cpu.ModeNaiveILR, cpu.ModeVCFR} {
-			var img = res.Orig
-			var trans emu.Translator
-			var randRA map[uint32]uint32
-			switch mode {
-			case cpu.ModeNaiveILR:
-				img, trans = res.Scattered, res.Tables
-			case cpu.ModeVCFR:
-				img, trans, randRA = res.VCFR, res.Tables, res.RandRA
-			}
+			img, trans, randRA := mode.Deploy(res)
 			p, err := cpu.New(img, cpu.DefaultConfig(mode), trans, randRA)
 			if err != nil {
 				t.Fatalf("seed %d: %v: %v", seed, mode, err)
