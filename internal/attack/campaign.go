@@ -99,7 +99,7 @@ func (c Config) withDefaults() Config {
 
 func (c Config) validate() error {
 	for _, w := range c.Workloads {
-		if _, err := workloads.ByName(w, 1); err != nil {
+		if err := workloads.CheckName(w); err != nil {
 			return err
 		}
 	}
@@ -215,7 +215,7 @@ func RunCampaign(ctx context.Context, r *harness.Runner, cfg Config, onProgress 
 			Spread: cfg.Spread,
 			Seed:   harness.CellSeed(cfg.Seed, "attacks", w),
 		}
-		if app, err := harness.Prepare(w, hcfg); err != nil {
+		if app, err := r.Prepare(ctx, w, hcfg); err != nil {
 			appErr[w] = err
 		} else {
 			apps[w] = app
@@ -223,10 +223,14 @@ func RunCampaign(ctx context.Context, r *harness.Runner, cfg Config, onProgress 
 	}
 
 	// The cell plan, in fixed order; results land in per-cell slots so
-	// aggregation is deterministic no matter which worker ran what.
+	// aggregation is deterministic no matter which worker ran what. Each
+	// (workload, mode)'s static state is built once, by whichever of its
+	// cells needs it first.
 	rep := &Report{Config: cfg}
+	statics := make(map[staticKey]*shared, len(cfg.Workloads)*len(cfg.Modes))
 	for _, w := range cfg.Workloads {
 		for _, m := range cfg.Modes {
+			statics[staticKey{w, m}] = &shared{}
 			for _, p := range cfg.Payloads {
 				row := Row{Workload: w, Mode: m, Payload: p}
 				if err := appErr[w]; err != nil {
@@ -247,7 +251,9 @@ func RunCampaign(ctx context.Context, r *harness.Runner, cfg Config, onProgress 
 		if row.Error != "" {
 			return
 		}
-		insts := runCell(ctx, apps[row.Workload], cfg, row)
+		app := apps[row.Workload]
+		sh := statics[staticKey{row.Workload, row.Mode}].get(app.R, row.Mode)
+		insts := runCell(ctx, app, sh, cfg, row)
 		if onProgress == nil {
 			return
 		}
@@ -274,18 +280,24 @@ func RunCampaign(ctx context.Context, r *harness.Runner, cfg Config, onProgress 
 	return rep, nil
 }
 
+// staticKey names one (workload, mode)'s shared static state.
+type staticKey struct {
+	workload string
+	mode     cpu.Mode
+}
+
 // runCell executes one cell: static phase, plain disclosure arm, and (for
 // randomized modes) the disclosure arm raced against re-randomization. It
 // returns the victim instructions executed, for progress reporting.
-func runCell(ctx context.Context, app *harness.App, cfg Config, row *Row) (insts uint64) {
+func runCell(ctx context.Context, app *harness.App, sh *shared, cfg Config, row *Row) (insts uint64) {
 	st := &row.Stats
 	var err error
-	if row.Static, err = runStatic(ctx, app, row.Mode, row.Payload, cfg, st); err != nil {
+	if row.Static, err = runStatic(ctx, app, sh, row.Mode, row.Payload, cfg, st); err != nil {
 		row.Error = firstLine(err.Error())
 		return insts
 	}
 	var n uint64
-	if row.Plain, n, err = runDisclosure(ctx, app, cfg, row, false, st); err != nil {
+	if row.Plain, n, err = runDisclosure(ctx, app, sh, cfg, row, false, st); err != nil {
 		row.Error = firstLine(err.Error())
 		return insts + n
 	}
@@ -294,7 +306,7 @@ func runCell(ctx context.Context, app *harness.App, cfg Config, row *Row) (insts
 		return insts // no layout to re-randomize: the rerand arm is moot
 	}
 	var d Disclosure
-	if d, n, err = runDisclosure(ctx, app, cfg, row, true, st); err != nil {
+	if d, n, err = runDisclosure(ctx, app, sh, cfg, row, true, st); err != nil {
 		row.Error = firstLine(err.Error())
 		return insts + n
 	}
@@ -308,13 +320,13 @@ func runCell(ctx context.Context, app *harness.App, cfg Config, row *Row) (insts
 // compile the payload, the chain is fired against the victim's CURRENT
 // deployment. With rerand, the layout is swapped under the live victim
 // every RerandEvery ops, expiring the epoch-scoped knowledge.
-func runDisclosure(ctx context.Context, app *harness.App, cfg Config, row *Row, rerand bool, st *Stats) (Disclosure, uint64, error) {
+func runDisclosure(ctx context.Context, app *harness.App, sh *shared, cfg Config, row *Row, rerand bool, st *Stats) (Disclosure, uint64, error) {
 	arm := "plain"
 	if rerand {
 		arm = "rerand"
 	}
 	rng := rand.New(rand.NewSource(armSeed(cfg.Seed, row.Workload, row.Mode, row.Payload, arm)))
-	o, err := newOracle(app, row.Mode, rng, st)
+	o, err := newOracle(app, sh, row.Mode, rng, st)
 	if err != nil {
 		return Disclosure{}, 0, err
 	}

@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"vcfr/internal/cpu"
+	"vcfr/internal/fault"
 	"vcfr/internal/harness"
 	"vcfr/internal/results"
 )
@@ -52,6 +53,74 @@ func TestCampaignGolden(t *testing.T) {
 	}
 	if !bytes.Equal(got, want) {
 		t.Errorf("campaign envelope drifted from %s\n--- got ---\n%.2000s", path, got)
+	}
+}
+
+// TestConcurrentCampaignsShareApps runs two canonical attack campaigns and
+// the canonical fault campaign at once on one runner whose app memo already
+// holds the attack layouts, so both attack campaigns read the same *App
+// values concurrently. Each envelope must still equal its golden file; under
+// the race detector this also checks that campaigns treat memoized apps as
+// read-only.
+func TestConcurrentCampaignsShareApps(t *testing.T) {
+	ctx := context.Background()
+	r := harness.NewRunner(0)
+	cfg := Config{}.withDefaults()
+	for _, w := range cfg.Workloads {
+		if _, err := r.Prepare(ctx, w, harness.Config{
+			Scale: cfg.Scale, Spread: cfg.Spread, Seed: harness.CellSeed(cfg.Seed, "attacks", w),
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	golden := func(path string) []byte {
+		b, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return b
+	}
+	paths := []string{
+		filepath.Join("testdata", "campaign.golden.json"),
+		filepath.Join("testdata", "campaign.golden.json"),
+		filepath.Join("..", "fault", "testdata", "campaign.golden.json"),
+	}
+	envs := make([]results.Envelope, len(paths))
+	errs := make([]error, len(paths))
+	var wg sync.WaitGroup
+	for i := range paths {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			if i < 2 {
+				var rep *Report
+				if rep, errs[i] = RunCampaign(ctx, r, Config{}, nil); errs[i] == nil {
+					envs[i] = rep.Envelope()
+				}
+				return
+			}
+			var rep *fault.Report
+			if rep, errs[i] = fault.RunCampaign(ctx, r, fault.Config{}, nil); errs[i] == nil {
+				envs[i] = rep.Envelope()
+			}
+		}(i)
+	}
+	wg.Wait()
+	for i, path := range paths {
+		if errs[i] != nil {
+			t.Fatalf("campaign %d: %v", i, errs[i])
+		}
+		got, err := results.Marshal(envs[i])
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, golden(path)) {
+			t.Errorf("campaign %d: envelope differs from %s", i, path)
+		}
+	}
+	if hits, _ := r.AppMemoStats(); hits < uint64(2*len(cfg.Workloads)) {
+		t.Errorf("app memo hits = %d, want >= %d: the attack campaigns did not share apps",
+			hits, 2*len(cfg.Workloads))
 	}
 }
 
@@ -265,7 +334,7 @@ func BenchmarkChainBuild(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	pool := staticPool(app.R, cpu.ModeBaseline)
+	pool := staticPool(app.R, cpu.ModeBaseline, nil)
 	payloads := AllPayloads()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -285,7 +354,7 @@ func BenchmarkFire(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	ch, err := buildChain(staticPool(app.R, cpu.ModeBaseline), PayloadPrint)
+	ch, err := buildChain(staticPool(app.R, cpu.ModeBaseline, nil), PayloadPrint)
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -3,6 +3,7 @@ package attack
 import (
 	"context"
 	"fmt"
+	"sync"
 
 	"vcfr/internal/cpu"
 	"vcfr/internal/gadget"
@@ -35,16 +36,43 @@ func chainKey(c gadget.Chain) string {
 // original addresses stay live (the fetch path translates them) — the
 // static phase exists to surface exactly that hole. Under VCFR the pool is
 // scanned from the deployed image, but every address it names requires the
-// randomized tag the attacker does not have.
-func staticPool(res *ilr.Result, mode cpu.Mode) []gadget.Gadget {
+// randomized tag the attacker does not have. origAddrs, the ascending
+// original instruction starts, is read only under naive ILR.
+func staticPool(res *ilr.Result, mode cpu.Mode, origAddrs []uint32) []gadget.Gadget {
 	switch mode {
 	case cpu.ModeNaiveILR:
-		return gadget.ScanAddrs(res.Orig, res.Tables.OrigAddrs(), 0)
+		return gadget.ScanAddrs(res.Orig, origAddrs, 0)
 	case cpu.ModeVCFR:
 		return gadget.Scan(res.VCFR, 0)
 	default:
 		return gadget.Scan(res.Orig, 0)
 	}
+}
+
+// shared is one (workload, mode)'s read-only attack state. A campaign
+// builds it once, on first use, and shares it across the mode's payload
+// cells and both disclosure arms of each.
+type shared struct {
+	once sync.Once
+	// pool is the static full-knowledge pool. It is also the scan of the
+	// first epoch's image that every oracle pool filters.
+	pool []gadget.Gadget
+	// origAddrs is Tables.OrigAddrs() under naive ILR: every original
+	// instruction start, ascending. The key set never changes across
+	// re-randomizations, so it holds for every epoch.
+	origAddrs []uint32
+}
+
+// get builds s from the workload's first-epoch rewrite on the first call
+// and returns it.
+func (s *shared) get(res *ilr.Result, mode cpu.Mode) *shared {
+	s.once.Do(func() {
+		if mode == cpu.ModeNaiveILR {
+			s.origAddrs = res.Tables.OrigAddrs()
+		}
+		s.pool = staticPool(res, mode, s.origAddrs)
+	})
+	return s
 }
 
 // Static is the full-knowledge diagnostic phase of one cell: pool size,
@@ -60,10 +88,9 @@ type Static struct {
 // runStatic executes one cell's full-knowledge phase. The returned error is
 // only ever the context's: an unfinished phase must not golden-pin as a
 // no-chain result.
-func runStatic(ctx context.Context, app *harness.App, mode cpu.Mode, payload Payload, cfg Config, st *Stats) (Static, error) {
-	pool := staticPool(app.R, mode)
-	s := Static{PoolSize: len(pool), Outcome: OutcomeNoChain}
-	ch, err := buildChain(pool, payload)
+func runStatic(ctx context.Context, app *harness.App, sh *shared, mode cpu.Mode, payload Payload, cfg Config, st *Stats) (Static, error) {
+	s := Static{PoolSize: len(sh.pool), Outcome: OutcomeNoChain}
+	ch, err := buildChain(sh.pool, payload)
 	if err != nil {
 		return s, nil
 	}

@@ -1,6 +1,7 @@
 package attack
 
 import (
+	"bytes"
 	"math/rand"
 
 	"vcfr/internal/cpu"
@@ -56,6 +57,19 @@ type oracle struct {
 	viewData []byte
 	grew     bool // view changed since the last pool build
 
+	// scan is the gadget scan of the image the view reconstructs: the
+	// current epoch's executed image under baseline and VCFR, the original
+	// image's instruction starts under naive ILR. Every pool is a filter
+	// over it (see pool). stale marks a VCFR re-randomization whose new
+	// image is scanned on the epoch's first pool build.
+	scan  []gadget.Gadget
+	stale bool
+	built []gadget.Gadget // the last filtered pool; its array is reused
+	// diverged records that a byte copied into the view differed from the
+	// scanned image's byte at that address (a victim that rewrote its own
+	// text): the filter is then no longer exact, and pools scan the view.
+	diverged bool
+
 	served          int // leak ops actually served (drives channel alternation)
 	codePagesServed int
 	mapPagesServed  int
@@ -67,33 +81,35 @@ type oracle struct {
 	codeNext      int
 
 	// Naive ILR's second channel: the in-memory location map. pairs are the
-	// (orig -> rand) entries leaked THIS epoch; intended marks original
-	// instruction starts whose bytes made it into viewData (those survive
-	// re-randomization — the chain targets original addresses).
+	// (orig -> rand) entries leaked THIS epoch; intended marks, by view
+	// offset, original instruction starts whose bytes made it into viewData
+	// (those survive re-randomization — the chain targets original
+	// addresses).
 	origAddrs []uint32
 	mapPages  int
 	mapOrder  []int
 	mapNext   int
 	pairs     map[uint32]uint32
-	intended  map[uint32]bool
+	intended  []bool
 }
 
-// newOracle builds the attacker's zero-knowledge state and its live victim.
-func newOracle(app *harness.App, mode cpu.Mode, rng *rand.Rand, st *Stats) (*oracle, error) {
+// newOracle builds the attacker's zero-knowledge state and its live victim
+// from the (workload, mode)'s shared static state.
+func newOracle(app *harness.App, sh *shared, mode cpu.Mode, rng *rand.Rand, st *Stats) (*oracle, error) {
 	victim, _, err := app.Pipeline(mode, nil)
 	if err != nil {
 		return nil, err
 	}
-	o := &oracle{mode: mode, res: app.R, victim: victim, rng: rng, st: st}
+	o := &oracle{mode: mode, res: app.R, victim: victim, rng: rng, st: st, scan: sh.pool}
 	switch mode {
 	case cpu.ModeNaiveILR:
 		// The view reconstructs the ORIGINAL layout: that is the space naive
 		// ILR leaves live and the space the attacker's chain will target.
 		text := app.R.Orig.Text()
 		o.viewAddr, o.viewData = text.Addr, make([]byte, len(text.Data))
-		o.origAddrs = app.R.Tables.OrigAddrs()
+		o.origAddrs = sh.origAddrs
 		o.mapPages = (len(o.origAddrs)*mapEntryBytes + pageSize - 1) / pageSize
-		o.intended = make(map[uint32]bool, len(o.origAddrs))
+		o.intended = make([]bool, len(text.Data))
 	default:
 		text := executedImage(app.R, mode).Text()
 		o.viewAddr, o.viewData = text.Addr, make([]byte, len(text.Data))
@@ -129,10 +145,12 @@ func (o *oracle) applyEpoch(next *ilr.Result) error {
 	}
 	o.res = next
 	if o.mode == cpu.ModeVCFR {
+		// The new image is scanned on the epoch's first pool build. The
+		// view starts empty again, so no copied byte can differ from it.
 		for i := range o.viewData {
 			o.viewData[i] = 0
 		}
-		o.grew = false
+		o.grew, o.stale, o.diverged = false, true, false
 	}
 	o.resetEpoch()
 	o.st.Rerandomizations++
@@ -201,8 +219,12 @@ func (o *oracle) leakCodePage() {
 		hi = text.End()
 	}
 	mem := o.victim.State().Mem
-	for a := lo; a < hi; a++ {
-		o.viewData[a-o.viewAddr] = mem.ByteAt(a)
+	view := o.viewData[lo-o.viewAddr : hi-o.viewAddr]
+	for i := range view {
+		view[i] = mem.ByteAt(lo + uint32(i))
+	}
+	if !bytes.Equal(view, text.Data[lo-text.Addr:hi-text.Addr]) {
+		o.diverged = true
 	}
 }
 
@@ -231,20 +253,22 @@ func (o *oracle) leakMapPage() {
 // a swap expires both channels, so partially assembled knowledge is lost.
 func (o *oracle) pairNew() {
 	mem := o.victim.State().Mem
+	orig := o.res.Orig.Text().Data
 	var buf [isa.MaxLength]byte
-	for _, orig := range o.origAddrs {
-		if o.intended[orig] {
+	for _, a := range o.origAddrs {
+		off := a - o.viewAddr
+		if o.intended[off] {
 			continue
 		}
-		r, ok := o.pairs[orig]
+		r, ok := o.pairs[a]
 		if !ok || !o.disclosedCode[r>>gadget.PageBits] {
 			continue
 		}
 		for i := range buf {
 			buf[i] = mem.ByteAt(r + uint32(i))
 		}
-		in, err := isa.Decode(buf[:], orig)
-		if err != nil {
+		in, ok := isa.TryDecode(buf[:], a)
+		if !ok {
 			continue
 		}
 		ln := uint32(in.Len())
@@ -258,24 +282,75 @@ func (o *oracle) pairNew() {
 		if !covered {
 			continue
 		}
-		copy(o.viewData[orig-o.viewAddr:], buf[:ln])
-		o.intended[orig] = true
+		n := copy(o.viewData[off:], buf[:ln])
+		if n < int(ln) || !bytes.Equal(buf[:ln], orig[off:off+ln]) {
+			o.diverged = true
+		}
+		o.intended[off] = true
 		o.grew = true
 	}
 }
 
-// pool compiles the attacker's current gadget view. Under naive ILR only
-// gadgets anchored at learned instruction starts are mountable (a byte-
-// offset gadget's original address is not a map key, so its fetch would
-// fall through to the zeroed original space), so only those starts are
-// probed, in ascending address order; under baseline/VCFR the view is
-// scanned page-limited, exactly like the full scanner would.
+// pool compiles the attacker's current gadget view: the gadgets of the
+// scanned image the attacker has seen in full. Under baseline/VCFR that is
+// every gadget whose whole byte span lies on disclosed pages; under naive
+// ILR every gadget whose instruction starts, terminator included, are all
+// learned (a byte-offset gadget's original address is not a map key, so its
+// fetch would fall through to the zeroed original space).
+//
+// The filter equals viewScan, the scan of the reconstructed view itself, as
+// long as every byte copied into the view equals the scanned image's byte
+// at that address: a gadget seen in full decodes from the same bytes in
+// both, and any other probe of the view runs into an unknown (zero) byte,
+// which does not decode, or off the disclosed span. leakCodePage and
+// pairNew check the copied bytes; after a mismatch, pool scans the view.
+//
+// The returned slice is only valid until the next call.
 func (o *oracle) pool() []gadget.Gadget {
+	if o.diverged {
+		return o.viewScan()
+	}
+	if o.stale {
+		o.scan, o.stale = gadget.Scan(executedImage(o.res, o.mode), 0), false
+	}
+	out := o.built[:0]
+	for _, g := range o.scan {
+		if o.seen(g) {
+			out = append(out, g)
+		}
+	}
+	o.built = out
+	return out
+}
+
+// seen reports whether the attacker has seen all of g.
+func (o *oracle) seen(g gadget.Gadget) bool {
+	if o.mode == cpu.ModeNaiveILR {
+		for _, in := range g.Insts {
+			if !o.intended[in.Addr-o.viewAddr] {
+				return false
+			}
+		}
+		return o.intended[g.End.Addr-o.viewAddr]
+	}
+	for pg := g.Addr >> gadget.PageBits; pg <= (g.Addr+g.ByteLen()-1)>>gadget.PageBits; pg++ {
+		if !o.disclosedCode[pg] {
+			return false
+		}
+	}
+	return true
+}
+
+// viewScan scans the reconstructed view itself: under naive ILR only the
+// learned instruction starts are probed, in ascending address order; under
+// baseline/VCFR the view is scanned page-limited, exactly like the full
+// scanner would.
+func (o *oracle) viewScan() []gadget.Gadget {
 	img := viewImage(o.res.Orig.Name, o.viewAddr, o.viewData)
 	if o.mode == cpu.ModeNaiveILR {
 		var learned []uint32
 		for _, a := range o.origAddrs {
-			if o.intended[a] {
+			if o.intended[a-o.viewAddr] {
 				learned = append(learned, a)
 			}
 		}

@@ -94,7 +94,7 @@ func (c Config) withDefaults() Config {
 
 func (c Config) validate() error {
 	for _, w := range c.Workloads {
-		if _, err := workloads.ByName(w, 1); err != nil {
+		if err := workloads.CheckName(w); err != nil {
 			return err
 		}
 	}
@@ -292,7 +292,7 @@ func prepareCells(ctx context.Context, r *harness.Runner, cfg Config) []*cell {
 			Spread: cfg.Spread,
 			Seed:   harness.CellSeed(cfg.Seed, "faults", w),
 		}
-		if app, err := harness.Prepare(w, hcfg); err != nil {
+		if app, err := r.Prepare(ctx, w, hcfg); err != nil {
 			appErr[w] = err
 		} else {
 			apps[w] = app

@@ -200,3 +200,40 @@ func TestChainsAreWellFormed(t *testing.T) {
 		}
 	}
 }
+
+// TestScanAllocsPerGadget bounds the scanner's allocations: one body copy
+// per returned gadget with a body, plus the result slice's growth. Nothing
+// is allocated per rejected offset or per candidate that fails to become a
+// gadget, which is what makes full-image scans cheap.
+func TestScanAllocsPerGadget(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	soup := make([]byte, 8192)
+	rng.Read(soup)
+	images := map[string]*program.Image{
+		"victim": asm.MustAssemble("victim", victimSrc),
+		"soup": {Name: "soup", Entry: 0x1000, Segments: []program.Segment{{
+			Name: program.SegText, Addr: 0x1000, Data: soup,
+			Perm: program.PermR | program.PermX,
+		}}},
+	}
+	for name, img := range images {
+		gs := Scan(img, DefaultMaxInsts)
+		bound := 0
+		var grown []Gadget
+		for _, g := range gs {
+			if g.Insts != nil {
+				bound++
+			}
+			if len(grown) == cap(grown) {
+				bound++ // the result slice grows here
+			}
+			grown = append(grown, g)
+		}
+		allocs := testing.AllocsPerRun(10, func() { Scan(img, DefaultMaxInsts) })
+		if allocs > float64(bound) {
+			t.Errorf("%s: Scan made %.0f allocs for %d gadgets, want <= %d", name, allocs, len(gs), bound)
+		}
+		t.Logf("%s: %d bytes, %d gadgets, %.0f allocs (bound %d)",
+			name, len(img.Text().Data), len(gs), allocs, bound)
+	}
+}

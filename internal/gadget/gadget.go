@@ -57,9 +57,11 @@ func Scan(img *program.Image, maxInsts int) []Gadget {
 	if text == nil {
 		return nil
 	}
+	var buf [DefaultMaxInsts + 1]isa.Inst
+	body := scratch(buf[:0], maxInsts)
 	var out []Gadget
 	for off := 0; off < len(text.Data); off++ {
-		if g, ok := scanAt(text.Data, text.Addr, off, maxInsts); ok {
+		if g, ok := scanAt(text.Data, text.Addr, off, maxInsts, body); ok {
 			out = append(out, g)
 		}
 	}
@@ -79,32 +81,47 @@ func ScanAddrs(img *program.Image, addrs []uint32, maxInsts int) []Gadget {
 	if text == nil {
 		return nil
 	}
+	var buf [DefaultMaxInsts + 1]isa.Inst
+	body := scratch(buf[:0], maxInsts)
 	var out []Gadget
 	for _, a := range addrs {
 		if a < text.Addr || a-text.Addr >= uint32(len(text.Data)) {
 			continue
 		}
-		if g, ok := scanAt(text.Data, text.Addr, int(a-text.Addr), maxInsts); ok {
+		if g, ok := scanAt(text.Data, text.Addr, int(a-text.Addr), maxInsts, body); ok {
 			out = append(out, g)
 		}
 	}
 	return out
 }
 
-// scanAt tries to read one gadget starting at byte offset off.
-func scanAt(data []byte, base uint32, off, maxInsts int) (Gadget, bool) {
-	g := Gadget{Addr: base + uint32(off)}
+// scratch returns body space for scanAt that holds maxInsts+1 instructions:
+// buf itself when it is large enough, else a fresh slice.
+func scratch(buf []isa.Inst, maxInsts int) []isa.Inst {
+	if cap(buf) > maxInsts {
+		return buf[:0]
+	}
+	return make([]isa.Inst, 0, maxInsts+1)
+}
+
+// scanAt tries to read one gadget starting at byte offset off. The
+// candidate's body collects in body, scratch space (capacity at least
+// maxInsts+1) that the caller reuses across offsets; only a gadget scanAt
+// returns gets its own copy, so a scan allocates once per gadget with a
+// body. An empty body stays nil.
+func scanAt(data []byte, base uint32, off, maxInsts int, body []isa.Inst) (Gadget, bool) {
+	addr := base + uint32(off)
+	body = body[:0]
 	for steps := 0; steps <= maxInsts; steps++ {
-		in, err := isa.Decode(data[off:], base+uint32(off))
-		if err != nil {
+		in, ok := isa.TryDecode(data[off:], base+uint32(off))
+		if !ok {
 			return Gadget{}, false
 		}
 		switch in.Class() {
 		case isa.ClassRet, isa.ClassJumpR, isa.ClassCallR:
-			g.End = in
-			return g, true
+			return Gadget{Addr: addr, Insts: append([]isa.Inst(nil), body...), End: in}, true
 		case isa.ClassSeq:
-			g.Insts = append(g.Insts, in)
+			body = append(body, in)
 			off += in.Len()
 			if off >= len(data) {
 				return Gadget{}, false
@@ -161,6 +178,7 @@ func SurvivorsInImage(pool []Gadget, img *program.Image) []Gadget {
 	if text == nil {
 		return nil
 	}
+	var buf [DefaultMaxInsts + 1]isa.Inst
 	var out []Gadget
 	for _, g := range pool {
 		size := g.ByteLen()
@@ -168,7 +186,8 @@ func SurvivorsInImage(pool []Gadget, img *program.Image) []Gadget {
 		if g.Addr < text.Addr || off+size > uint32(len(text.Data)) {
 			continue
 		}
-		if sg, ok := scanAt(text.Data, text.Addr, int(off), len(g.Insts)); ok &&
+		body := scratch(buf[:0], len(g.Insts))
+		if sg, ok := scanAt(text.Data, text.Addr, int(off), len(g.Insts), body); ok &&
 			sg.String() == g.String() {
 			out = append(out, g)
 		}

@@ -1,6 +1,9 @@
 package gadget
 
-import "vcfr/internal/program"
+import (
+	"vcfr/internal/isa"
+	"vcfr/internal/program"
+)
 
 // This file is the disclosure-limited view of the scanner: the gadget set an
 // attacker can actually assemble when only some code pages have been leaked
@@ -54,13 +57,15 @@ func ScanPages(img *program.Image, disclosed map[uint32]bool, maxInsts int) []Ga
 	if text == nil {
 		return nil
 	}
+	var buf [DefaultMaxInsts + 1]isa.Inst
+	body := scratch(buf[:0], maxInsts)
 	var out []Gadget
 	for off := 0; off < len(text.Data); off++ {
 		addr := text.Addr + uint32(off)
 		if !disclosed[addr>>PageBits] {
 			continue
 		}
-		g, ok := scanAt(text.Data, text.Addr, off, maxInsts)
+		g, ok := scanAt(text.Data, text.Addr, off, maxInsts, body)
 		if !ok {
 			continue
 		}

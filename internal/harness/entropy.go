@@ -43,7 +43,7 @@ func Entropy(s *Sweep, cfg Config) (*Table, error) {
 			if err != nil {
 				return Cell{}, err
 			}
-			prepped, err := s.prepareOpts(ctx, app[0], cfg, ilr.Options{Spread: spread})
+			prepped, err := s.r.prepareOpts(ctx, app[0], cfg, ilr.Options{Spread: spread})
 			if err != nil {
 				return Cell{}, err
 			}
@@ -103,7 +103,7 @@ func GadgetGuessing(s *Sweep, cfg Config) (*Table, error) {
 	}
 	cells := s.mapCells(cfg, []string{name},
 		func(ctx context.Context, cfg Config, name string) (Cell, error) {
-			app, err := s.prepare(ctx, name, cfg)
+			app, err := s.r.Prepare(ctx, name, cfg)
 			if err != nil {
 				return Cell{}, err
 			}

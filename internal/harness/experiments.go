@@ -96,7 +96,7 @@ func Fig2(s *Sweep, cfg Config) (*Table, error) {
 	}
 	cells := s.mapCells(cfg, cfg.names(workloads.Fig2Names),
 		func(ctx context.Context, cfg Config, name string) (Cell, error) {
-			app, err := s.prepare(ctx, name, cfg)
+			app, err := s.r.Prepare(ctx, name, cfg)
 			if err != nil {
 				return Cell{}, err
 			}
@@ -132,7 +132,7 @@ func Fig3(s *Sweep, cfg Config) (*Table, error) {
 	}
 	cells := s.mapCells(cfg, cfg.names(workloads.SpecNames),
 		func(ctx context.Context, cfg Config, name string) (Cell, error) {
-			app, err := s.prepare(ctx, name, cfg)
+			app, err := s.r.Prepare(ctx, name, cfg)
 			if err != nil {
 				return Cell{}, err
 			}
@@ -183,7 +183,7 @@ func Fig4(s *Sweep, cfg Config) (*Table, error) {
 	}
 	cells := s.mapCells(cfg, cfg.names(workloads.SpecNames),
 		func(ctx context.Context, cfg Config, name string) (Cell, error) {
-			app, err := s.prepare(ctx, name, cfg)
+			app, err := s.r.Prepare(ctx, name, cfg)
 			if err != nil {
 				return Cell{}, err
 			}
@@ -223,7 +223,7 @@ func Table1(s *Sweep, cfg Config) (*Table, error) {
 	}
 	cells := s.mapCells(cfg, []string{name},
 		func(ctx context.Context, cfg Config, name string) (Cell, error) {
-			app, err := s.prepare(ctx, name, cfg)
+			app, err := s.r.Prepare(ctx, name, cfg)
 			if err != nil {
 				return Cell{}, err
 			}
@@ -335,7 +335,7 @@ func Fig11(s *Sweep, cfg Config) (*Table, error) {
 	}
 	cells := s.mapCells(cfg, cfg.names(workloads.SpecNames),
 		func(ctx context.Context, cfg Config, name string) (Cell, error) {
-			app, err := s.prepare(ctx, name, cfg)
+			app, err := s.r.Prepare(ctx, name, cfg)
 			if err != nil {
 				return Cell{}, err
 			}
@@ -364,7 +364,7 @@ func Payloads(s *Sweep, cfg Config) (*Table, error) {
 	}
 	cells := s.mapCells(cfg, cfg.names(workloads.SpecNames),
 		func(ctx context.Context, cfg Config, name string) (Cell, error) {
-			app, err := s.prepare(ctx, name, cfg)
+			app, err := s.r.Prepare(ctx, name, cfg)
 			if err != nil {
 				return Cell{}, err
 			}
@@ -406,7 +406,7 @@ func Fig12(s *Sweep, cfg Config) (*Table, error) {
 	}
 	cells := s.mapCells(cfg, cfg.names(workloads.SpecNames),
 		func(ctx context.Context, cfg Config, name string) (Cell, error) {
-			app, err := s.prepare(ctx, name, cfg)
+			app, err := s.r.Prepare(ctx, name, cfg)
 			if err != nil {
 				return Cell{}, err
 			}
@@ -441,7 +441,7 @@ func Fig13(s *Sweep, cfg Config) (*Table, error) {
 	}
 	cells := s.mapCells(cfg, cfg.names(workloads.SpecNames),
 		func(ctx context.Context, cfg Config, name string) (Cell, error) {
-			app, err := s.prepare(ctx, name, cfg)
+			app, err := s.r.Prepare(ctx, name, cfg)
 			if err != nil {
 				return Cell{}, err
 			}
@@ -484,7 +484,7 @@ func Fig14(s *Sweep, cfg Config) (*Table, error) {
 	}
 	cells := s.mapCells(cfg, cfg.names(workloads.SpecNames),
 		func(ctx context.Context, cfg Config, name string) (Cell, error) {
-			app, err := s.prepare(ctx, name, cfg)
+			app, err := s.r.Prepare(ctx, name, cfg)
 			if err != nil {
 				return Cell{}, err
 			}
@@ -536,7 +536,7 @@ func Fig15(s *Sweep, cfg Config) (*Table, error) {
 	}
 	cells := s.mapCells(cfg, cfg.names(workloads.SpecNames),
 		func(ctx context.Context, cfg Config, name string) (Cell, error) {
-			app, err := s.prepare(ctx, name, cfg)
+			app, err := s.r.Prepare(ctx, name, cfg)
 			if err != nil {
 				return Cell{}, err
 			}

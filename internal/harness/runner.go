@@ -210,7 +210,7 @@ func (c Cell) failed() bool { return c.Err != "" }
 // cellFn computes one cell. cfg arrives with the cell's derived seed and
 // the workload list cleared; name is the cell's label (usually the
 // workload name). fn must honor ctx at simulation-run granularity — the
-// prepare/runMode helpers below do that.
+// Runner.Prepare and the runMode helper below do that.
 type cellFn func(ctx context.Context, cfg Config, name string) (Cell, error)
 
 // CellSeed derives the deterministic per-cell PRNG seed: an FNV-1a hash of
@@ -330,26 +330,30 @@ func appKey(name string, cfg Config, opts ilr.Options) string {
 	return fmt.Sprintf("%s|%d|%d|%d|%#v", name, cfg.Seed, cfg.Spread, cfg.Scale, opts)
 }
 
-// prepare is Prepare with a cancellation check and prepared-app memoization.
-func (s *Sweep) prepare(ctx context.Context, name string, cfg Config) (*App, error) {
-	return s.prepareOpts(ctx, name, cfg, ilr.Options{})
+// Prepare is the package-level Prepare through the runner's prepared-app
+// memo, with a cancellation check first. Apps are shared by every caller
+// that asks for the same (workload, layout), concurrently too, so callers
+// treat them as read-only: pipelines copy the images they load, and
+// re-randomization returns a new result.
+func (r *Runner) Prepare(ctx context.Context, name string, cfg Config) (*App, error) {
+	return r.prepareOpts(ctx, name, cfg, ilr.Options{})
 }
 
 // prepareOpts is PrepareOpts with a cancellation check and prepared-app
 // memoization.
-func (s *Sweep) prepareOpts(ctx context.Context, name string, cfg Config, opts ilr.Options) (*App, error) {
+func (r *Runner) prepareOpts(ctx context.Context, name string, cfg Config, opts ilr.Options) (*App, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
 	key := appKey(name, cfg, opts)
-	if app := s.r.cachedApp(key); app != nil {
+	if app := r.cachedApp(key); app != nil {
 		return app, nil
 	}
 	app, err := PrepareOpts(name, cfg, opts)
 	if err != nil {
 		return nil, err
 	}
-	s.r.storeApp(key, app)
+	r.storeApp(key, app)
 	return app, nil
 }
 

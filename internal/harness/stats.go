@@ -63,7 +63,7 @@ func StatsSweepProgress(ctx context.Context, r *Runner, cfg Config, onProgress f
 	}
 	cells := s.mapCells(cfg, names,
 		func(ctx context.Context, cfg Config, name string) (Cell, error) {
-			app, err := s.prepare(ctx, name, cfg)
+			app, err := s.r.Prepare(ctx, name, cfg)
 			if err != nil {
 				return Cell{}, err
 			}
@@ -122,7 +122,7 @@ func StatsSweepProgress(ctx context.Context, r *Runner, cfg Config, onProgress f
 func SimulateRuns(ctx context.Context, r *Runner, name string, modes []cpu.Mode, cfg Config, mutate func(*cpu.Config)) ([]results.Run, error) {
 	s := r.Sweep(ctx, "simulate")
 	cfg = cfg.withDefaults()
-	app, err := s.prepare(ctx, name, cfg)
+	app, err := s.r.Prepare(ctx, name, cfg)
 	if err != nil {
 		return nil, err
 	}

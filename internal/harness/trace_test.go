@@ -58,13 +58,12 @@ func TestPrepareMemoizedWithoutTraces(t *testing.T) {
 	if r.Traces != nil {
 		t.Fatal("NewRunner carries a trace cache")
 	}
-	s := r.Sweep(context.Background(), "memo")
 	cfg := tiny()
-	a, err := s.prepare(context.Background(), "h264ref", cfg)
+	a, err := r.Prepare(context.Background(), "h264ref", cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := s.prepare(context.Background(), "h264ref", cfg)
+	b, err := r.Prepare(context.Background(), "h264ref", cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -138,6 +138,9 @@ func Decode(buf []byte, addr uint32) (Inst, error) {
 	if len(buf) < n {
 		return Inst{}, &DecodeError{Err: ErrTruncated, Op: op, Addr: addr, Need: n, Have: len(buf)}
 	}
+	if rb := regOperand[op]; rb != 0 && buf[rb] >= NumRegs {
+		return Inst{}, &DecodeError{Err: ErrBadOperand, Op: op, Byte: buf[rb], Addr: addr, Index: rb == 2}
+	}
 	in := Inst{Op: op, Addr: addr}
 	switch op {
 	case OpNop, OpHalt, OpRet:
@@ -148,26 +151,14 @@ func Decode(buf []byte, addr uint32) (Inst, error) {
 		OpMul, OpDiv, OpMod, OpCmp, OpTest:
 		in.Rd, in.Rs = Reg(buf[1]>>4), Reg(buf[1]&0x0f)
 	case OpNeg, OpNot, OpPush, OpPop, OpJmpR, OpCallR:
-		if buf[1] >= NumRegs {
-			return Inst{}, &DecodeError{Err: ErrBadOperand, Op: op, Byte: buf[1], Addr: addr}
-		}
 		in.Rd = Reg(buf[1])
 	case OpShlI, OpShrI, OpSarI:
-		if buf[1] >= NumRegs {
-			return Inst{}, &DecodeError{Err: ErrBadOperand, Op: op, Byte: buf[1], Addr: addr}
-		}
 		in.Rd = Reg(buf[1])
 		in.Imm = int32(buf[2])
 	case OpLoadR, OpStoreR:
 		in.Rd, in.Rs = Reg(buf[1]>>4), Reg(buf[1]&0x0f)
-		if buf[2] >= NumRegs {
-			return Inst{}, &DecodeError{Err: ErrBadOperand, Op: op, Byte: buf[2], Addr: addr, Index: true}
-		}
 		in.Rt = Reg(buf[2])
 	case OpAddI, OpSubI, OpAndI, OpOrI, OpXorI, OpCmpI:
-		if buf[1] >= NumRegs {
-			return Inst{}, &DecodeError{Err: ErrBadOperand, Op: op, Byte: buf[1], Addr: addr}
-		}
 		in.Rd = Reg(buf[1])
 		in.Imm = int32(int16(binary.LittleEndian.Uint16(buf[2:])))
 	case OpLoad, OpStore, OpLoadB, OpStoreB, OpLea:
@@ -176,15 +167,43 @@ func Decode(buf []byte, addr uint32) (Inst, error) {
 	case OpJmp, OpJe, OpJne, OpJl, OpJge, OpJg, OpJle, OpJb, OpJae, OpCall:
 		in.Target = binary.LittleEndian.Uint32(buf[1:])
 	case OpMovRI:
-		if buf[1] >= NumRegs {
-			return Inst{}, &DecodeError{Err: ErrBadOperand, Op: op, Byte: buf[1], Addr: addr}
-		}
 		in.Rd = Reg(buf[1])
 		in.Imm = int32(binary.LittleEndian.Uint32(buf[2:]))
 	default:
 		return Inst{}, &DecodeError{Err: ErrBadOpcode, Byte: buf[0], Addr: addr}
 	}
 	return in, nil
+}
+
+// regOperand names, per opcode, the encoding byte that must hold a register
+// number, or 0 for none: Decode rejects any other value there, so a random
+// byte stream rarely decodes. Two-register encodings pack both registers
+// into one byte and cannot be rejected this way.
+var regOperand = [numOps]uint8{
+	OpNeg: 1, OpNot: 1, OpPush: 1, OpPop: 1, OpJmpR: 1, OpCallR: 1,
+	OpShlI: 1, OpShrI: 1, OpSarI: 1,
+	OpAddI: 1, OpSubI: 1, OpAndI: 1, OpOrI: 1, OpXorI: 1, OpCmpI: 1,
+	OpMovRI: 1,
+	OpLoadR: 2, OpStoreR: 2, // the index register
+}
+
+// TryDecode is Decode without the rejection detail: it reports only whether
+// buf starts with a valid encoding, and a rejection never allocates. The
+// gadget scanner probes every byte offset with it and discards the
+// rejections.
+func TryDecode(buf []byte, addr uint32) (Inst, bool) {
+	if len(buf) == 0 {
+		return Inst{}, false
+	}
+	op := Op(buf[0])
+	if !op.Valid() || len(buf) < op.Length() {
+		return Inst{}, false
+	}
+	if rb := regOperand[op]; rb != 0 && buf[rb] >= NumRegs {
+		return Inst{}, false
+	}
+	in, err := Decode(buf, addr)
+	return in, err == nil
 }
 
 // PatchTarget overwrites the 32-bit target field of the direct-transfer

@@ -177,6 +177,30 @@ func TestDecodeRejectAllocs(t *testing.T) {
 	}
 }
 
+// TestTryDecodeMatchesDecode checks that the allocation-free probe accepts
+// exactly what Decode accepts, with the same instruction, on random bytes,
+// and that it never allocates.
+func TestTryDecodeMatchesDecode(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	buf := make([]byte, 4096)
+	rng.Read(buf)
+	for off := 0; off <= len(buf); off++ {
+		want, err := Decode(buf[off:], 0x1000+uint32(off))
+		got, ok := TryDecode(buf[off:], 0x1000+uint32(off))
+		if ok != (err == nil) || got != want {
+			t.Fatalf("offset %d: TryDecode = %+v, %v; Decode = %+v, %v", off, got, ok, want, err)
+		}
+	}
+	allocs := testing.AllocsPerRun(1000, func() {
+		for off := 0; off < 64; off++ {
+			TryDecode(buf[off:], 0x1000)
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("TryDecode: %.1f allocs per 64 probes, want 0", allocs)
+	}
+}
+
 func TestDecodeStreamOfConcatenatedInstructions(t *testing.T) {
 	samples := sampleInstructions()
 	var code []byte

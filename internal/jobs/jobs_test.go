@@ -1,8 +1,11 @@
 package jobs
 
 import (
+	"context"
 	"strings"
 	"testing"
+
+	"vcfr/internal/harness"
 )
 
 // TestParseKindTable locks the kind vocabulary to the table: every entry
@@ -34,7 +37,8 @@ func TestParseKindTable(t *testing.T) {
 
 // TestNormalizeExplicitZero locks the zero-vs-unset distinction: an explicit
 // zero in the request survives Normalize (reaching the harness exactly as a
-// CLI `-seed 0` etc. would), while absent fields take the per-kind defaults.
+// CLI `-seed 0` etc. would), while absent fields take the per-kind defaults
+// and a negative scale or spread is refused.
 func TestNormalizeExplicitZero(t *testing.T) {
 	zero64, zero := int64(0), 0
 	r := Request{Workload: "lbm", Seed: &zero64, Spread: &zero, Scale: &zero}
@@ -75,4 +79,50 @@ func TestNormalizeExplicitZero(t *testing.T) {
 	if *sweep.Seed != 42 {
 		t.Errorf("sweep default seed = %d, want 42", *sweep.Seed)
 	}
+
+	// Below zero there is no default to fall back on: every kind refuses a
+	// negative scale or spread.
+	neg := -3
+	for _, e := range table {
+		for want, r := range map[string]Request{
+			"scale must be >= 0":  {Workload: "lbm", Scale: &neg},
+			"spread must be >= 0": {Workload: "lbm", Spread: &neg},
+		} {
+			if err := r.Normalize(e.name); err == nil || err.Error() != want {
+				t.Errorf("%s: err = %v, want %q", e.name, err, want)
+			}
+		}
+	}
+}
+
+// BenchmarkAttackJob runs the service's attacks job — vcfrload's template:
+// one workload, max_leaks 4, advance_insts 500, 2000 instructions — through
+// Run on a warm runner, rotating over vcfrload's three workloads, and
+// reports milliseconds per job. The runner's prepared-app memo is warm after
+// the first three jobs, as in a long-running vcfrd.
+func BenchmarkAttackJob(b *testing.B) {
+	r := harness.NewRunner(0)
+	names := []string{"bzip2", "sjeng", "xalan"}
+	reqs := make([]Request, len(names))
+	for i, w := range names {
+		reqs[i] = Request{Workloads: []string{w}, MaxLeaks: 4, AdvanceInsts: 500, Instructions: 2000}
+		if err := reqs[i].Normalize(KindAttacks); err != nil {
+			b.Fatal(err)
+		}
+		if _, err := Run(context.Background(), r, KindAttacks, reqs[i], nil); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		out, err := Run(context.Background(), r, KindAttacks, reqs[i%len(reqs)], nil)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if out.Incomplete != nil {
+			b.Fatal(out.Incomplete)
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/1e6/float64(b.N), "ms/job")
 }

@@ -112,6 +112,14 @@ func (r *Request) Normalize(k Kind) error {
 			return err
 		}
 	}
+	// Explicit 0 means "default" downstream. A negative value would run as
+	// the default too, without saying so, so it is refused.
+	if r.Spread != nil && *r.Spread < 0 {
+		return fmt.Errorf("spread must be >= 0")
+	}
+	if r.Scale != nil && *r.Scale < 0 {
+		return fmt.Errorf("scale must be >= 0")
+	}
 	if r.Seed == nil {
 		seed := e.seed
 		r.Seed = &seed

@@ -128,7 +128,7 @@ func (c Config) withDefaults() Config {
 
 func (c Config) validate() error {
 	for _, w := range c.Workloads {
-		if _, err := workloads.ByName(w, 1); err != nil {
+		if err := workloads.CheckName(w); err != nil {
 			return err
 		}
 	}
@@ -228,7 +228,7 @@ func RunCampaign(ctx context.Context, r *harness.Runner, cfg Config, onProgress 
 			epoch:    i / len(cfg.Workloads),
 		}
 		inst.seed = instanceSeed(cfg.Seed, inst.workload, inst.epoch)
-		inst.app, inst.err = harness.Prepare(inst.workload, harness.Config{
+		inst.app, inst.err = r.Prepare(ctx, inst.workload, harness.Config{
 			Scale:  cfg.Scale,
 			Spread: cfg.Spread,
 			Seed:   inst.seed,

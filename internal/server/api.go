@@ -26,10 +26,7 @@ type JobRequest struct {
 // POST /v1/simulate).
 func (s *Server) handleJobs(w http.ResponseWriter, r *http.Request) {
 	var jr JobRequest
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&jr); err != nil {
-		writeError(w, http.StatusBadRequest, "bad_request", "bad request body: %v", err)
+	if !decodeBody(w, r, &jr) {
 		return
 	}
 	kind, err := jobs.ParseKind(jr.Kind)

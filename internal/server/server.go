@@ -344,17 +344,28 @@ func (s *Server) writeRefusal(w http.ResponseWriter, err error) {
 	writeError(w, http.StatusServiceUnavailable, "draining", "%v", err)
 }
 
-func decodeRequest(r *http.Request, kind jobs.Kind) (jobs.Request, error) {
-	var req jobs.Request
-	dec := json.NewDecoder(r.Body)
+// maxBodyBytes caps a request body. A job request is a few hundred bytes;
+// the cap keeps one client from streaming an unbounded body into a decoder.
+const maxBodyBytes = 1 << 20
+
+// decodeBody decodes the JSON request body into v, rejecting unknown fields.
+// On failure it answers the request itself, with 413 when the body exceeds
+// maxBodyBytes and 400 otherwise, and returns false.
+func decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
 	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		return req, fmt.Errorf("bad request body: %w", err)
+	err := dec.Decode(v)
+	if err == nil {
+		return true
 	}
-	if err := req.Normalize(kind); err != nil {
-		return req, err
+	var tooBig *http.MaxBytesError
+	if errors.As(err, &tooBig) {
+		writeError(w, http.StatusRequestEntityTooLarge, "body_too_large",
+			"request body exceeds %d bytes", tooBig.Limit)
+		return false
 	}
-	return req, nil
+	writeError(w, http.StatusBadRequest, "bad_request", "bad request body: %v", err)
+	return false
 }
 
 // handleSimulate runs one simulation synchronously: the job goes through
@@ -363,8 +374,11 @@ func decodeRequest(r *http.Request, kind jobs.Kind) (jobs.Request, error) {
 // untouched — the bytes results.Marshal produced, hence byte-identical to
 // the CLI.
 func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
-	req, err := decodeRequest(r, jobs.KindRun)
-	if err != nil {
+	var req jobs.Request
+	if !decodeBody(w, r, &req) {
+		return
+	}
+	if err := req.Normalize(jobs.KindRun); err != nil {
 		writeError(w, http.StatusBadRequest, "bad_request", "%v", err)
 		return
 	}

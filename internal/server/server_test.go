@@ -360,6 +360,22 @@ func TestRequestValidation(t *testing.T) {
 			t.Errorf("error envelope = %s, want {error:{code:bad_request,...}}", body)
 		}
 	}
+	// A body past the 1 MiB cap is refused with 413 on both endpoints. The
+	// padding is valid JSON whitespace, so only the size is wrong.
+	pad := strings.Repeat(" ", maxBodyBytes)
+	for route, huge := range map[string]string{
+		"/v1/jobs":     `{"kind": "run", "workload": "lbm"` + pad + `}`,
+		"/v1/simulate": `{"workload": "lbm"` + pad + `}`,
+	} {
+		resp, body := post(t, s, route, huge)
+		var e struct {
+			Error struct{ Code, Message string }
+		}
+		if resp.StatusCode != http.StatusRequestEntityTooLarge || json.Unmarshal(body, &e) != nil ||
+			e.Error.Code != "body_too_large" || e.Error.Message != "request body exceeds 1048576 bytes" {
+			t.Errorf("%s: oversized body: %d (%s), want 413 body_too_large", route, resp.StatusCode, body)
+		}
+	}
 	if resp, _ := get(t, s, "/v1/jobs/job-999999"); resp.StatusCode != http.StatusNotFound {
 		t.Errorf("unknown job: %d, want 404", resp.StatusCode)
 	}
