@@ -224,13 +224,11 @@ func RunCampaign(ctx context.Context, r *harness.Runner, cfg Config, onProgress 
 
 	// The cell plan, in fixed order; results land in per-cell slots so
 	// aggregation is deterministic no matter which worker ran what. Each
-	// (workload, mode)'s static state is built once, by whichever of its
-	// cells needs it first.
+	// (workload, mode)'s static state hangs off the prepared app, so a warm
+	// runner builds it once for every campaign (sharedFor).
 	rep := &Report{Config: cfg}
-	statics := make(map[staticKey]*shared, len(cfg.Workloads)*len(cfg.Modes))
 	for _, w := range cfg.Workloads {
 		for _, m := range cfg.Modes {
-			statics[staticKey{w, m}] = &shared{}
 			for _, p := range cfg.Payloads {
 				row := Row{Workload: w, Mode: m, Payload: p}
 				if err := appErr[w]; err != nil {
@@ -252,8 +250,7 @@ func RunCampaign(ctx context.Context, r *harness.Runner, cfg Config, onProgress 
 			return
 		}
 		app := apps[row.Workload]
-		sh := statics[staticKey{row.Workload, row.Mode}].get(app.R, row.Mode)
-		insts := runCell(ctx, app, sh, cfg, row)
+		insts := runCell(ctx, app, sharedFor(app, row.Mode), cfg, row)
 		if onProgress == nil {
 			return
 		}
@@ -278,12 +275,6 @@ func RunCampaign(ctx context.Context, r *harness.Runner, cfg Config, onProgress 
 		rep.Totals.Merge(row.Stats)
 	}
 	return rep, nil
-}
-
-// staticKey names one (workload, mode)'s shared static state.
-type staticKey struct {
-	workload string
-	mode     cpu.Mode
 }
 
 // runCell executes one cell: static phase, plain disclosure arm, and (for
@@ -330,6 +321,7 @@ func runDisclosure(ctx context.Context, app *harness.App, sh *shared, cfg Config
 	if err != nil {
 		return Disclosure{}, 0, err
 	}
+	defer o.victim.Release()
 	d := Disclosure{Outcome: OutcomeNoChain}
 	maxOps := cfg.maxLeaksFor(o.universe())
 	failed := make(map[string]bool)

@@ -6,6 +6,7 @@ import (
 	"flag"
 	"os"
 	"path/filepath"
+	"reflect"
 	"sync"
 	"testing"
 
@@ -121,6 +122,44 @@ func TestConcurrentCampaignsShareApps(t *testing.T) {
 	if hits, _ := r.AppMemoStats(); hits < uint64(2*len(cfg.Workloads)) {
 		t.Errorf("app memo hits = %d, want >= %d: the attack campaigns did not share apps",
 			hits, 2*len(cfg.Workloads))
+	}
+}
+
+// TestColdCampaignsPrepareOnce starts two identical attack campaigns at
+// once on a cold runner. Their concurrent misses on each workload must build
+// it once: the memo records one miss per distinct app, and both campaigns
+// report the same cells.
+func TestColdCampaignsPrepareOnce(t *testing.T) {
+	r := harness.NewRunner(0)
+	cfg := Config{MaxLeaks: 2, MaxInsts: 2000, AdvanceInsts: 500}
+	var (
+		wg    sync.WaitGroup
+		start = make(chan struct{})
+		reps  [2]*Report
+		errs  [2]error
+	)
+	for i := range reps {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			<-start
+			reps[i], errs[i] = RunCampaign(context.Background(), r, cfg, nil)
+		}(i)
+	}
+	close(start)
+	wg.Wait()
+	for i, err := range errs {
+		if err != nil {
+			t.Fatalf("campaign %d: %v", i, err)
+		}
+	}
+	if !reflect.DeepEqual(reps[0].Envelope(), reps[1].Envelope()) {
+		t.Error("two identical campaigns reported different envelopes")
+	}
+	want := uint64(len(DefaultWorkloads()))
+	if hits, misses := r.AppMemoStats(); misses != want || hits != want {
+		t.Errorf("app memo: %d hits, %d misses; want %d and %d (one build per workload)",
+			hits, misses, want, want)
 	}
 }
 

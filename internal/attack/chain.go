@@ -3,7 +3,6 @@ package attack
 import (
 	"context"
 	"fmt"
-	"sync"
 
 	"vcfr/internal/cpu"
 	"vcfr/internal/gadget"
@@ -49,11 +48,10 @@ func staticPool(res *ilr.Result, mode cpu.Mode, origAddrs []uint32) []gadget.Gad
 	}
 }
 
-// shared is one (workload, mode)'s read-only attack state. A campaign
-// builds it once, on first use, and shares it across the mode's payload
-// cells and both disclosure arms of each.
+// shared is one (workload, mode)'s read-only attack state, derived once per
+// prepared app and mode (sharedFor) and shared by every cell, disclosure
+// arm and campaign that attacks that app.
 type shared struct {
-	once sync.Once
 	// pool is the static full-knowledge pool. It is also the scan of the
 	// first epoch's image that every oracle pool filters.
 	pool []gadget.Gadget
@@ -63,16 +61,20 @@ type shared struct {
 	origAddrs []uint32
 }
 
-// get builds s from the workload's first-epoch rewrite on the first call
-// and returns it.
-func (s *shared) get(res *ilr.Result, mode cpu.Mode) *shared {
-	s.once.Do(func() {
+// sharedKey keys a mode's shared state among the app's derived values.
+type sharedKey struct{ mode cpu.Mode }
+
+// sharedFor returns mode's shared state for app, building it from the
+// app's first-epoch rewrite on first use.
+func sharedFor(app *harness.App, mode cpu.Mode) *shared {
+	return app.Derived(sharedKey{mode}, func() any {
+		s := &shared{}
 		if mode == cpu.ModeNaiveILR {
-			s.origAddrs = res.Tables.OrigAddrs()
+			s.origAddrs = app.R.Tables.OrigAddrs()
 		}
-		s.pool = staticPool(res, mode, s.origAddrs)
-	})
-	return s
+		s.pool = staticPool(app.R, mode, s.origAddrs)
+		return s
+	}).(*shared)
 }
 
 // Static is the full-knowledge diagnostic phase of one cell: pool size,

@@ -33,6 +33,7 @@ func fire(ctx context.Context, app *harness.App, mode cpu.Mode, res *ilr.Result,
 	if err != nil {
 		return OutcomeCrash
 	}
+	defer p.Release() // after classify, which reads the victim's memory
 	mem := p.State().Mem
 	if payload == PayloadExfil {
 		for i, b := range secret {

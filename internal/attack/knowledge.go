@@ -2,7 +2,9 @@ package attack
 
 import (
 	"bytes"
+	"cmp"
 	"math/rand"
+	"slices"
 
 	"vcfr/internal/cpu"
 	"vcfr/internal/gadget"
@@ -80,18 +82,21 @@ type oracle struct {
 	codeOrder     []uint32
 	codeNext      int
 
-	// Naive ILR's second channel: the in-memory location map. pairs are the
-	// (orig -> rand) entries leaked THIS epoch; intended marks, by view
-	// offset, original instruction starts whose bytes made it into viewData
-	// (those survive re-randomization — the chain targets original
-	// addresses).
+	// Naive ILR's second channel: the in-memory location map. byPage holds
+	// the (orig, rand) entries leaked THIS epoch, indexed by the code page
+	// their randomized address lies on; intended marks, by view offset,
+	// original instruction starts whose bytes made it into viewData (those
+	// survive re-randomization — the chain targets original addresses).
 	origAddrs []uint32
 	mapPages  int
 	mapOrder  []int
 	mapNext   int
-	pairs     map[uint32]uint32
+	byPage    map[uint32][]mapEntry
 	intended  []bool
 }
+
+// mapEntry is one leaked location-map entry.
+type mapEntry struct{ orig, rand uint32 }
 
 // newOracle builds the attacker's zero-knowledge state and its live victim
 // from the (workload, mode)'s shared static state.
@@ -130,7 +135,7 @@ func (o *oracle) resetEpoch() {
 	if o.mode == cpu.ModeNaiveILR {
 		o.mapOrder = o.rng.Perm(o.mapPages)
 		o.mapNext = 0
-		o.pairs = make(map[uint32]uint32)
+		o.byPage = make(map[uint32][]mapEntry)
 	}
 }
 
@@ -183,7 +188,6 @@ func (o *oracle) leak() bool {
 		default:
 			o.leakCodePage()
 		}
-		o.pairNew()
 	default:
 		if o.codeNext >= len(o.codeOrder) {
 			return false
@@ -199,8 +203,10 @@ func (o *oracle) leak() bool {
 // leakCodePage discloses the next code page of the serve order, reading the
 // bytes out of the live victim's memory. Under baseline/VCFR the page lands
 // directly in the view (the executed text IS the addressable layout); under
-// naive ILR a scattered page is useless until pairNew matches it with map
-// entries from the same epoch.
+// naive ILR a scattered page is useless until pair matches it with map
+// entries from the same epoch: the page completes the instructions whose
+// randomized bytes start on it, or start on the page before and run onto
+// it.
 func (o *oracle) leakCodePage() {
 	pg := o.codeOrder[o.codeNext]
 	o.codeNext++
@@ -208,6 +214,9 @@ func (o *oracle) leakCodePage() {
 	o.codePagesServed++
 	o.st.CodePages++
 	if o.mode == cpu.ModeNaiveILR {
+		cands := slices.Concat(o.byPage[pg-1], o.byPage[pg])
+		slices.SortFunc(cands, func(a, b mapEntry) int { return cmp.Compare(a.orig, b.orig) })
+		o.pair(cands)
 		return
 	}
 	text := executedImage(o.res, o.mode).Text()
@@ -240,28 +249,32 @@ func (o *oracle) leakMapPage() {
 	if hi > len(o.origAddrs) {
 		hi = len(o.origAddrs)
 	}
+	fresh := make([]mapEntry, 0, hi-lo)
 	for _, orig := range o.origAddrs[lo:hi] {
 		if r, ok := o.res.Tables.ToRand(orig); ok {
-			o.pairs[orig] = r
+			e := mapEntry{orig, r}
+			fresh = append(fresh, e)
+			o.byPage[r>>gadget.PageBits] = append(o.byPage[r>>gadget.PageBits], e)
 		}
 	}
+	o.pair(fresh)
 }
 
-// pairNew promotes every instruction whose map entry AND code bytes are
-// both disclosed in the current epoch into the persistent original-space
-// view. This cross-channel join is what periodic re-randomization attacks:
-// a swap expires both channels, so partially assembled knowledge is lost.
-func (o *oracle) pairNew() {
+// pair promotes each of the candidate entries, visited in ascending
+// original address, whose instruction's code bytes are all disclosed in the
+// current epoch into the persistent original-space view. A leak passes the
+// entries it can complete: a map page its own entries, a code page the
+// entries whose bytes touch it. This cross-channel join is what periodic
+// re-randomization attacks: a swap expires both channels, so partially
+// assembled knowledge is lost.
+func (o *oracle) pair(cands []mapEntry) {
 	mem := o.victim.State().Mem
 	orig := o.res.Orig.Text().Data
 	var buf [isa.MaxLength]byte
-	for _, a := range o.origAddrs {
+	for _, e := range cands {
+		a, r := e.orig, e.rand
 		off := a - o.viewAddr
-		if o.intended[off] {
-			continue
-		}
-		r, ok := o.pairs[a]
-		if !ok || !o.disclosedCode[r>>gadget.PageBits] {
+		if o.intended[off] || !o.disclosedCode[r>>gadget.PageBits] {
 			continue
 		}
 		for i := range buf {
@@ -303,7 +316,7 @@ func (o *oracle) pairNew() {
 // at that address: a gadget seen in full decodes from the same bytes in
 // both, and any other probe of the view runs into an unknown (zero) byte,
 // which does not decode, or off the disclosed span. leakCodePage and
-// pairNew check the copied bytes; after a mismatch, pool scans the view.
+// pair check the copied bytes; after a mismatch, pool scans the view.
 //
 // The returned slice is only valid until the next call.
 func (o *oracle) pool() []gadget.Gadget {

@@ -91,7 +91,7 @@ func prepareAttacked(t *testing.T, cfg Config, workload string) *harness.App {
 func newArmOracle(t *testing.T, app *harness.App, cfg Config, workload string, mode cpu.Mode, arm string) *oracle {
 	t.Helper()
 	rng := rand.New(rand.NewSource(armSeed(cfg.Seed, workload, mode, PayloadPrint, arm)))
-	o, err := newOracle(app, (&shared{}).get(app.R, mode), mode, rng, &Stats{})
+	o, err := newOracle(app, sharedFor(app, mode), mode, rng, &Stats{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -176,6 +176,7 @@ func (s *System) Simulate(mode cpu.Mode, mutate func(*cpu.Config), maxInsts uint
 	if err != nil {
 		return cpu.Result{}, err
 	}
+	defer p.Release()
 	return p.Run(maxInsts)
 }
 

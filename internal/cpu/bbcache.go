@@ -42,6 +42,10 @@ import (
 // (Pipeline.SwitchIn) alike, because every tenant owns its own Pipeline and
 // so its own cache. FuzzBlockCacheInvalidation's context-switch action
 // checks a switched, still-warm cache against the per-instruction path.
+//
+// Every pipeline allocates its block cache afresh and Release drops it: a
+// pipeline built on recycled storage (machine.go) never inherits decoded
+// blocks, which describe its predecessor's image.
 
 // maxBlockInsts caps one cached block. Blocks end at the first control
 // transfer anyway; the cap only bounds pathological straight-line runs so a
@@ -116,7 +120,9 @@ type blockCache struct {
 	// one bounds-checked load; stack and heap pages beyond the highest code
 	// page reject on the bounds check alone. Bits, not bools: scattered code
 	// (naive ILR) spans most of the address space, and every pipeline
-	// allocates this table afresh.
+	// allocates this table afresh — the block cache describes one image, so
+	// Release drops it with the pipeline instead of recycling it with the
+	// image-independent storage (machine.go).
 	pages   []uint64
 	flushed bool // latched by flush() so an executing block stops itself
 	stats   BlockCacheStats

@@ -18,23 +18,29 @@ import (
 // invalidations, and uneven run-segment boundaries — and demands identical
 // architectural state, identical counters, and identical errors after every
 // segment. Any stale cached decode, missed invalidation, or mis-batched
-// statistic diverges the pair.
+// statistic diverges the pair; so does any state a released pipeline's
+// recycled storage carries into its successor.
 //
 // The script is interpreted as 4-byte records [action, a, b, c]:
 //
-//	action%6 == 0  run a segment of 1 + (a|b<<8)%6000 instructions
-//	action%6 == 1  rewrite the text byte at offset (a|b<<8)%len(text) to c
+//	action%7 == 0  run a segment of 1 + (a|b<<8)%6000 instructions
+//	action%7 == 1  rewrite the text byte at offset (a|b<<8)%len(text) to c
 //	               on both pipelines, then InvalidateBlocks (a re-rand poke)
-//	action%6 == 2  arm deterministic injector hooks parameterized by a, b
-//	action%6 == 3  disarm the injector
-//	action%6 == 4  full mid-run re-randomization: rewrite the program with a
+//	action%7 == 2  arm deterministic injector hooks parameterized by a, b
+//	action%7 == 3  disarm the injector
+//	action%7 == 4  full mid-run re-randomization: rewrite the program with a
 //	               fresh seed derived from a|b<<8 and swap both pipelines
 //	               onto the new layout (no-op under baseline mode)
-//	action%6 == 5  scheduler context switch: SwitchIn on both pipelines —
+//	action%7 == 5  scheduler context switch: SwitchIn on both pipelines —
 //	               the DRC/iTLB flush a multi-tenant cluster charges when a
 //	               core changes tenants. The cached pipeline keeps its
 //	               memoized blocks and chains across the switch, the direct
 //	               one has none: timing and state must still agree exactly.
+//	action%7 == 6  release and reacquire: Release the cached pipeline and
+//	               build both afresh with New on the current layout, starting
+//	               over from the entry point. The cached one most likely gets
+//	               its predecessor's recycled storage; the direct one, never
+//	               released, always starts on new storage.
 func FuzzBlockCacheInvalidation(f *testing.F) {
 	f.Add(uint32(300), []byte{0, 100, 10, 0, 1, 40, 0, byte(isa.OpNop), 0, 200, 20, 0})
 	f.Add(uint32(301), []byte{0, 0, 4, 0, 2, 7, 3, 0, 0, 0, 8, 0, 3, 0, 0, 0, 0, 0, 40, 0})
@@ -50,6 +56,10 @@ func FuzzBlockCacheInvalidation(f *testing.F) {
 	f.Add(uint32(300), []byte{0, 100, 10, 0, 5, 0, 0, 0, 0, 200, 20, 0})
 	f.Add(uint32(304), []byte{2, 17, 2, 0, 0, 60, 5, 0, 5, 0, 0, 0, 0, 90, 1, 0, 3, 0, 0, 0})
 	f.Add(uint32(301), []byte{0, 30, 2, 0, 4, 9, 0, 0, 5, 0, 0, 0, 0, 150, 12, 0})
+	// Release schedules: run-release-run, and a release after a
+	// re-randomization under an armed injector.
+	f.Add(uint32(300), []byte{0, 100, 10, 0, 6, 0, 0, 0, 0, 200, 20, 0})
+	f.Add(uint32(305), []byte{2, 9, 4, 0, 0, 60, 5, 0, 4, 7, 0, 0, 6, 0, 0, 0, 0, 90, 3, 0})
 
 	f.Fuzz(func(t *testing.T, seed uint32, script []byte) {
 		seed = 300 + seed%8 // a small stable pool keeps rewrites cheap
@@ -59,6 +69,8 @@ func FuzzBlockCacheInvalidation(f *testing.F) {
 			t.Fatal(err) // workload generation is deterministic; never fails
 		}
 		mode := []cpu.Mode{cpu.ModeBaseline, cpu.ModeNaiveILR, cpu.ModeVCFR}[seed%3]
+		// build reads res when called, so a rebuild lands on the current
+		// layout.
 		build := func(noCache bool) *cpu.Pipeline {
 			return pipeFor(t, res, mode, w.Input, func(c *cpu.Config) {
 				c.SampleEvery = 1531
@@ -112,7 +124,7 @@ func FuzzBlockCacheInvalidation(f *testing.F) {
 		var ran uint64
 		for rec := 0; rec+4 <= len(script) && ran < 60_000; rec += 4 {
 			action, a, b, c := script[rec], script[rec+1], script[rec+2], script[rec+3]
-			switch action % 6 {
+			switch action % 7 {
 			case 0:
 				ran += 1 + (uint64(a)|uint64(b)<<8)%6000
 				cr, cerr := cached.Run(ran)
@@ -163,6 +175,10 @@ func FuzzBlockCacheInvalidation(f *testing.F) {
 			case 5:
 				cached.SwitchIn()
 				direct.SwitchIn()
+			case 6:
+				cached.Release()
+				cached, direct = build(false), build(true)
+				ran = 0
 			}
 		}
 		// Drain to a final common cap so every schedule ends in a compared

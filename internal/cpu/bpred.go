@@ -44,6 +44,12 @@ func newGshare(bits int) *gshare {
 	}
 }
 
+// reset clears the history and every counter.
+func (g *gshare) reset() {
+	g.history = 0
+	clear(g.table)
+}
+
 func (g *gshare) index(pc uint32) uint32 {
 	return (g.history ^ (pc >> 1)) & g.mask
 }
@@ -89,31 +95,36 @@ type btbEntry struct {
 	lru   uint64
 }
 
-// btb is a set-associative branch target buffer.
+// btb is a set-associative branch target buffer. Every way lives in one
+// flat backing array; set s is the assoc-long run starting at s*assoc.
 type btb struct {
-	sets  [][]btbEntry
-	mask  uint32
-	clock uint64
+	entries []btbEntry
+	assoc   int
+	mask    uint32
+	clock   uint64
 }
 
 func newBTB(entries, assoc int) *btb {
-	nsets := entries / assoc
-	b := &btb{sets: make([][]btbEntry, nsets), mask: uint32(nsets - 1)}
-	for i := range b.sets {
-		b.sets[i] = make([]btbEntry, assoc)
-	}
-	return b
+	return &btb{entries: make([]btbEntry, entries), assoc: assoc, mask: uint32(entries/assoc - 1)}
 }
 
-func (b *btb) index(pc uint32) (uint32, uint32) {
-	return (pc >> 1) & b.mask, pc
+// reset invalidates every entry and restarts the LRU clock.
+func (b *btb) reset() {
+	clear(b.entries)
+	b.clock = 0
+}
+
+// ways returns the set pc indexes and the tag it is stored under.
+func (b *btb) ways(pc uint32) ([]btbEntry, uint32) {
+	base := int((pc>>1)&b.mask) * b.assoc
+	return b.entries[base : base+b.assoc], pc
 }
 
 // lookup returns the stored target pair for the transfer at pc.
 func (b *btb) lookup(pc uint32) (targetPair, bool) {
-	set, tag := b.index(pc)
-	for w := range b.sets[set] {
-		e := &b.sets[set][w]
+	ways, tag := b.ways(pc)
+	for w := range ways {
+		e := &ways[w]
 		if e.valid && e.tag == tag {
 			b.clock++
 			e.lru = b.clock
@@ -125,11 +136,11 @@ func (b *btb) lookup(pc uint32) (targetPair, bool) {
 
 // install records the taken target pair for the transfer at pc.
 func (b *btb) install(pc uint32, tgt targetPair) {
-	set, tag := b.index(pc)
+	ways, tag := b.ways(pc)
 	b.clock++
 	victim, oldest := 0, ^uint64(0)
-	for w := range b.sets[set] {
-		e := &b.sets[set][w]
+	for w := range ways {
+		e := &ways[w]
 		if e.valid && e.tag == tag {
 			e.tgt, e.lru = tgt, b.clock
 			return
@@ -142,7 +153,7 @@ func (b *btb) install(pc uint32, tgt targetPair) {
 			victim, oldest = w, e.lru
 		}
 	}
-	b.sets[set][victim] = btbEntry{valid: true, tag: tag, tgt: tgt, lru: b.clock}
+	ways[victim] = btbEntry{valid: true, tag: tag, tgt: tgt, lru: b.clock}
 }
 
 // ras is the return-address stack, holding (orig, rand) pairs. Overflow
@@ -155,6 +166,12 @@ type ras struct {
 
 func newRAS(depth int) *ras {
 	return &ras{stack: make([]targetPair, depth)}
+}
+
+// reset empties the stack.
+func (r *ras) reset() {
+	clear(r.stack)
+	r.top = 0
 }
 
 func (r *ras) push(t targetPair) {

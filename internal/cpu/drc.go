@@ -65,25 +65,25 @@ type drcEntry struct {
 // direction — exists as the ablation that justifies it.
 type drc struct {
 	split bool
-	banks [2][][]drcEntry // [0] unified/derand, [1] rand when split
+	// banks holds [0] the unified/derand buffer and [1] the rand buffer when
+	// split. Each is one flat array; set s is the assoc-long run starting at
+	// s*assoc.
+	banks [2][]drcEntry
 	masks [2]uint32
+	assoc int
 	clock uint64
 	stats DRCStats
 	trans emu.Translator
 }
 
 func newDRC(entries, assoc int, split bool, trans emu.Translator) *drc {
-	d := &drc{split: split, trans: trans}
-	mk := func(n int) ([][]drcEntry, uint32) {
+	d := &drc{split: split, assoc: assoc, trans: trans}
+	mk := func(n int) ([]drcEntry, uint32) {
 		nsets := n / assoc
 		if nsets < 1 {
 			nsets = 1
 		}
-		sets := make([][]drcEntry, nsets)
-		for i := range sets {
-			sets[i] = make([]drcEntry, assoc)
-		}
-		return sets, uint32(nsets - 1)
+		return make([]drcEntry, nsets*assoc), uint32(nsets - 1)
 	}
 	if split {
 		d.banks[0], d.masks[0] = mk(entries / 2)
@@ -92,6 +92,16 @@ func newDRC(entries, assoc int, split bool, trans emu.Translator) *drc {
 		d.banks[0], d.masks[0] = mk(entries)
 	}
 	return d
+}
+
+// rebind empties the buffer and restarts its LRU clock for a new
+// translator, keeping the counters: the state of a just-built DRC over
+// trans, as far as any later lookup can tell.
+func (d *drc) rebind(trans emu.Translator) {
+	clear(d.banks[0])
+	clear(d.banks[1])
+	d.clock = 0
+	d.trans = trans
 }
 
 func (d *drc) bank(kind lookupKind) int {
@@ -110,6 +120,12 @@ func (d *drc) index(key uint32, kind lookupKind) uint32 {
 	return ((key >> 3) ^ (key >> 11)) & d.masks[d.bank(kind)]
 }
 
+// ways returns the set key indexes in kind's bank.
+func (d *drc) ways(kind lookupKind, key uint32) []drcEntry {
+	base := int(d.index(key, kind)) * d.assoc
+	return d.banks[d.bank(kind)][base : base+d.assoc]
+}
+
 // lookup translates key in the given direction. hit reports whether the
 // translation was resident (a miss still returns the correct translation —
 // the table walk fetched it; the pipeline charges the walk latency).
@@ -121,11 +137,10 @@ func (d *drc) lookup(kind lookupKind, key uint32) (val uint32, hit, ok bool) {
 	} else {
 		d.stats.DerandLookups++
 	}
-	sets := d.banks[d.bank(kind)]
-	set := d.index(key, kind)
+	ways := d.ways(kind, key)
 	d.clock++
-	for w := range sets[set] {
-		e := &sets[set][w]
+	for w := range ways {
+		e := &ways[w]
 		if e.valid && e.key == key && e.derand == (kind == lookupDerand) {
 			e.lru = d.clock
 			return e.val, true, true
@@ -152,12 +167,11 @@ func (d *drc) lookup(kind lookupKind, key uint32) (val uint32, hit, ok bool) {
 
 func (d *drc) install(kind lookupKind, key, val uint32) {
 	d.stats.Installs++
-	sets := d.banks[d.bank(kind)]
-	set := d.index(key, kind)
+	ways := d.ways(kind, key)
 	d.clock++
 	victim, oldest := 0, ^uint64(0)
-	for w := range sets[set] {
-		e := &sets[set][w]
+	for w := range ways {
+		e := &ways[w]
 		if !e.valid {
 			victim, oldest = w, 0
 			break
@@ -166,7 +180,7 @@ func (d *drc) install(kind lookupKind, key, val uint32) {
 			victim, oldest = w, e.lru
 		}
 	}
-	sets[set][victim] = drcEntry{
+	ways[victim] = drcEntry{
 		valid:  true,
 		derand: kind == lookupDerand,
 		key:    key,
@@ -178,10 +192,9 @@ func (d *drc) install(kind lookupKind, key, val uint32) {
 // probe checks residency without consulting the tables or counting a
 // top-level lookup (used for the level-2 buffer).
 func (d *drc) probe(kind lookupKind, key uint32) (uint32, bool) {
-	sets := d.banks[d.bank(kind)]
-	set := d.index(key, kind)
-	for w := range sets[set] {
-		e := &sets[set][w]
+	ways := d.ways(kind, key)
+	for w := range ways {
+		e := &ways[w]
 		if e.valid && e.key == key && e.derand == (kind == lookupDerand) {
 			d.clock++
 			e.lru = d.clock
@@ -195,10 +208,8 @@ func (d *drc) probe(kind lookupKind, key uint32) (uint32, bool) {
 // so a context switch empties the buffer.
 func (d *drc) flush() {
 	for b := range d.banks {
-		for set := range d.banks[b] {
-			for w := range d.banks[b][set] {
-				d.banks[b][set][w].valid = false
-			}
+		for i := range d.banks[b] {
+			d.banks[b][i].valid = false
 		}
 	}
 	d.stats.Flushes++

@@ -59,6 +59,12 @@ func (t *itlb) access(addr uint32) bool {
 	return true
 }
 
+// reset drops every translation and zeroes the clock and the counters.
+func (t *itlb) reset() {
+	t.flush()
+	t.clock, t.accesses, t.misses = 0, 0, 0
+}
+
 // flush drops every translation (context switch, code-page shoot-down).
 func (t *itlb) flush() {
 	t.pages, t.uses, t.mru = t.pages[:0], t.uses[:0], 0

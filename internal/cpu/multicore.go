@@ -32,13 +32,19 @@ import (
 // saturate an L2 port).
 
 // NewWithHierarchy is New with an externally built memory hierarchy, the
-// hook multi-core clusters use to share an L2.
+// hook multi-core clusters use to share an L2. The rest of the machine is
+// allocated afresh and never recycled: Release leaves a borrowed hierarchy,
+// which other live pipelines may share, out of the pool.
 func NewWithHierarchy(img *program.Image, cfg Config, trans emu.Translator,
 	randRA map[uint32]uint32, hier *mem.Hierarchy) (*Pipeline, error) {
-	p, err := New(img, cfg, trans, randRA)
+	if err := checkNew(cfg, trans); err != nil {
+		return nil, err
+	}
+	m, err := newMachine(cfg, false)
 	if err != nil {
 		return nil, err
 	}
+	p := assemble(img, cfg, trans, randRA, m)
 	p.hier = hier
 	return p, nil
 }

@@ -97,7 +97,8 @@ type Pipeline struct {
 	btb    *btb
 	ras    *ras
 	drc    *drc
-	drc2   *drc // optional dedicated level-2 buffer (Config.DRC2Entries)
+	drc2   *drc     // optional dedicated level-2 buffer (Config.DRC2Entries)
+	own    *machine // the storage Release recycles; nil on a borrowed hierarchy
 	trans  emu.Translator
 	randRA map[uint32]uint32
 	bitmap map[uint32]bool
@@ -159,18 +160,37 @@ type Pipeline struct {
 // New builds a pipeline for img under cfg. trans and randRA supply the
 // randomization artifacts; both must be nil for ModeBaseline and non-nil
 // (trans at least) otherwise. cfg.Mode.Deploy selects all three from one
-// ilr.Result.
+// ilr.Result. The image-independent storage comes from the pipelines
+// Released under the same cfg when there are any (see machine.go).
 func New(img *program.Image, cfg Config, trans emu.Translator, randRA map[uint32]uint32) (*Pipeline, error) {
-	if err := cfg.Validate(); err != nil {
+	if err := checkNew(cfg, trans); err != nil {
 		return nil, err
 	}
-	if cfg.Mode != ModeBaseline && trans == nil {
-		return nil, fmt.Errorf("cpu: mode %v requires a Translator", cfg.Mode)
-	}
-	hier, err := mem.NewHierarchy(cfg.Mem)
+	m, err := acquireMachine(cfg)
 	if err != nil {
 		return nil, err
 	}
+	p := assemble(img, cfg, trans, randRA, m)
+	p.own = m
+	return p, nil
+}
+
+// checkNew validates New's arguments.
+func checkNew(cfg Config, trans emu.Translator) error {
+	if err := cfg.Validate(); err != nil {
+		return err
+	}
+	if cfg.Mode != ModeBaseline && trans == nil {
+		return fmt.Errorf("cpu: mode %v requires a Translator", cfg.Mode)
+	}
+	return nil
+}
+
+// assemble resets m for a run of img and builds the pipeline around it:
+// the image-dependent state (address space, architectural state, block
+// cache, stack bitmap, hooks) is always new.
+func assemble(img *program.Image, cfg Config, trans emu.Translator, randRA map[uint32]uint32, m *machine) *Pipeline {
+	m.reset(trans)
 	space := program.NewAddressSpace()
 	space.LoadImage(img)
 	st := emu.NewState(space)
@@ -180,26 +200,24 @@ func New(img *program.Image, cfg Config, trans emu.Translator, randRA map[uint32
 		cfg:     cfg,
 		state:   st,
 		mem:     space,
-		hier:    hier,
-		gsh:     newGshare(cfg.GshareBits),
-		btb:     newBTB(cfg.BTBEntries, cfg.BTBAssoc),
-		ras:     newRAS(cfg.RASDepth),
+		hier:    m.hier,
+		gsh:     m.gsh,
+		btb:     m.btb,
+		ras:     m.ras,
+		drc:     m.drc,
+		drc2:    m.drc2,
 		trans:   trans,
 		randRA:  randRA,
 		pc:      img.Entry,
 		inRand:  cfg.Mode == ModeVCFR,
 		curLine: noLine,
-		itlb:    newITLB(cfg.ITLBEntries),
+		itlb:    m.itlb,
 	}
 	if !cfg.NoBlockCache {
 		p.bb = newBlockCache()
 	}
 	switch cfg.Mode {
 	case ModeVCFR:
-		p.drc = newDRC(cfg.DRCEntries, cfg.DRCAssoc, cfg.DRCSplit, trans)
-		if cfg.DRC2Entries > 0 {
-			p.drc2 = newDRC(cfg.DRC2Entries, cfg.DRCAssoc, false, trans)
-		}
 		p.bitmap = make(map[uint32]bool)
 		st.Hooks = emu.Hooks{
 			ReturnAddr: p.vcfrReturnAddr,
@@ -213,7 +231,7 @@ func New(img *program.Image, cfg Config, trans emu.Translator, randRA map[uint32
 			p.pc = orig
 		}
 	}
-	return p, nil
+	return p
 }
 
 // translatorLen sizes the in-memory table for walk addressing; translators
@@ -919,6 +937,9 @@ const cancelCheckEvery = 4096
 // run stops promptly instead of executing to its instruction cap. The
 // partial Result collected so far is returned alongside ctx's error.
 func (p *Pipeline) RunContext(ctx context.Context, maxInsts uint64) (Result, error) {
+	if p.state == nil {
+		panic("cpu: run of a released Pipeline")
+	}
 	if maxInsts == 0 {
 		maxInsts = emu.DefaultMaxSteps
 	}

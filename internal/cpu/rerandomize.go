@@ -29,7 +29,7 @@ import (
 //   - randomized code pointers held in data reloc slots, in bitmap-marked
 //     stack slots (architecturally randomized return addresses), and in
 //     registers are re-translated old-epoch -> original -> new-epoch,
-//   - every structure caching stale translations is rebuilt: the DRC
+//   - every structure caching stale translations is emptied: the DRC
 //     hierarchy (its entries embed the old Translator), the BTB and RAS
 //     (their targetPair entries pair original PCs with old-epoch randomized
 //     targets), the iTLB (the code pages' contents changed), the fetch byte
@@ -103,17 +103,14 @@ func (p *Pipeline) Rerandomize(next *ilr.Result) error {
 		}
 		p.trans = trans
 		p.randRA = randRA
-		// The DRC hierarchy resolves misses through the translator it was
-		// built with and its entries cache old-epoch pairs: rebuild, keeping
-		// the accumulated statistics (the swap itself counts as a flush).
-		dstats := p.drc.stats
-		dstats.Flushes++
-		p.drc = newDRC(p.cfg.DRCEntries, p.cfg.DRCAssoc, p.cfg.DRCSplit, trans)
-		p.drc.stats = dstats
+		// The DRC hierarchy resolves misses through the translator it is
+		// bound to and its entries cache old-epoch pairs: empty it and rebind
+		// it, keeping the accumulated statistics (the swap itself counts as
+		// a flush).
+		p.drc.rebind(trans)
+		p.drc.stats.Flushes++
 		if p.drc2 != nil {
-			d2 := p.drc2.stats
-			p.drc2 = newDRC(p.cfg.DRC2Entries, p.cfg.DRCAssoc, false, trans)
-			p.drc2.stats = d2
+			p.drc2.rebind(trans)
 		}
 		p.tableSlots = nextPow2(uint32(translatorLen(trans)))
 		p.tableEnd = p.cfg.TableBase + p.tableSlots*8
@@ -122,10 +119,10 @@ func (p *Pipeline) Rerandomize(next *ilr.Result) error {
 
 	// BTB and RAS entries pair original PCs with old-epoch randomized
 	// targets; a stale pair could alias a new-epoch target and redirect the
-	// pc to the wrong original address. They have no flush — rebuild them
-	// (prediction state only; the BPred counters live in p.stats).
-	p.btb = newBTB(p.cfg.BTBEntries, p.cfg.BTBAssoc)
-	p.ras = newRAS(p.cfg.RASDepth)
+	// pc to the wrong original address. Reset them (prediction state only;
+	// the BPred counters live in p.stats).
+	p.btb.reset()
+	p.ras.reset()
 	// Code pages changed contents: shoot down the iTLB, drop the queued
 	// fetch line, and invalidate every pre-decoded block.
 	p.itlb.flush()

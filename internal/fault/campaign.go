@@ -198,6 +198,7 @@ func (c *cell) reference(ctx context.Context, maxInsts uint64) error {
 		seq++
 	})
 	res, err := p.RunContext(ctx, maxInsts)
+	p.Release()
 	if err != nil {
 		return err
 	}
@@ -397,6 +398,7 @@ func runInjection(ctx context.Context, c *cell, f Fault) (o Outcome, insts uint6
 	if err != nil {
 		return OutcomeCrash, 0
 	}
+	defer p.Release()
 	res, err := runArmedAt(ctx, p, f, c.ref.Budget())
 	if err != nil && (errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)) {
 		return "", res.Stats.Instructions

@@ -10,6 +10,7 @@ import (
 	"fmt"
 	"math"
 	"strings"
+	"sync"
 
 	"vcfr/internal/cpu"
 	"vcfr/internal/emu"
@@ -64,6 +65,36 @@ func (c Config) names(def []string) []string {
 type App struct {
 	W workloads.Workload
 	R *ilr.Result
+
+	derivedMu sync.Mutex
+	derived   map[any]*derivedValue
+}
+
+// derivedValue is one Derived entry, built once.
+type derivedValue struct {
+	once sync.Once
+	v    any
+}
+
+// Derived returns the value build derives from the app for key, calling
+// build at most once per app and key; concurrent callers of one key wait
+// for that one build. It lets a package hang read-only state computed from
+// W and R (an attacker's gadget scan, say) off a memoized App, so every
+// campaign on a warm Runner shares it. Packages key with an unexported type
+// of their own, so their entries never collide.
+func (a *App) Derived(key any, build func() any) any {
+	a.derivedMu.Lock()
+	if a.derived == nil {
+		a.derived = make(map[any]*derivedValue)
+	}
+	d := a.derived[key]
+	if d == nil {
+		d = &derivedValue{}
+		a.derived[key] = d
+	}
+	a.derivedMu.Unlock()
+	d.once.Do(func() { d.v = build() })
+	return d.v
 }
 
 // Prepare builds and randomizes one workload.
@@ -102,7 +133,8 @@ func PrepareOpts(name string, cfg Config, opts ilr.Options) (*App, error) {
 
 // Pipeline builds a fresh pipeline for one run of the app in the given mode,
 // with the workload's input installed. mutate, if non-nil, adjusts the
-// default machine configuration (DRC size, ablation switches, ...).
+// default machine configuration (DRC size, ablation switches, ...). The
+// caller Releases the pipeline once it has read the run's Result.
 func (a *App) Pipeline(mode cpu.Mode, mutate func(*cpu.Config)) (*cpu.Pipeline, cpu.Config, error) {
 	ccfg := cpu.DefaultConfig(mode)
 	if mutate != nil {
@@ -132,6 +164,7 @@ func (a *App) RunContext(ctx context.Context, mode cpu.Mode, maxInsts uint64, mu
 		return cpu.Result{}, ccfg, err
 	}
 	res, err := p.RunContext(ctx, maxInsts)
+	p.Release()
 	if err != nil {
 		return res, ccfg, fmt.Errorf("harness: %s under %v: %w", a.W.Name, mode, err)
 	}

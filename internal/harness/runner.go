@@ -41,56 +41,95 @@ type Runner struct {
 
 	// Prepared-app memo: workload build + ILR rewrite are deterministic in
 	// the derived seed, so repeated cells and queries reuse them. Bounded
-	// FIFO, maxApps entries; appHits/appMisses count lookups.
+	// FIFO, maxApps entries; appHits/appMisses count lookups. An entry is
+	// in the map from the first miss on, so concurrent callers of one key
+	// wait for that one build (single flight).
 	appMu     sync.Mutex
-	apps      map[string]*App
+	apps      map[string]*appEntry
 	appOrder  []string
 	appHits   uint64
 	appMisses uint64
+}
+
+// appEntry is one prepared-app memo slot. done is closed once app or err
+// is set.
+type appEntry struct {
+	done chan struct{}
+	app  *App
+	err  error
 }
 
 // maxApps bounds the prepared-app memo (each entry holds three images plus
 // translation tables, a few MB at most).
 const maxApps = 64
 
-// cachedApp returns the memoized prepared app for key, or nil, counting
-// the lookup as a memo hit or miss.
-func (r *Runner) cachedApp(key string) *App {
-	r.appMu.Lock()
-	defer r.appMu.Unlock()
-	app := r.apps[key]
-	if app != nil {
-		r.appHits++
-	} else {
-		r.appMisses++
-	}
-	return app
-}
-
 // AppMemoStats reports the prepared-app memo's cumulative lookup hits and
-// misses.
+// misses. A caller that waits for another caller's build of the same app
+// counts as a hit.
 func (r *Runner) AppMemoStats() (hits, misses uint64) {
 	r.appMu.Lock()
 	defer r.appMu.Unlock()
 	return r.appHits, r.appMisses
 }
 
-// storeApp memoizes a prepared app, evicting the oldest entry past maxApps.
-func (r *Runner) storeApp(key string, app *App) {
+// memoApp returns the memoized app for key, building it with build on a
+// miss, evicting the oldest entry past maxApps. Concurrent misses on one
+// key build once: the first caller builds, the rest wait for it (or for
+// ctx). A failed build is not memoized; its waiters get its error.
+func (r *Runner) memoApp(ctx context.Context, key string, build func() (*App, error)) (*App, error) {
 	r.appMu.Lock()
-	defer r.appMu.Unlock()
-	if r.apps == nil {
-		r.apps = make(map[string]*App)
+	if e := r.apps[key]; e != nil {
+		r.appHits++
+		r.appMu.Unlock()
+		select {
+		case <-e.done:
+			return e.app, e.err
+		case <-ctx.Done():
+			return nil, ctx.Err()
+		}
 	}
-	if _, ok := r.apps[key]; ok {
-		return
+	r.appMisses++
+	if r.apps == nil {
+		r.apps = make(map[string]*appEntry)
 	}
 	if len(r.appOrder) >= maxApps {
 		delete(r.apps, r.appOrder[0])
 		r.appOrder = r.appOrder[1:]
 	}
-	r.apps[key] = app
+	e := &appEntry{done: make(chan struct{})}
+	r.apps[key] = e
 	r.appOrder = append(r.appOrder, key)
+	r.appMu.Unlock()
+
+	// The deferred hand-off also runs when build panics, so waiters get an
+	// error instead of hanging and the key is built afresh next time.
+	defer func() {
+		if e.app == nil {
+			if e.err == nil {
+				e.err = fmt.Errorf("harness: preparing %s panicked", key)
+			}
+			r.forgetApp(key, e)
+		}
+		close(e.done)
+	}()
+	e.app, e.err = build()
+	return e.app, e.err
+}
+
+// forgetApp drops e from the memo if it still holds key.
+func (r *Runner) forgetApp(key string, e *appEntry) {
+	r.appMu.Lock()
+	defer r.appMu.Unlock()
+	if r.apps[key] != e {
+		return
+	}
+	delete(r.apps, key)
+	for i, k := range r.appOrder {
+		if k == key {
+			r.appOrder = append(r.appOrder[:i], r.appOrder[i+1:]...)
+			break
+		}
+	}
 }
 
 // NewRunner returns a runner with the given worker budget (<= 0 means
@@ -345,16 +384,9 @@ func (r *Runner) prepareOpts(ctx context.Context, name string, cfg Config, opts 
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	key := appKey(name, cfg, opts)
-	if app := r.cachedApp(key); app != nil {
-		return app, nil
-	}
-	app, err := PrepareOpts(name, cfg, opts)
-	if err != nil {
-		return nil, err
-	}
-	r.storeApp(key, app)
-	return app, nil
+	return r.memoApp(ctx, appKey(name, cfg, opts), func() (*App, error) {
+		return PrepareOpts(name, cfg, opts)
+	})
 }
 
 // runMode is App.RunContext with a cancellation check before the pipeline

@@ -95,34 +95,55 @@ func TestNormalizeExplicitZero(t *testing.T) {
 	}
 }
 
-// BenchmarkAttackJob runs the service's attacks job — vcfrload's template:
-// one workload, max_leaks 4, advance_insts 500, 2000 instructions — through
-// Run on a warm runner, rotating over vcfrload's three workloads, and
-// reports milliseconds per job. The runner's prepared-app memo is warm after
-// the first three jobs, as in a long-running vcfrd.
-func BenchmarkAttackJob(b *testing.B) {
-	r := harness.NewRunner(0)
+// BenchmarkServiceMix runs each kind of vcfrload's default mix through Run
+// on a warm runner, as a long-running vcfrd serves them: the job templates
+// are vcfrload's (2000 instructions; faults with 2 injections; attacks with
+// max_leaks 4 and advance_insts 500), rotating over its three workloads. The
+// runner's prepared-app memo is warm after the first round, which the timer
+// skips. It reports milliseconds per job; -benchmem adds bytes and
+// allocations per job.
+//
+//	go test ./internal/jobs -run '^$' -bench ServiceMix -benchmem
+func BenchmarkServiceMix(b *testing.B) {
 	names := []string{"bzip2", "sjeng", "xalan"}
-	reqs := make([]Request, len(names))
-	for i, w := range names {
-		reqs[i] = Request{Workloads: []string{w}, MaxLeaks: 4, AdvanceInsts: 500, Instructions: 2000}
-		if err := reqs[i].Normalize(KindAttacks); err != nil {
-			b.Fatal(err)
-		}
-		if _, err := Run(context.Background(), r, KindAttacks, reqs[i], nil); err != nil {
-			b.Fatal(err)
-		}
+	templates := []struct {
+		kind Kind
+		req  func(w string) Request
+	}{
+		{KindRun, func(w string) Request { return Request{Workload: w, Mode: "vcfr", Instructions: 2000} }},
+		{KindSweep, func(w string) Request { return Request{Workloads: []string{w}, Instructions: 2000} }},
+		{KindFaults, func(w string) Request {
+			return Request{Workloads: []string{w}, Injections: 2, Instructions: 2000}
+		}},
+		{KindAttacks, func(w string) Request {
+			return Request{Workloads: []string{w}, MaxLeaks: 4, AdvanceInsts: 500, Instructions: 2000}
+		}},
 	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		out, err := Run(context.Background(), r, KindAttacks, reqs[i%len(reqs)], nil)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if out.Incomplete != nil {
-			b.Fatal(out.Incomplete)
-		}
+	for _, tmpl := range templates {
+		b.Run(string(tmpl.kind), func(b *testing.B) {
+			r := harness.NewRunner(0)
+			reqs := make([]Request, len(names))
+			for i, w := range names {
+				reqs[i] = tmpl.req(w)
+				if err := reqs[i].Normalize(tmpl.kind); err != nil {
+					b.Fatal(err)
+				}
+				if _, err := Run(context.Background(), r, tmpl.kind, reqs[i], nil); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				out, err := Run(context.Background(), r, tmpl.kind, reqs[i%len(reqs)], nil)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if out.Incomplete != nil {
+					b.Fatal(out.Incomplete)
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/1e6/float64(b.N), "ms/job")
+		})
 	}
-	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/1e6/float64(b.N), "ms/job")
 }

@@ -233,6 +233,15 @@ func (c *Cache) Prefetch(addr uint32) {
 	*l = line{tag: tag, valid: true, prefetched: true, lru: c.clock}
 }
 
+// Reset returns the cache to its just-built state: every line invalid, the
+// LRU clock and the counters zero. Unlike Flush it writes nothing back; it
+// is how a recycled hierarchy starts a new, unrelated run.
+func (c *Cache) Reset() {
+	clear(c.lines)
+	c.clock = 0
+	c.stats = CacheStats{}
+}
+
 // Flush invalidates every line, writing back dirty ones in set-major order.
 func (c *Cache) Flush() {
 	for i := range c.lines {

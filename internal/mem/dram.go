@@ -100,6 +100,13 @@ func NewDRAM(cfg DRAMConfig) *DRAM {
 	}
 }
 
+// Reset closes every row buffer and zeroes the counters, returning the DRAM
+// to its just-built state.
+func (d *DRAM) Reset() {
+	clear(d.banks)
+	d.stats = DRAMStats{}
+}
+
 // Name implements Level.
 func (d *DRAM) Name() string { return "dram" }
 

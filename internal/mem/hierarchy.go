@@ -50,6 +50,16 @@ func NewHierarchy(cfg HierarchyConfig) (*Hierarchy, error) {
 	return &Hierarchy{IL1: il1, DL1: dl1, L2: l2, DRAM: dram}, nil
 }
 
+// Reset returns every level to its just-built state (see Cache.Reset), so
+// one hierarchy can serve a sequence of unrelated runs. A hierarchy shared
+// by a cluster's cores must not be reset while any of them is live.
+func (h *Hierarchy) Reset() {
+	h.IL1.Reset()
+	h.DL1.Reset()
+	h.L2.Reset()
+	h.DRAM.Reset()
+}
+
 // L2Pressure returns the total demand accesses the L2 absorbed — the paper's
 // Fig. 3 metric for how L1 inefficiency propagates downstream.
 func (h *Hierarchy) L2Pressure() uint64 { return h.L2.Stats().Accesses }
