@@ -28,8 +28,9 @@ race:
 # The full pre-commit gate. `test` runs every fuzz corpus as seeds
 # (including the ELF-parser and RV64-decoder corpora under
 # internal/realbin/testdata/fuzz); `realbin` additionally verifies the
-# checked-in fixture binaries against their generator and SHA-256 pins.
-check: build vet fmtcheck test race realbin
+# checked-in fixture binaries against their generator and SHA-256 pins;
+# `examples` diffs every example's stdout against its transcript.
+check: build vet fmtcheck test race realbin examples
 
 # The real-binary front end's own wall: verify the checked-in ELF fixtures
 # (generator-identical + pin-clean), then run the parser/decoder/lifter
@@ -136,10 +137,14 @@ attacks:
 multicore:
 	$(GO) run ./cmd/experiments -mode multicore
 
+# Run every example and diff its stdout against its checked-in transcript
+# (examples/<name>/stdout.golden); the examples are deterministic, so any
+# diff is a behaviour change.
 examples:
-	$(GO) run ./examples/quickstart
-	$(GO) run ./examples/ropdefense
-	$(GO) run ./examples/jitrop
-	$(GO) run ./examples/cachestudy
-	$(GO) run ./examples/rerandomize
-	$(GO) run ./examples/multicore
+	@tmp="$$(mktemp -d)"; trap 'rm -rf "$$tmp"' EXIT; \
+	for dir in examples/*/; do \
+		dir="$${dir%/}"; name="$$(basename "$$dir")"; \
+		$(GO) run "./$$dir" >"$$tmp/$$name.out" || exit 1; \
+		diff -u "$$dir/stdout.golden" "$$tmp/$$name.out" || exit 1; \
+		echo "examples/$$name: ok"; \
+	done

@@ -1,5 +1,6 @@
-// Command vcfrsim runs the cycle-level simulator on a workload or a VX
-// source file, in any of the three architecture modes.
+// Command vcfrsim runs the cycle-level simulator on a built-in workload, a
+// RV64 ELF binary, a VX source file or an ilrrand bundle, in any of the
+// three architecture modes.
 //
 // Usage:
 //
@@ -8,20 +9,25 @@
 //	vcfrsim -workload xalan -mode all
 //	vcfrsim -workload elf-fib -mode all
 //	vcfrsim -elf ./prog.elf -mode vcfr
-//	vcfrsim -workload h264ref -mode vcfr -record h264.vxt
-//	vcfrsim -workload h264ref -replay h264.vxt -drc 64
+//	vcfrsim -bundle app.ilr -mode all
 //	vcfrsim -workload lbm -mode all -stats-json
 //
 // It prints IPC, the stall breakdown, cache statistics, and (under VCFR)
-// DRC statistics and the dynamic-power breakdown. With -stats-json the full
-// per-mode Results are emitted as one versioned results.Envelope — the same
-// schema, and for workload runs the same bytes, that the vcfrd service
-// returns from POST /v1/simulate.
+// DRC statistics and the dynamic-power breakdown. With -stats-json the
+// per-mode rows are emitted as one versioned results.Envelope instead.
+//
+// A -workload invocation is a run job: the flags build the jobs.Request a
+// vcfrd POST /v1/simulate body decodes to, and jobs.Run computes it, so
+// `vcfrsim -workload W -stats-json` and the service's response are the same
+// bytes. -elf, a source file and -bundle name programs a request cannot; they
+// run the same per-mode rows (harness.App.RunRows) on an app built here, each
+// row labelled with the layout seed it ran. -trace N and -emulate are the
+// only additions to either path. To capture or replay a run, use vxtrace.
 package main
 
 import (
-	"bytes"
 	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -29,329 +35,256 @@ import (
 	"os/signal"
 	"path/filepath"
 	"strings"
-	"sync"
 
-	"vcfr/internal/core"
+	"vcfr/internal/asm"
 	"vcfr/internal/cpu"
 	"vcfr/internal/emu"
 	"vcfr/internal/harness"
 	"vcfr/internal/ilr"
+	"vcfr/internal/jobs"
 	"vcfr/internal/power"
 	"vcfr/internal/results"
 	"vcfr/internal/stats"
-	"vcfr/internal/trace"
 	"vcfr/internal/workloads"
 )
 
 func main() {
-	if err := run(); err != nil {
+	if err := run(parseFlags(os.Args[1:]), os.Stdout); err != nil {
 		fmt.Fprintln(os.Stderr, "vcfrsim:", err)
 		os.Exit(1)
 	}
 }
 
-func run() error {
-	var (
-		workload = flag.String("workload", "", "built-in workload name (see -list)")
-		elfPath  = flag.String("elf", "", "run a RV64 ELF binary, lifted through the real-binary front end")
-		bundle   = flag.String("bundle", "", "run a randomization bundle produced by ilrrand")
-		list     = flag.Bool("list", false, "list built-in workloads")
-		mode     = flag.String("mode", "vcfr", "baseline | naive | vcfr | all")
-		scale    = flag.Int("scale", 1, "workload scale")
-		maxInsts = flag.Uint64("instructions", 0, "instruction cap (0 = to completion)")
-		seed     = flag.Int64("seed", 1, "randomization seed")
-		spread   = flag.Int("spread", 8, "scatter factor")
-		drc      = flag.Int("drc", 128, "DRC entries")
-		traceN   = flag.Uint64("trace", 0, "print the first N executed instructions (UPC/RPC/storage)")
-		width    = flag.Int("width", 1, "issue width (1 = the paper's core, 2 = dual-issue)")
-		ctxEvery = flag.Uint64("ctxswitch", 0, "flush process-private state every N instructions")
-		record   = flag.String("record", "", "capture the run into a trace file (single mode only)")
-		replayF  = flag.String("replay", "", "replay a trace file through the configured machine (mode taken from the trace)")
-		jsonOut  = flag.Bool("stats-json", false, "emit a versioned results.Envelope as JSON instead of the text report")
-		interval = flag.Uint64("interval", 0, "snapshot counters every N instructions; the per-window series lands in the envelope's intervals field")
-		emulate  = flag.Bool("emulate", false, "also run the software-ILR emulation and report its counters (emulated-ilr row under -stats-json)")
-	)
-	flag.Parse()
+// options is one parsed command line.
+type options struct {
+	// req is the run request the flags describe, before normalization.
+	req jobs.Request
+	// elf, bundle and src name a program the request cannot; bundle wins
+	// over -workload, which wins over elf, which wins over src.
+	elf, bundle, src         string
+	list, statsJSON, emulate bool
+	traceN                   uint64
+}
 
-	if *list {
+// parseFlags parses args (the command line without the program name); a
+// bad flag exits as the flag package does.
+func parseFlags(args []string) options {
+	fs := flag.NewFlagSet("vcfrsim", flag.ExitOnError)
+	var (
+		workload  = fs.String("workload", "", "built-in workload name (see -list)")
+		elfPath   = fs.String("elf", "", "run a RV64 ELF binary, lifted through the real-binary front end")
+		bundle    = fs.String("bundle", "", "run a randomization bundle produced by ilrrand (its own layout seed)")
+		list      = fs.Bool("list", false, "list built-in workloads")
+		mode      = fs.String("mode", "", "baseline | naive | vcfr | all (unset: vcfr)")
+		scale     = fs.Int("scale", 0, "workload scale (unset: the run job default)")
+		maxInsts  = fs.Uint64("instructions", 0, "instruction cap (0 = to completion)")
+		seed      = fs.Int64("seed", 0, "randomization seed (unset: the run job default; 0: the harness default)")
+		spread    = fs.Int("spread", 0, "scatter factor (unset or 0: the default)")
+		drc       = fs.Int("drc", 0, "DRC entries (unset: the default)")
+		traceN    = fs.Uint64("trace", 0, "print the first N executed instructions of each mode (UPC/RPC/storage) before its text report")
+		width     = fs.Int("width", 0, "issue width (unset: the paper's single-issue core; 2 = dual-issue)")
+		ctxEvery  = fs.Uint64("ctxswitch", 0, "flush process-private state every N instructions")
+		statsJSON = fs.Bool("stats-json", false, "emit a versioned results.Envelope as JSON instead of the text report")
+		interval  = fs.Uint64("interval", 0, "snapshot counters every N instructions; the per-window series lands in the envelope's intervals field")
+		emulate   = fs.Bool("emulate", false, "also run the software-ILR emulation and report its counters (emulated-ilr row under -stats-json)")
+	)
+	fs.Parse(args)
+
+	o := options{
+		req: jobs.Request{
+			Workload:       *workload,
+			Mode:           *mode,
+			Instructions:   *maxInsts,
+			CtxSwitchEvery: *ctxEvery,
+			Interval:       *interval,
+		},
+		elf: *elfPath, bundle: *bundle,
+		list: *list, statsJSON: *statsJSON, emulate: *emulate, traceN: *traceN,
+	}
+	if fs.NArg() == 1 {
+		o.src = fs.Arg(0)
+	}
+	// As in a vcfrd request body, presence, not value, selects a default:
+	// an unset knob leaves the request field absent for jobs to fill.
+	fs.Visit(func(f *flag.Flag) {
+		switch f.Name {
+		case "seed":
+			o.req.Seed = seed
+		case "scale":
+			o.req.Scale = scale
+		case "spread":
+			o.req.Spread = spread
+		case "drc":
+			o.req.DRC = drc
+		case "width":
+			o.req.Width = width
+		}
+	})
+	return o
+}
+
+func run(o options, w io.Writer) error {
+	if o.list {
 		// The name/source/desc columns mirror the fields of GET /v1/workloads,
 		// so the CLI listing and the service listing describe the same registry
 		// the same way.
 		for _, n := range workloads.Names() {
-			w, err := workloads.ByName(n, 1)
+			wl, err := workloads.ByName(n, 1)
 			if err != nil {
 				return err
 			}
-			fmt.Printf("%-12s %-10s %s\n", n, w.Source, w.Desc)
+			fmt.Fprintf(w, "%-12s %-10s %s\n", n, wl.Source, wl.Desc)
 		}
 		return nil
-	}
-
-	modes, err := cpu.ParseModes(*mode)
-	if err != nil {
-		return err
-	}
-	mutate := func(c *cpu.Config) {
-		c.DRCEntries = *drc
-		c.IssueWidth = *width
-		c.ContextSwitchEvery = *ctxEvery
-		c.SampleEvery = *interval
-	}
-	ccfgOf := func(m cpu.Mode) cpu.Config {
-		c := cpu.DefaultConfig(m)
-		mutate(&c)
-		return c
-	}
-	// Flag bounds live in exactly one place — cpu.Config.Validate, the same
-	// check the vcfrd service applies to request bodies — so a bad -drc or
-	// -width fails here with the same message a bad HTTP request gets.
-	for _, m := range modes {
-		if err := ccfgOf(m).Validate(); err != nil {
-			return err
-		}
 	}
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
 	defer stop()
 
-	// The canonical JSON path: a plain workload simulation goes through the
-	// exact entry point the vcfrd service uses (harness.SimulateRuns +
-	// results.Marshal), so `vcfrsim -workload W -stats-json` and
-	// `POST /v1/simulate {"workload": "W", ...}` produce identical bytes.
-	if *jsonOut && *workload != "" && *bundle == "" && *record == "" && *replayF == "" && !*emulate && flag.NArg() == 0 {
-		cfg := harness.Config{Scale: *scale, MaxInsts: *maxInsts, Seed: *seed, Spread: *spread}
-		rows, err := harness.SimulateRuns(ctx, harness.NewRunner(1), *workload, modes, cfg, mutate)
+	req := o.req
+	job := o.bundle == "" && req.Workload != ""
+	var err error
+	switch {
+	case job:
+		err = req.Normalize(jobs.KindRun)
+	case o.bundle == "" && o.elf == "" && o.src == "":
+		return errors.New("need -workload, -elf, or a source file; see -h")
+	default:
+		err = req.NormalizeProgram()
+	}
+	if err != nil {
+		return err
+	}
+	modes, err := cpu.ParseModes(req.Mode)
+	if err != nil {
+		return err
+	}
+
+	var (
+		app  *harness.App
+		rows []results.Run
+	)
+	if job {
+		r := harness.NewRunner(1)
+		out, err := jobs.Run(ctx, r, jobs.KindRun, req, nil)
 		if err != nil {
 			return err
 		}
-		return results.Write(os.Stdout, results.NewRun(rows...))
+		rows = out.Envelope.Run
+		if o.emulate || (o.traceN > 0 && !o.statsJSON) {
+			// A memo hit: jobs.Run prepared this app on r.
+			if app, err = r.Prepare(ctx, req.Workload, req.Config()); err != nil {
+				return err
+			}
+		}
+	} else {
+		if app, err = o.program(req); err != nil {
+			return err
+		}
+		if rows, err = app.RunRows(ctx, modes, req.Instructions, req.Mutate()); err != nil {
+			return err
+		}
 	}
-
-	var sys *core.System
-	var input []byte
-	name := *workload
-	switch {
-	case *bundle != "":
-		data, err := os.ReadFile(*bundle)
+	if o.emulate {
+		rr, err := app.Emulate(emu.ModeEmulatedILR, app.W.Input, 0)
 		if err != nil {
 			return err
+		}
+		st, ilrSt := rr.Stats, app.R.Stats
+		rows = append(rows, results.Run{
+			Workload: app.W.Name,
+			Mode:     "emulated-ilr",
+			Seed:     app.R.Opts.Seed,
+			Emu:      &st,
+			Ilr:      &ilrSt,
+		})
+	}
+
+	if o.statsJSON {
+		return results.Write(w, results.NewRun(rows...))
+	}
+	for i, row := range rows {
+		if o.traceN > 0 && i < len(modes) {
+			if err := printTrace(w, app, modes[i], req, o.traceN); err != nil {
+				return err
+			}
+		}
+		report(w, row)
+	}
+	return nil
+}
+
+// program builds the app for a program the request cannot name: an ilrrand
+// bundle runs the layout it carries; an ELF binary or VX source file is
+// randomized under the request's seed and spread.
+func (o options) program(req jobs.Request) (*harness.App, error) {
+	if o.bundle != "" {
+		data, err := os.ReadFile(o.bundle)
+		if err != nil {
+			return nil, err
 		}
 		res, err := ilr.UnmarshalBundle(data)
 		if err != nil {
-			return err
+			return nil, err
 		}
-		sys = core.FromRewrite(res)
-		name = res.Orig.Name
-	case *workload != "":
-		w, err := workloads.ByName(*workload, *scale)
-		if err != nil {
-			return err
-		}
-		input = w.Input
-		sys, err = core.NewSystem(w.Img, core.Options{Seed: *seed, Spread: *spread})
-		if err != nil {
-			return err
-		}
-	case *elfPath != "":
-		data, err := os.ReadFile(*elfPath)
-		if err != nil {
-			return err
-		}
-		name = strings.TrimSuffix(filepath.Base(*elfPath), filepath.Ext(*elfPath))
-		w, err := workloads.FromELF(data, name)
-		if err != nil {
-			return err
-		}
-		sys, err = core.NewSystem(w.Img, core.Options{Seed: *seed, Spread: *spread})
-		if err != nil {
-			return err
-		}
-	case flag.NArg() == 1:
-		src, err := os.ReadFile(flag.Arg(0))
-		if err != nil {
-			return err
-		}
-		name = strings.TrimSuffix(filepath.Base(flag.Arg(0)), filepath.Ext(flag.Arg(0)))
-		sys, err = core.NewSystemFromSource(name, string(src), core.Options{Seed: *seed, Spread: *spread})
-		if err != nil {
-			return err
-		}
-	default:
-		return fmt.Errorf("need -workload, -elf, or a source file; see -h")
+		return &harness.App{W: workloads.Workload{Name: res.Orig.Name, Img: res.Orig}, R: res}, nil
 	}
-
-	// With -stats-json, every remaining path accumulates envelope rows and
-	// emits one results.Envelope at the end instead of text reports.
-	var jsonRows []results.Run
-	emit := func(w io.Writer, m cpu.Mode, res cpu.Result) error {
-		if *jsonOut {
-			jsonRows = append(jsonRows, harness.RunRow(name, m, *seed, ccfgOf(m), res, sys.Rewrite()))
-			return nil
-		}
-		report(w, m, res, *drc)
-		return nil
+	path := o.elf
+	if path == "" {
+		path = o.src
 	}
-	// -emulate appends the software-ILR emulation's counters — the emu.Stats
-	// that used to be reachable only through the interpreter paths — as an
-	// extra emulated-ilr row (or text block) after the pipeline modes.
-	emitEmulated := func() error {
-		if !*emulate {
-			return nil
-		}
-		rr, err := sys.Run(core.ExecEmulated, input...)
-		if err != nil {
-			return err
-		}
-		if *jsonOut {
-			st, ilrSt := rr.Stats, sys.Stats()
-			jsonRows = append(jsonRows, results.Run{
-				Workload: name,
-				Mode:     "emulated-ilr",
-				Seed:     *seed,
-				Emu:      &st,
-				Ilr:      &ilrSt,
-			})
-			return nil
-		}
-		reportEmulated(os.Stdout, rr.Stats)
-		return nil
+	data, err := os.ReadFile(path)
+	if err != nil {
+		return nil, err
 	}
-	finish := func() error {
-		if err := emitEmulated(); err != nil {
-			return err
-		}
-		if !*jsonOut {
-			return nil
-		}
-		return results.Write(os.Stdout, results.NewRun(jsonRows...))
+	name := strings.TrimSuffix(filepath.Base(path), filepath.Ext(path))
+	wl := workloads.Workload{Name: name}
+	if o.elf != "" {
+		wl, err = workloads.FromELF(data, name)
+	} else {
+		wl.Img, err = asm.Assemble(name, string(data))
 	}
-
-	// -replay drives the configured machine from a recorded trace instead of
-	// executing; the architecture mode comes from the trace itself. The
-	// machine must be built from the same (workload, seed, spread) the trace
-	// was captured with — a mismatch is caught as a replay divergence.
-	if *replayF != "" {
-		tr, err := trace.LoadFile(*replayF)
-		if err != nil {
-			return err
-		}
-		m := tr.Meta.Mode
-		p, err := sys.Pipeline(m, mutate)
-		if err != nil {
-			return err
-		}
-		instCap := tr.Meta.MaxInsts
-		if *maxInsts > 0 {
-			instCap = *maxInsts
-		}
-		res, err := trace.ReplayContext(ctx, tr, p, instCap)
-		if err != nil {
-			return err
-		}
-		if err := emit(os.Stdout, m, res); err != nil {
-			return err
-		}
-		return finish()
+	if err != nil {
+		return nil, err
 	}
-
-	// -record captures the run into a trace file alongside the normal report.
-	if *record != "" {
-		if len(modes) != 1 {
-			return fmt.Errorf("-record needs a single -mode")
-		}
-		m := modes[0]
-		p, err := sys.Pipeline(m, mutate)
-		if err != nil {
-			return err
-		}
-		tr, res, err := trace.CaptureContext(ctx, p, *maxInsts, trace.Meta{
-			Workload: *workload, Mode: m, LayoutSeed: *seed, Spread: *spread,
-			Scale: *scale, MaxInsts: *maxInsts,
-		})
-		if err != nil {
-			return err
-		}
-		if err := tr.SaveFile(*record); err != nil {
-			return err
-		}
-		fmt.Fprintf(os.Stderr, "vcfrsim: recorded %d instructions to %s\n", tr.Len(), *record)
-		if err := emit(os.Stdout, m, res); err != nil {
-			return err
-		}
-		return finish()
-	}
-
-	// -mode all simulates the three architectures concurrently; each mode's
-	// report is buffered and printed in mode order, so the output is
-	// identical to a sequential run. Tracing interleaves prints with
-	// execution, and -stats-json accumulates ordered envelope rows, so both
-	// force the sequential path.
-	if *traceN > 0 || *jsonOut || len(modes) == 1 {
-		for _, m := range modes {
-			res, err := simulate(sys, m, mutate, *maxInsts, *traceN)
-			if err != nil {
-				return err
-			}
-			if err := emit(os.Stdout, m, res); err != nil {
-				return err
-			}
-		}
-		return finish()
-	}
-	var (
-		wg   sync.WaitGroup
-		bufs = make([]bytes.Buffer, len(modes))
-		errs = make([]error, len(modes))
-	)
-	for i, m := range modes {
-		wg.Add(1)
-		go func(i int, m cpu.Mode) {
-			defer wg.Done()
-			res, err := sys.Simulate(m, mutate, *maxInsts)
-			if err != nil {
-				errs[i] = fmt.Errorf("%s: %w", m, err)
-				return
-			}
-			errs[i] = emit(&bufs[i], m, res)
-		}(i, m)
-	}
-	wg.Wait()
-	for i := range modes {
-		if errs[i] != nil {
-			return errs[i]
-		}
-		if _, err := bufs[i].WriteTo(os.Stdout); err != nil {
-			return err
-		}
-	}
-	return finish()
+	return harness.NewApp(wl, ilr.Options{Seed: *req.Seed, Spread: *req.Spread})
 }
 
-// simulate runs one mode, optionally tracing the first traceN instructions.
-func simulate(sys *core.System, m cpu.Mode, mutate func(*cpu.Config), maxInsts, traceN uint64) (cpu.Result, error) {
-	if traceN == 0 {
-		return sys.Simulate(m, mutate, maxInsts)
-	}
-	p, err := sys.Pipeline(m, mutate)
+// printTrace prints the first n instructions the app executes under mode m,
+// with the program counter in both spaces and the storage address (the
+// paper's Fig. 5(c)). It is a run of its own, capped at n, so the reported
+// rows stay those of the untraced run.
+func printTrace(w io.Writer, app *harness.App, m cpu.Mode, req jobs.Request, n uint64) error {
+	p, _, err := app.Pipeline(m, req.Mutate())
 	if err != nil {
-		return cpu.Result{}, err
+		return err
 	}
-	fmt.Printf("--- trace (%s): first %d instructions ---\n", m, traceN)
-	fmt.Printf("%-8s %-10s %-10s %-10s %-10s %s\n", "seq", "cycle", "UPC", "RPC", "storage", "instruction")
+	defer p.Release()
+	fmt.Fprintf(w, "--- trace (%s): first %d instructions ---\n", m, n)
+	fmt.Fprintf(w, "%-8s %-10s %-10s %-10s %-10s %s\n", "seq", "cycle", "UPC", "RPC", "storage", "instruction")
 	p.SetTracer(func(e cpu.TraceEvent) {
-		if e.Seq < traceN {
-			fmt.Printf("%-8d %-10d %#-10x %#-10x %#-10x %s\n",
+		if e.Seq < n {
+			fmt.Fprintf(w, "%-8d %-10d %#-10x %#-10x %#-10x %s\n",
 				e.Seq, e.Cycle, e.UPC, e.RPC, e.Storage, e.Text)
 		}
 	})
-	return p.Run(maxInsts)
+	limit := n
+	if req.Instructions > 0 && req.Instructions < n {
+		limit = req.Instructions
+	}
+	_, err = p.Run(limit)
+	return err
 }
 
-// report renders the text report by resolving canonical names against the
-// statistics spine (the run's value-backed registry) instead of naming
-// struct fields a second time; the output bytes are unchanged from the
-// pre-spine report.
-func report(w io.Writer, mode cpu.Mode, res cpu.Result, drcEntries int) {
+// report renders one row's text report by resolving canonical names against
+// the statistics spine (the run's value-backed registry) instead of naming
+// struct fields a second time.
+func report(w io.Writer, row results.Run) {
+	if row.Emu != nil {
+		reportEmulated(w, *row.Emu)
+		return
+	}
+	res := row.Result
 	snap := res.Registry().Snapshot()
 	u := func(key string) uint64 {
 		v, _ := snap.Uint(key)
@@ -364,7 +297,7 @@ func report(w io.Writer, mode cpu.Mode, res cpu.Result, drcEntries int) {
 		}
 		return float64(num) / float64(den)
 	}
-	fmt.Fprintf(w, "=== %s ===\n", mode)
+	fmt.Fprintf(w, "=== %s ===\n", row.Mode)
 	fmt.Fprintf(w, "instructions  %d\n", u("cpu.instructions"))
 	fmt.Fprintf(w, "cycles        %d\n", u("cpu.cycles"))
 	fmt.Fprintf(w, "IPC           %.3f\n", rate("cpu.instructions", "cpu.cycles"))
@@ -392,16 +325,14 @@ func report(w io.Writer, mode cpu.Mode, res cpu.Result, drcEntries int) {
 		100*condAcc, u("bpred.btb.misses"), u("bpred.ras.mispredicts"))
 	fmt.Fprintf(w, "itlb          accesses=%d misses=%d\n",
 		u("cpu.itlb.accesses"), u("cpu.itlb.misses"))
-	if mode == cpu.ModeVCFR {
+	if row.Config.Mode == cpu.ModeVCFR {
 		fmt.Fprintf(w, "drc           lookups=%d miss=%.2f%% (rand=%d derand=%d walks=%d)\n",
 			u("drc.lookups"), 100*rate("drc.misses", "drc.lookups"),
 			u("drc.lookups.rand"), u("drc.lookups.derand"), u("drc.table_walks"))
-		cfg := cpu.DefaultConfig(mode)
-		cfg.DRCEntries = drcEntries
-		b := power.DefaultModel().Analyze(res, cfg)
+		b := power.DefaultModel().Analyze(res, row.Config)
 		fmt.Fprintf(w, "power         drc=%.1fpJ cpu=%.1fpJ overhead=%.3f%%\n",
 			b.DRC, b.Total-b.DRAM, b.DRCOverheadPct())
-		a := power.DefaultModel().AnalyzeArea(cfg)
+		a := power.DefaultModel().AnalyzeArea(row.Config)
 		fmt.Fprintf(w, "area          drc share of on-chip SRAM = %.3f%%\n", a.DRCOverheadPct())
 	}
 	if len(res.Out) > 0 && len(res.Out) < 64 {

@@ -12,8 +12,9 @@ import (
 	"fmt"
 	"log"
 
-	"vcfr/internal/core"
 	"vcfr/internal/cpu"
+	"vcfr/internal/harness"
+	"vcfr/internal/ilr"
 	"vcfr/internal/power"
 	"vcfr/internal/workloads"
 )
@@ -27,12 +28,12 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	sys, err := core.NewSystem(w.Img, core.Options{Seed: 42})
+	app, err := harness.NewApp(w, ilr.Options{Seed: 42})
 	if err != nil {
 		log.Fatal(err)
 	}
 
-	base, err := sys.Simulate(cpu.ModeBaseline, nil, 0)
+	base, _, err := app.Run(cpu.ModeBaseline, 0, nil)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -53,16 +54,14 @@ func main() {
 			{1, true, "split"},
 		} {
 			entries, conf := entries, conf
-			res, err := sys.Simulate(cpu.ModeVCFR, func(c *cpu.Config) {
+			res, cfg, err := app.Run(cpu.ModeVCFR, 0, func(c *cpu.Config) {
 				c.DRCEntries = entries
 				c.DRCAssoc = conf.assoc
 				c.DRCSplit = conf.split
-			}, 0)
+			})
 			if err != nil {
 				log.Fatal(err)
 			}
-			cfg := cpu.DefaultConfig(cpu.ModeVCFR)
-			cfg.DRCEntries, cfg.DRCAssoc, cfg.DRCSplit = entries, conf.assoc, conf.split
 			b := model.Analyze(res, cfg)
 			fmt.Printf("%-9d %-6d %-8s  %-9.3f %-9s %-10d %.3f%%\n",
 				entries, conf.assoc, conf.name,

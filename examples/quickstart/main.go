@@ -8,8 +8,13 @@ import (
 	"fmt"
 	"log"
 
-	"vcfr/internal/core"
+	"vcfr/internal/asm"
 	"vcfr/internal/cpu"
+	"vcfr/internal/emu"
+	"vcfr/internal/gadget"
+	"vcfr/internal/harness"
+	"vcfr/internal/ilr"
+	"vcfr/internal/workloads"
 )
 
 // A program with a loop, a helper function, and an indirect call — enough
@@ -45,20 +50,21 @@ func main() {
 	// 1. Assemble and randomize. Equal seeds give identical layouts; a
 	//    production deployment would draw the seed from a CSPRNG and
 	//    re-randomize periodically.
-	sys, err := core.NewSystemFromSource("quickstart", source, core.Options{Seed: 2026})
+	img := asm.MustAssemble("quickstart", source)
+	app, err := harness.NewApp(workloads.Workload{Name: "quickstart", Img: img}, ilr.Options{Seed: 2026})
 	if err != nil {
 		log.Fatal(err)
 	}
-	st := sys.Stats()
+	st := app.R.Stats
 	fmt.Printf("randomized %d instructions, %.1f bits of placement entropy, %d-byte tables\n",
 		st.Instructions, st.EntropyBits, st.TableBytes)
 
 	// 2. Functional equivalence: the randomized binary behaves identically.
-	native, err := sys.Run(core.ExecNative)
+	native, err := app.Emulate(emu.ModeNative, nil, 0)
 	if err != nil {
 		log.Fatal(err)
 	}
-	vcfr, err := sys.Run(core.ExecVCFR)
+	vcfr, err := app.Emulate(emu.ModeVCFR, nil, 0)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -66,20 +72,22 @@ func main() {
 		native.Out, vcfr.Out, string(native.Out) == string(vcfr.Out))
 
 	// 3. Attack surface: how many ROP gadgets survive randomization?
-	rep := sys.GadgetReport()
+	pool := gadget.Scan(app.R.Orig, gadget.DefaultMaxInsts)
+	surv := gadget.Survivors(pool, app.R.Tables)
 	fmt.Printf("gadgets: %d before, %d after randomization (%.1f%% removed)\n",
-		rep.Total, rep.Surviving, 100*rep.RemovalRate)
-	for tmpl, before := range rep.PayloadsBefore {
+		len(pool), len(surv), 100*gadget.RemovalRate(pool, surv))
+	before, after := gadget.TryAllTemplates(pool), gadget.TryAllTemplates(surv)
+	for _, tmpl := range []string{"print-and-exit", "write-what-where", "exfiltrate"} {
 		fmt.Printf("  payload %-18s before: %-9v after: %v\n",
-			tmpl, verdict(before), verdict(rep.PayloadsAfter[tmpl]))
+			tmpl, verdict(before[tmpl]), verdict(after[tmpl]))
 	}
 
 	// 4. Cycle-level cost: what does the hardware support cost?
-	base, err := sys.Simulate(cpu.ModeBaseline, nil, 0)
+	base, _, err := app.Run(cpu.ModeBaseline, 0, nil)
 	if err != nil {
 		log.Fatal(err)
 	}
-	prot, err := sys.Simulate(cpu.ModeVCFR, nil, 0)
+	prot, _, err := app.Run(cpu.ModeVCFR, 0, nil)
 	if err != nil {
 		log.Fatal(err)
 	}

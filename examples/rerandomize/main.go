@@ -13,9 +13,12 @@ import (
 	"fmt"
 	"log"
 
-	"vcfr/internal/core"
+	"vcfr/internal/asm"
 	"vcfr/internal/emu"
 	"vcfr/internal/gadget"
+	"vcfr/internal/harness"
+	"vcfr/internal/ilr"
+	"vcfr/internal/workloads"
 )
 
 const serviceSource = `
@@ -58,9 +61,18 @@ restore1:
 `
 
 func main() {
-	epoch1, err := core.NewSystemFromSource("svc", serviceSource, core.Options{Seed: 100})
+	img := asm.MustAssemble("svc", serviceSource)
+	epoch1, err := harness.NewApp(workloads.Workload{Name: "svc", Img: img}, ilr.Options{Seed: 100})
 	if err != nil {
 		log.Fatal(err)
+	}
+	// rerandomize is the next epoch: the same program under a fresh layout.
+	rerandomize := func(a *harness.App, seed int64) *harness.App {
+		res, err := a.R.Rerandomize(seed)
+		if err != nil {
+			log.Fatal(err)
+		}
+		return &harness.App{W: a.W, R: res}
 	}
 
 	// Several epochs: layouts differ, behaviour does not.
@@ -68,13 +80,10 @@ func main() {
 	cur := epoch1
 	for seed := int64(100); seed < 104; seed++ {
 		if seed > 100 {
-			cur, err = cur.Rerandomize(seed)
-			if err != nil {
-				log.Fatal(err)
-			}
+			cur = rerandomize(cur, seed)
 		}
-		randEntry, _ := cur.Rewrite().Tables.ToRand(cur.Original().Entry)
-		out, err := cur.Run(core.ExecVCFR, []byte("ping")...)
+		randEntry, _ := cur.R.Tables.ToRand(cur.R.Orig.Entry)
+		out, err := cur.Emulate(emu.ModeVCFR, []byte("ping"), 0)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -84,9 +93,9 @@ func main() {
 	// The leak scenario: the attacker obtains epoch 1's full tables and
 	// compiles a payload in RANDOMIZED addresses — the strongest possible
 	// leak. They target the randomized address of the `quit` gadget.
-	quitAddr, _ := epoch1.Original().Lookup("quit")
-	leakedQuit, _ := epoch1.Rewrite().Tables.ToRand(quitAddr)
-	pool := gadget.Scan(epoch1.Original(), gadget.DefaultMaxInsts)
+	quitAddr, _ := epoch1.R.Orig.Lookup("quit")
+	leakedQuit, _ := epoch1.R.Tables.ToRand(quitAddr)
+	pool := gadget.Scan(epoch1.R.Orig, gadget.DefaultMaxInsts)
 	chain, err := gadget.BuildPrintChain(pool, "X")
 	if err != nil {
 		log.Fatal(err)
@@ -94,7 +103,7 @@ func main() {
 	// Translate the chain into epoch-1 randomized space (perfect leak).
 	leaked := make([]uint32, len(chain.Words))
 	for i, w := range chain.Words {
-		if r, ok := epoch1.Rewrite().Tables.ToRand(w); ok {
+		if r, ok := epoch1.R.Tables.ToRand(w); ok {
 			leaked[i] = r
 		} else {
 			leaked[i] = w
@@ -107,14 +116,11 @@ func main() {
 
 	fmt.Printf("\nattacker leaked epoch-100 tables (quit gadget at randomized %#x)\n", leakedQuit)
 
-	_, err = epoch1.Run(core.ExecVCFR, payload...)
+	_, err = epoch1.Emulate(emu.ModeVCFR, payload, 0)
 	fmt.Printf("payload vs leaked epoch:     %s\n", attackVerdict(err))
 
-	epoch2, err := epoch1.Rerandomize(9999)
-	if err != nil {
-		log.Fatal(err)
-	}
-	_, err = epoch2.Run(core.ExecVCFR, payload...)
+	epoch2 := rerandomize(epoch1, 9999)
+	_, err = epoch2.Emulate(emu.ModeVCFR, payload, 0)
 	fmt.Printf("payload vs re-randomized:    %s\n", attackVerdict(err))
 	fmt.Println("\nre-randomization invalidated the leak: the old randomized addresses no")
 	fmt.Println("longer decode to the attacker's gadgets (or to anything at all).")

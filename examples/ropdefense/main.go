@@ -18,9 +18,12 @@ import (
 	"fmt"
 	"log"
 
-	"vcfr/internal/core"
+	"vcfr/internal/asm"
 	"vcfr/internal/emu"
 	"vcfr/internal/gadget"
+	"vcfr/internal/harness"
+	"vcfr/internal/ilr"
+	"vcfr/internal/workloads"
 )
 
 // The victim: reads a request into a fixed 32-byte stack buffer with no
@@ -80,14 +83,15 @@ storefn:
 `
 
 func main() {
-	sys, err := core.NewSystemFromSource("victim", victimSource, core.Options{Seed: 1337})
+	img := asm.MustAssemble("victim", victimSource)
+	app, err := harness.NewApp(workloads.Workload{Name: "victim", Img: img}, ilr.Options{Seed: 1337})
 	if err != nil {
 		log.Fatal(err)
 	}
 
 	// The attacker studies the DISTRIBUTED binary (the original layout) and
 	// compiles a payload, exactly like ROPgadget's auto-roper.
-	pool := gadget.Scan(sys.Original(), gadget.DefaultMaxInsts)
+	pool := gadget.Scan(app.R.Orig, gadget.DefaultMaxInsts)
 	chain, err := gadget.BuildPrintChain(pool, "PWNED!")
 	if err != nil {
 		log.Fatalf("payload assembly: %v", err)
@@ -100,16 +104,16 @@ func main() {
 	payload := append(make([]byte, 32), chain.Bytes()...)
 
 	fmt.Println("\n--- benign request, unprotected binary ---")
-	report(sys.Run(core.ExecNative, []byte("GET /")...))
+	report(app.Emulate(emu.ModeNative, []byte("GET /"), 0))
 
 	fmt.Println("\n--- benign request, VCFR-protected binary ---")
-	report(sys.Run(core.ExecVCFR, []byte("GET /")...))
+	report(app.Emulate(emu.ModeVCFR, []byte("GET /"), 0))
 
 	fmt.Println("\n--- ROP payload, unprotected binary ---")
-	report(sys.Run(core.ExecNative, payload...))
+	report(app.Emulate(emu.ModeNative, payload, 0))
 
 	fmt.Println("\n--- ROP payload, VCFR-protected binary ---")
-	report(sys.Run(core.ExecVCFR, payload...))
+	report(app.Emulate(emu.ModeVCFR, payload, 0))
 }
 
 func report(res emu.RunResult, err error) {

@@ -1,10 +1,20 @@
-package core
+// Package core_test holds the system-level tests of the program-plus-rewrite
+// facade, harness.App: one binary runs natively, under software ILR and under
+// VCFR with the same output, and an App built from zero options takes the
+// harness defaults. The directory has no library code; App lives in
+// internal/harness.
+package core_test
 
 import (
+	"context"
 	"testing"
 
 	"vcfr/internal/asm"
 	"vcfr/internal/cpu"
+	"vcfr/internal/emu"
+	"vcfr/internal/harness"
+	"vcfr/internal/ilr"
+	"vcfr/internal/workloads"
 )
 
 const demoSrc = `
@@ -23,135 +33,85 @@ square:
 	ret
 `
 
-func newSys(t *testing.T) *System {
+func newApp(t *testing.T, opts ilr.Options) *harness.App {
 	t.Helper()
-	sys, err := NewSystemFromSource("demo", demoSrc, Options{Seed: 5})
+	app, err := harness.NewApp(workloads.Workload{Name: "demo", Img: asm.MustAssemble("demo", demoSrc)}, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return sys
+	return app
 }
 
+// TestSystemRunModes runs the program in every functional mode.
 func TestSystemRunModes(t *testing.T) {
-	sys := newSys(t)
-	for _, mode := range []ExecMode{ExecNative, ExecVCFR, ExecEmulated} {
-		out, err := sys.Run(mode)
+	app := newApp(t, ilr.Options{Seed: 5})
+	for _, mode := range []emu.Mode{emu.ModeNative, emu.ModeScattered, emu.ModeVCFR, emu.ModeEmulatedILR} {
+		out, err := app.Emulate(mode, nil, 0)
 		if err != nil {
-			t.Fatalf("Run(%d): %v", mode, err)
+			t.Fatalf("Emulate(%v): %v", mode, err)
 		}
 		if string(out.Out) != "81" {
-			t.Errorf("Run(%d) = %q, want 81", mode, out.Out)
+			t.Errorf("Emulate(%v) = %q, want 81", mode, out.Out)
 		}
 	}
-	if _, err := sys.Run(ExecMode(42)); err == nil {
-		t.Error("unknown exec mode accepted")
+	if _, err := app.Emulate(emu.Mode(42), nil, 0); err == nil {
+		t.Error("unknown emu mode accepted")
 	}
 }
 
+// TestSystemSimulate runs the program in every cycle-level mode.
 func TestSystemSimulate(t *testing.T) {
-	sys := newSys(t)
-	for _, mode := range []cpu.Mode{cpu.ModeBaseline, cpu.ModeNaiveILR, cpu.ModeVCFR} {
-		res, err := sys.Simulate(mode, nil, 0)
-		if err != nil {
-			t.Fatalf("Simulate(%v): %v", mode, err)
-		}
-		if string(res.Out) != "81" {
-			t.Errorf("Simulate(%v) = %q", mode, res.Out)
-		}
-		if res.Stats.Cycles == 0 {
-			t.Errorf("Simulate(%v): no cycles", mode)
-		}
-	}
-	res, err := sys.Simulate(cpu.ModeVCFR, func(c *cpu.Config) { c.DRCEntries = 64 }, 0)
+	app := newApp(t, ilr.Options{Seed: 5})
+	rows, err := app.RunRows(context.Background(), cpu.AllModes(), 0, func(c *cpu.Config) { c.DRCEntries = 64 })
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.DRC.Lookups == 0 {
-		t.Error("DRC unused under VCFR simulation")
+	for _, row := range rows {
+		if string(row.Result.Out) != "81" || row.Result.Stats.Cycles == 0 {
+			t.Errorf("%s: output %q in %d cycles", row.Mode, row.Result.Out, row.Result.Stats.Cycles)
+		}
+		if row.Workload != "demo" || row.Seed != 5 || row.Config.DRCEntries != 64 {
+			t.Errorf("%s: row labelled %s seed %d drc %d", row.Mode, row.Workload, row.Seed, row.Config.DRCEntries)
+		}
 	}
-	if _, err := sys.Simulate(cpu.Mode(9), nil, 0); err == nil {
+	if rows[2].Result.DRC.Lookups == 0 {
+		t.Error("DRC unused under VCFR")
+	}
+	if _, _, err := app.Run(cpu.Mode(9), 0, nil); err == nil {
 		t.Error("unknown cpu mode accepted")
 	}
 }
 
+// TestSystemImagesDistinct: the randomized images do not share the
+// original's layout, and the rewrite reports what it did.
 func TestSystemImagesDistinct(t *testing.T) {
-	sys := newSys(t)
-	if sys.Original() == sys.Randomized() {
+	app := newApp(t, ilr.Options{Seed: 5})
+	if app.R.Orig == app.R.VCFR {
 		t.Error("original and randomized images are the same object")
 	}
-	if sys.Scattered().Entry == sys.Original().Entry {
+	if app.R.Scattered.Entry == app.R.Orig.Entry {
 		t.Error("scattered entry not randomized")
 	}
-	if sys.Stats().Instructions == 0 || sys.Stats().TableBytes == 0 {
-		t.Errorf("stats empty: %+v", sys.Stats())
-	}
-	if sys.Rewrite() == nil {
-		t.Error("Rewrite() nil")
+	if st := app.R.Stats; st.Instructions == 0 || st.TableBytes == 0 {
+		t.Errorf("rewrite stats empty: %+v", st)
 	}
 }
 
-func TestSystemGadgetReport(t *testing.T) {
-	sys := newSys(t)
-	rep := sys.GadgetReport()
-	if rep.Total == 0 {
-		t.Fatal("no gadgets found in original image")
-	}
-	if rep.RemovalRate < 0.9 {
-		t.Errorf("removal rate %.2f, want >= 0.9", rep.RemovalRate)
-	}
-	for tmpl, ok := range rep.PayloadsAfter {
-		if ok {
-			t.Errorf("payload %q still assembles after randomization", tmpl)
-		}
-	}
-}
-
-func TestSystemRerandomize(t *testing.T) {
-	sys := newSys(t)
-	re, err := sys.Rerandomize(99)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// New layout, same behaviour.
-	a, _ := sys.Rewrite().Tables.ToRand(sys.Original().Entry)
-	b, _ := re.Rewrite().Tables.ToRand(re.Original().Entry)
-	if a == b {
-		t.Error("re-randomization kept the entry placement")
-	}
-	out, err := re.Run(ExecVCFR)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(out.Out) != "81" {
-		t.Errorf("re-randomized run = %q", out.Out)
-	}
-}
-
+// TestSystemDefaults: zero options take the harness defaults (the layout
+// Prepare gives a workload), and rewriter options plumb through.
 func TestSystemDefaults(t *testing.T) {
-	img := asm.MustAssemble("d", demoSrc)
-	sys, err := NewSystem(img, Options{})
-	if err != nil {
-		t.Fatal(err)
+	app := newApp(t, ilr.Options{})
+	if app.R.Opts.Seed != 42 || app.R.Opts.Spread != 8 {
+		t.Errorf("zero options: seed %d spread %d, want 42 and 8", app.R.Opts.Seed, app.R.Opts.Spread)
 	}
-	out, err := sys.Run(ExecVCFR)
-	if err != nil {
-		t.Fatal(err)
+	if out, err := app.Emulate(emu.ModeVCFR, nil, 0); err != nil || string(out.Out) != "81" {
+		t.Errorf("zero-options run = %q, %v", out.Out, err)
 	}
-	if string(out.Out) != "81" {
-		t.Errorf("zero-options run = %q", out.Out)
+	soft := newApp(t, ilr.Options{RetRand: ilr.RetRandSoftware})
+	if soft.R.Opts.RetRand != ilr.RetRandSoftware {
+		t.Errorf("ret-rand mode = %v, want software", soft.R.Opts.RetRand)
 	}
-	// Software ret-rand option plumbs through.
-	soft, err := NewSystem(img, Options{SoftwareRetRand: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if soft.Rewrite().Opts.RetRand.String() != "software" {
-		t.Errorf("ret-rand mode = %v", soft.Rewrite().Opts.RetRand)
-	}
-}
-
-func TestNewSystemFromSourceErrors(t *testing.T) {
-	if _, err := NewSystemFromSource("bad", "definitely not asm", Options{}); err == nil {
-		t.Error("bad source accepted")
+	if out, err := soft.Emulate(emu.ModeVCFR, nil, 0); err != nil || string(out.Out) != "81" {
+		t.Errorf("software ret-rand run = %q, %v", out.Out, err)
 	}
 }

@@ -668,7 +668,10 @@ func (p *Pipeline) resolveTarget(target uint32) (uint32, error) {
 	}
 	if orig, ok := p.trans.ToOrig(target); ok {
 		if p.inject != nil && p.inject.Translated != nil {
-			p.inject.Translated(p.injectSeq, target, &orig)
+			// Only the injected path takes an address, so only it allocates.
+			hooked := orig
+			p.inject.Translated(p.injectSeq, target, &hooked)
+			orig = hooked
 		}
 		p.inRand = true
 		return orig, nil

@@ -258,6 +258,33 @@ func TestPipelinePredictOnRPCAblation(t *testing.T) {
 	}
 }
 
+// TestResolveTargetUninjectedNoAllocs: de-randomizing a VCFR target
+// allocates nothing unless a Translated hook is armed; only that hook takes
+// the resolved address.
+func TestResolveTargetUninjectedNoAllocs(t *testing.T) {
+	res := rewriteSrc(t, "calls", callHeavySrc)
+	img, trans, randRA := ModeVCFR.Deploy(res)
+	p, err := New(img, DefaultConfig(ModeVCFR), trans, randRA)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer p.Release()
+	fact, ok := res.Orig.Lookup("fact")
+	if !ok {
+		t.Fatal("no fact symbol")
+	}
+	target, ok := res.Tables.ToRand(fact)
+	if !ok {
+		t.Fatal("fact not randomized")
+	}
+	if orig, err := p.resolveTarget(target); err != nil || orig != fact {
+		t.Fatalf("resolveTarget(%#x) = %#x, %v; want %#x", target, orig, err, fact)
+	}
+	if n := testing.AllocsPerRun(100, func() { p.resolveTarget(target) }); n != 0 {
+		t.Errorf("uninjected resolveTarget: %.0f allocs, want 0", n)
+	}
+}
+
 func TestPipelineControlViolationFaults(t *testing.T) {
 	src := `
 .entry main

@@ -16,16 +16,14 @@ func goldenCfg() Config {
 	return Config{MaxInsts: 60_000, Seed: 42}
 }
 
-// TestGoldenTables locks the exact rendered output of the headline
-// experiments. A diff here means either a real behaviour change (rerun with
-// -update and review the diff) or lost determinism (fix the code).
+// TestGoldenTables locks the exact rendered output of every registered
+// experiment, so a new experiment cannot go unpinned. A diff here means
+// either a real behaviour change (rerun with -update and review the diff)
+// or lost determinism (fix the code).
 func TestGoldenTables(t *testing.T) {
-	for _, id := range []string{"fig2", "fig4", "table1"} {
+	for _, exp := range Experiments {
+		id := exp.ID
 		t.Run(id, func(t *testing.T) {
-			exp, err := ByID(id)
-			if err != nil {
-				t.Fatal(err)
-			}
 			tb, err := exp.Run(sweep(id), goldenCfg())
 			if err != nil {
 				t.Fatal(err)

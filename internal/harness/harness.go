@@ -61,7 +61,11 @@ func (c Config) names(def []string) []string {
 	return def
 }
 
-// App is one prepared workload: generated, assembled, and randomized.
+// App is one prepared program: a workload and its ILR rewrite. It is the
+// one type that pairs a program with its randomization; the same binary runs
+// natively, under software ILR and under VCFR through it, with only the
+// fetch path changed (Emulate for the functional modes, Pipeline and
+// RunContext for the cycle-level ones).
 type App struct {
 	W workloads.Workload
 	R *ilr.Result
@@ -97,21 +101,25 @@ func (a *App) Derived(key any, build func() any) any {
 	return d.v
 }
 
-// Prepare builds and randomizes one workload.
-func Prepare(name string, cfg Config) (*App, error) {
-	cfg = cfg.withDefaults()
-	w, err := workloads.ByName(name, cfg.Scale)
+// NewApp randomizes w's image under opts. A zero Seed or Spread takes the
+// harness default (42 and 8, as Config). The workload is not modified.
+func NewApp(w workloads.Workload, opts ilr.Options) (*App, error) {
+	def := Config{Seed: opts.Seed, Spread: opts.Spread}.withDefaults()
+	opts.Seed, opts.Spread = def.Seed, def.Spread
+	res, err := ilr.Rewrite(w.Img, opts)
 	if err != nil {
-		return nil, err
-	}
-	res, err := ilr.Rewrite(w.Img, ilr.Options{Seed: cfg.Seed, Spread: cfg.Spread})
-	if err != nil {
-		return nil, fmt.Errorf("harness: %s: %w", name, err)
+		return nil, fmt.Errorf("harness: %s: %w", w.Name, err)
 	}
 	return &App{W: w, R: res}, nil
 }
 
-// PrepareOpts is Prepare with explicit rewriter options (ablations).
+// Prepare builds and randomizes one workload.
+func Prepare(name string, cfg Config) (*App, error) {
+	return PrepareOpts(name, cfg, ilr.Options{})
+}
+
+// PrepareOpts is Prepare with explicit rewriter options (ablations); a zero
+// Seed or Spread in opts takes cfg's.
 func PrepareOpts(name string, cfg Config, opts ilr.Options) (*App, error) {
 	cfg = cfg.withDefaults()
 	w, err := workloads.ByName(name, cfg.Scale)
@@ -124,11 +132,7 @@ func PrepareOpts(name string, cfg Config, opts ilr.Options) (*App, error) {
 	if opts.Spread == 0 {
 		opts.Spread = cfg.Spread
 	}
-	res, err := ilr.Rewrite(w.Img, opts)
-	if err != nil {
-		return nil, fmt.Errorf("harness: %s: %w", name, err)
-	}
-	return &App{W: w, R: res}, nil
+	return NewApp(w, opts)
 }
 
 // Pipeline builds a fresh pipeline for one run of the app in the given mode,
@@ -171,15 +175,21 @@ func (a *App) RunContext(ctx context.Context, mode cpu.Mode, maxInsts uint64, mu
 	return res, ccfg, nil
 }
 
-// RunEmulated interprets the scattered binary under the software-ILR cost
-// model (Fig. 2's baseline).
-func (a *App) RunEmulated(maxInsts uint64) (emu.RunResult, error) {
-	m, err := emu.NewMachine(a.R.Scattered, emu.Config{
-		Mode:     emu.ModeEmulatedILR,
-		Trans:    a.R.Tables,
-		Input:    a.W.Input,
-		MaxSteps: maxInsts,
-	})
+// Emulate runs the app on the functional interpreter in mode, with input
+// served to SysGetChar: the original binary under emu.ModeNative, the VCFR
+// binary under emu.ModeVCFR, the scattered binary under emu.ModeScattered
+// and emu.ModeEmulatedILR (Fig. 2's software-ILR baseline). maxInsts of 0
+// runs to completion.
+func (a *App) Emulate(mode emu.Mode, input []byte, maxInsts uint64) (emu.RunResult, error) {
+	cfg := emu.Config{Mode: mode, Trans: a.R.Tables, Input: input}
+	img := a.R.Scattered
+	switch mode {
+	case emu.ModeNative:
+		img, cfg.Trans = a.R.Orig, nil
+	case emu.ModeVCFR:
+		img, cfg.RandRA = a.R.VCFR, a.R.RandRA
+	}
+	m, err := emu.NewMachine(img, cfg)
 	if err != nil {
 		return emu.RunResult{}, err
 	}
@@ -187,6 +197,12 @@ func (a *App) RunEmulated(maxInsts uint64) (emu.RunResult, error) {
 		return m.Run()
 	}
 	return m.RunN(maxInsts)
+}
+
+// RunEmulated is Emulate under the software-ILR cost model with the
+// workload's input. Only the benchmark's traced layer still calls it.
+func (a *App) RunEmulated(maxInsts uint64) (emu.RunResult, error) {
+	return a.Emulate(emu.ModeEmulatedILR, a.W.Input, maxInsts)
 }
 
 // Table is a rendered experiment result.

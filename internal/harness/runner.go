@@ -398,10 +398,11 @@ func (s *Sweep) runMode(ctx context.Context, app *App, mode cpu.Mode, maxInsts u
 	return app.RunContext(ctx, mode, maxInsts, mutate)
 }
 
-// runEmulated is App.RunEmulated with a cancellation check.
+// runEmulated runs the app under the software-ILR cost model, with a
+// cancellation check first.
 func runEmulated(ctx context.Context, app *App, maxInsts uint64) (emu.RunResult, error) {
 	if err := ctx.Err(); err != nil {
 		return emu.RunResult{}, err
 	}
-	return app.RunEmulated(maxInsts)
+	return app.Emulate(emu.ModeEmulatedILR, app.W.Input, maxInsts)
 }

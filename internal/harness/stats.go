@@ -120,19 +120,30 @@ func StatsSweepProgress(ctx context.Context, r *Runner, cfg Config, onProgress f
 // results.Marshal, which is what makes a service response byte-identical to
 // the equivalent CLI invocation.
 func SimulateRuns(ctx context.Context, r *Runner, name string, modes []cpu.Mode, cfg Config, mutate func(*cpu.Config)) ([]results.Run, error) {
-	s := r.Sweep(ctx, "simulate")
 	cfg = cfg.withDefaults()
-	app, err := s.r.Prepare(ctx, name, cfg)
+	app, err := r.Prepare(ctx, name, cfg)
 	if err != nil {
 		return nil, err
 	}
+	return app.RunRows(ctx, modes, cfg.MaxInsts, mutate)
+}
+
+// RunRows simulates the app under each mode, in order, with mutate applied
+// to the machine configuration, and returns one wire row per mode labelled
+// with the workload name and the rewrite's layout seed. It is the per-mode
+// half of SimulateRuns, and what vcfrsim runs for a program that is not a
+// built-in workload. On error it returns the rows finished so far.
+func (a *App) RunRows(ctx context.Context, modes []cpu.Mode, maxInsts uint64, mutate func(*cpu.Config)) ([]results.Run, error) {
 	rows := make([]results.Run, 0, len(modes))
 	for _, mode := range modes {
-		res, ccfg, err := s.runMode(ctx, app, mode, cfg.MaxInsts, mutate)
+		if err := ctx.Err(); err != nil {
+			return rows, err
+		}
+		res, ccfg, err := a.RunContext(ctx, mode, maxInsts, mutate)
 		if err != nil {
 			return rows, err
 		}
-		rows = append(rows, RunRow(name, mode, cfg.Seed, ccfg, res, app.R))
+		rows = append(rows, RunRow(a.W.Name, mode, a.R.Opts.Seed, ccfg, res, a.R))
 	}
 	return rows, nil
 }

@@ -143,7 +143,7 @@ func runOne(ctx context.Context, r *harness.Runner, req *Request, _ func(harness
 	if err != nil {
 		return Outcome{}, err
 	}
-	rows, err := harness.SimulateRuns(ctx, r, req.Workload, modes, req.config(), req.mutate())
+	rows, err := harness.SimulateRuns(ctx, r, req.Workload, modes, req.Config(), req.Mutate())
 	if err != nil {
 		return Outcome{}, err
 	}
@@ -151,7 +151,7 @@ func runOne(ctx context.Context, r *harness.Runner, req *Request, _ func(harness
 }
 
 func runSweep(ctx context.Context, r *harness.Runner, req *Request, progress func(harness.Progress)) (Outcome, error) {
-	rows, err := harness.StatsSweepProgress(ctx, r, req.config(), progress)
+	rows, err := harness.StatsSweepProgress(ctx, r, req.Config(), progress)
 	if err != nil {
 		return Outcome{}, err
 	}

@@ -13,9 +13,9 @@ import (
 )
 
 // Request is the body of POST /v1/simulate, the parameters of POST
-// /v1/jobs, and what `experiments` builds from its flags. Absent fields
-// take the kind's defaults (documented per field), which is what keeps
-// service responses byte-identical to CLI output. The numeric tuning knobs
+// /v1/jobs, and what `experiments` and `vcfrsim` build from their flags.
+// Absent fields take the kind's defaults (documented per field), which is
+// what keeps service responses byte-identical to CLI output. The numeric tuning knobs
 // are pointers so that presence, not value, selects the default:
 // `"seed": 0` means literally seed 0 (handled downstream exactly as the
 // CLIs handle `-seed 0`), while omitting seed means the default.
@@ -26,13 +26,12 @@ type Request struct {
 	// Workloads restricts a sweep to a subset (default: all 11 SPEC
 	// analogs). Ignored by simulate.
 	Workloads []string `json:"workloads,omitempty"`
-	// Mode is baseline | naive | vcfr | all. Default "vcfr" (vcfrsim's
-	// default), or "all" for a campaign. Ignored by sweep, which always
+	// Mode is baseline | naive | vcfr | all. Default "vcfr", or "all" for a
+	// campaign. Ignored by sweep, which always
 	// runs all three modes.
 	Mode string `json:"mode,omitempty"`
-	// Seed is the randomization seed. Default 1 for simulate (vcfrsim's
-	// -seed default) and 42 for every other kind (experiments' -seed
-	// default).
+	// Seed is the randomization seed. Default 1 for a run and 42 for every
+	// other kind (the job-kind table's seed column).
 	Seed *int64 `json:"seed,omitempty"`
 	// Spread is the ILR scatter factor. Default 8.
 	Spread *int `json:"spread,omitempty"`
@@ -95,6 +94,24 @@ func (r *Request) Normalize(k Kind) error {
 	if err != nil {
 		return err
 	}
+	return r.normalize(e, e.validate)
+}
+
+// NormalizeProgram is Normalize(KindRun) for a run of a program the request
+// cannot name (an ELF file, VX source, or an ilrrand bundle, as vcfrsim
+// runs them): the run kind's defaults and machine checks, without its
+// built-in workload check.
+func (r *Request) NormalizeProgram() error {
+	e, err := lookup(KindRun)
+	if err != nil {
+		return err
+	}
+	return r.normalize(e, nil)
+}
+
+// normalize is Normalize for table entry e, with validate as the kind's own
+// check.
+func (r *Request) normalize(e *entry, validate func(*Request) error) error {
 	if r.Mode == "" {
 		r.Mode = "vcfr"
 		if e.campaign {
@@ -107,8 +124,8 @@ func (r *Request) Normalize(k Kind) error {
 	if err != nil {
 		return err
 	}
-	if e.validate != nil {
-		if err := e.validate(r); err != nil {
+	if validate != nil {
+		if err := validate(r); err != nil {
 			return err
 		}
 	}
@@ -148,15 +165,15 @@ func (r *Request) Normalize(k Kind) error {
 	if r.TimeoutMS < 0 {
 		return fmt.Errorf("timeout_ms must be >= 0")
 	}
-	// Machine-config bounds live in exactly one place — cpu.Config.Validate,
-	// the same check vcfrsim applies to its flags — so a bad drc or width in a
-	// request body fails with the same message a bad CLI flag gets. Only a
+	// Machine-config bounds live in exactly one place — cpu.Config.Validate —
+	// and vcfrsim's flags reach it through this same Normalize, so a bad drc
+	// or width fails with one message on both surfaces. Only a
 	// run simulates the request's modes; the other kinds are checked against
 	// all three architectures (a sweep ignores Mode and runs all three).
 	if !e.ownModes {
 		modes = cpu.AllModes()
 	}
-	mutate := r.mutate()
+	mutate := r.Mutate()
 	for _, m := range modes {
 		c := cpu.DefaultConfig(m)
 		mutate(&c)
@@ -167,10 +184,9 @@ func (r *Request) Normalize(k Kind) error {
 	return nil
 }
 
-// mutate returns the machine-config mutation the request describes —
-// field-for-field the same closure vcfrsim builds from its flags. Call
+// Mutate returns the machine-config mutation the request describes. Call
 // only after Normalize has filled the pointer fields.
-func (r *Request) mutate() func(*cpu.Config) {
+func (r *Request) Mutate() func(*cpu.Config) {
 	drc, width, ctxEvery, interval := *r.DRC, *r.Width, r.CtxSwitchEvery, r.Interval
 	return func(c *cpu.Config) {
 		c.DRCEntries = drc
@@ -180,9 +196,9 @@ func (r *Request) mutate() func(*cpu.Config) {
 	}
 }
 
-// config maps the request onto a harness.Config. Call only after Normalize
+// Config maps the request onto a harness.Config. Call only after Normalize
 // has filled the pointer fields.
-func (r *Request) config() harness.Config {
+func (r *Request) Config() harness.Config {
 	return harness.Config{
 		Workloads: r.Workloads,
 		Scale:     *r.Scale,

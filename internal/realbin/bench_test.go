@@ -3,10 +3,12 @@ package realbin_test
 import (
 	"testing"
 
-	"vcfr/internal/core"
 	"vcfr/internal/cpu"
+	"vcfr/internal/harness"
+	"vcfr/internal/ilr"
 	"vcfr/internal/realbin"
 	"vcfr/internal/realbin/fixtures"
+	"vcfr/internal/workloads"
 )
 
 // BenchmarkLift measures front-end throughput: parse + decode + lift of a
@@ -34,14 +36,14 @@ func BenchmarkLiftedSimulate(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	sys, err := core.NewSystem(lifted.Img, core.Options{Seed: 42, Spread: 8})
+	app, err := harness.NewApp(workloads.Workload{Name: "crc32", Img: lifted.Img}, ilr.Options{Seed: 42, Spread: 8})
 	if err != nil {
 		b.Fatal(err)
 	}
 	var insts uint64
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res, err := sys.Simulate(cpu.ModeVCFR, nil, 0)
+		res, _, err := app.Run(cpu.ModeVCFR, 0, nil)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -7,8 +7,9 @@ import (
 	"strings"
 	"testing"
 
-	"vcfr/internal/core"
 	"vcfr/internal/emu"
+	"vcfr/internal/ilr"
+	"vcfr/internal/program"
 	"vcfr/internal/realbin/fixtures"
 	"vcfr/internal/realbin/rvasm"
 )
@@ -88,13 +89,21 @@ func TestFixturesAllModes(t *testing.T) {
 		fx := fx
 		t.Run(fx.Name, func(t *testing.T) {
 			lifted := loadFixture(t, fx)
-			sys, err := core.NewSystem(lifted.Img, core.Options{Seed: 7})
+			rw, err := ilr.Rewrite(lifted.Img, ilr.Options{Seed: 7, Spread: 8})
 			if err != nil {
-				t.Fatalf("NewSystem: %v", err)
+				t.Fatalf("Rewrite: %v", err)
 			}
 			want := fixtureWant(t, fx.Name)
-			for _, mode := range []core.ExecMode{core.ExecNative, core.ExecVCFR, core.ExecEmulated} {
-				res, err := sys.Run(mode)
+			for _, run := range []struct {
+				img *program.Image
+				cfg emu.Config
+			}{
+				{rw.Orig, emu.Config{Mode: emu.ModeNative}},
+				{rw.VCFR, emu.Config{Mode: emu.ModeVCFR, Trans: rw.Tables, RandRA: rw.RandRA}},
+				{rw.Scattered, emu.Config{Mode: emu.ModeEmulatedILR, Trans: rw.Tables}},
+			} {
+				mode := run.cfg.Mode
+				res, err := emu.Run(run.img, run.cfg)
 				if err != nil {
 					t.Fatalf("Run(%v): %v", mode, err)
 				}
@@ -115,16 +124,16 @@ func TestFixturesRerandomized(t *testing.T) {
 	fx, _ := fixtures.ByName("elf-dispatch")
 	lifted := loadFixture(t, fx)
 	want := fixtureWant(t, fx.Name)
-	sys, err := core.NewSystem(lifted.Img, core.Options{Seed: 1})
+	rw, err := ilr.Rewrite(lifted.Img, ilr.Options{Seed: 1, Spread: 8})
 	if err != nil {
-		t.Fatalf("NewSystem: %v", err)
+		t.Fatalf("Rewrite: %v", err)
 	}
 	for seed := int64(2); seed <= 5; seed++ {
-		sys, err = sys.Rerandomize(seed)
+		rw, err = rw.Rerandomize(seed)
 		if err != nil {
 			t.Fatalf("Rerandomize(%d): %v", seed, err)
 		}
-		res, err := sys.Run(core.ExecVCFR)
+		res, err := emu.Run(rw.VCFR, emu.Config{Mode: emu.ModeVCFR, Trans: rw.Tables, RandRA: rw.RandRA})
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
