@@ -6,7 +6,6 @@
 //	experiments -experiment fig12
 //	experiments -experiment all -scale 2 -workers 8
 //	experiments -experiment fig13 -workloads h264ref,lbm -instructions 2000000
-//	experiments -experiment all -cache .vcfr-cache.json
 //	experiments -mode faults
 //	experiments -mode faults -injections 200 -stats-json
 //	experiments -mode attacks
@@ -28,9 +27,9 @@
 // Experiments are sharded into (experiment, workload) cells and run on a
 // bounded worker pool (-workers, default GOMAXPROCS). Every cell derives its
 // own PRNG seed from (base seed, experiment id, cell name), so output is
-// byte-identical regardless of worker count or goroutine scheduling. With
-// -cache, finished cells are memoized on disk and repeated invocations skip
-// them.
+// byte-identical regardless of worker count or goroutine scheduling. Text
+// output is only the tables; each table's wall time, like the sweep's, goes
+// to stderr, so stdout is byte-deterministic (`make results` archives it).
 package main
 
 import (
@@ -58,9 +57,9 @@ func main() {
 
 // options is one parsed command line.
 type options struct {
-	mode, experiment, cachePath, format string
-	workers                             int
-	list, statsJSON                     bool
+	mode, experiment, format string
+	workers                  int
+	list, statsJSON          bool
 	// cfg configures the -mode tables experiments.
 	cfg harness.Config
 	// req is the job request of the campaigns and the -stats-json sweep,
@@ -81,7 +80,6 @@ func parseFlags(args []string) options {
 		seed       = fs.Int64("seed", 42, "randomization seed")
 		spread     = fs.Int("spread", 0, "ILR scatter factor (0 = harness default)")
 		workers    = fs.Int("workers", runtime.GOMAXPROCS(0), "parallel cell workers")
-		cachePath  = fs.String("cache", "", "results cache file; computed cells are reused across runs")
 		list       = fs.Bool("list", false, "list experiments and exit")
 		format     = fs.String("format", "text", "output format: text | json")
 		statsJSON  = fs.Bool("stats-json", false, "instead of table experiments, run every workload under all three modes and emit full per-run Results as JSON (with -mode faults/attacks/multicore: emit the campaign envelope)")
@@ -97,7 +95,7 @@ func parseFlags(args []string) options {
 	fs.Parse(args)
 
 	o := options{
-		mode: *mode, experiment: *experiment, cachePath: *cachePath, format: *format,
+		mode: *mode, experiment: *experiment, format: *format,
 		workers: *workers, list: *list, statsJSON: *statsJSON,
 		cfg: harness.Config{Scale: *scale, MaxInsts: *maxInsts, Seed: *seed, Spread: *spread},
 		req: jobs.Request{
@@ -164,9 +162,6 @@ func run(o options) error {
 	}
 
 	r := harness.NewRunner(o.workers)
-	if o.cachePath != "" {
-		r.Cache = harness.OpenCache(o.cachePath)
-	}
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
 	defer stop()
@@ -231,7 +226,8 @@ func tables(ctx context.Context, r *harness.Runner, o options) error {
 		switch o.format {
 		case "text":
 			fmt.Print(res.Table.Render())
-			fmt.Printf("paper: %s   (%.1fs)\n\n", e.Paper, res.Elapsed.Seconds())
+			fmt.Printf("paper: %s\n\n", e.Paper)
+			fmt.Fprintf(os.Stderr, "%s: %.1fs\n", e.ID, res.Elapsed.Seconds())
 		case "json":
 			out = append(out, jsonResult{Table: res.Table, Paper: e.Paper, Seconds: res.Elapsed.Seconds()})
 		default:
@@ -248,13 +244,6 @@ func tables(ctx context.Context, r *harness.Runner, o options) error {
 
 	fmt.Fprintf(os.Stderr, "sweep: %d experiments in %.1fs (workers=%d)\n",
 		len(exps), time.Since(start).Seconds(), o.workers)
-	if r.Cache != nil {
-		hits, misses := r.Cache.Stats()
-		fmt.Fprintf(os.Stderr, "cache: %d hits, %d misses (%s)\n", hits, misses, o.cachePath)
-		if err := r.Cache.Save(); err != nil {
-			fmt.Fprintf(os.Stderr, "experiments: saving cache: %v\n", err)
-		}
-	}
 	if failed > 0 {
 		return fmt.Errorf("%d of %d experiments failed", failed, len(exps))
 	}

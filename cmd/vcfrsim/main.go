@@ -186,7 +186,7 @@ func run(o options, w io.Writer) error {
 		}
 	}
 	if o.emulate {
-		rr, err := app.Emulate(emu.ModeEmulatedILR, app.W.Input, 0)
+		rr, err := app.Emulate(emu.ModeEmulatedILR, app.W.Input, req.Instructions)
 		if err != nil {
 			return err
 		}

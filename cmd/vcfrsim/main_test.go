@@ -140,3 +140,18 @@ func TestBundleRowSeed(t *testing.T) {
 		t.Error("bundle envelope differs from the workload run at the bundle's seed")
 	}
 }
+
+// TestEmulateHonorsInstructions: the emulated-ilr row runs under the same
+// -instructions cap as the pipeline rows, so the two are comparable.
+func TestEmulateHonorsInstructions(t *testing.T) {
+	env := envelope(t, "-workload gcc -instructions 1000 -emulate")
+	if len(env.Run) != 2 || env.Run[1].Mode != "emulated-ilr" || env.Run[1].Emu == nil {
+		t.Fatalf("want a vcfr row and an emulated-ilr row, got %d rows", len(env.Run))
+	}
+	if got := env.Run[1].Emu.Instructions; got != 1000 {
+		t.Errorf("emulated-ilr row ran %d instructions, want 1000", got)
+	}
+	if got := env.Run[0].Result.Stats.Instructions; got != 1000 {
+		t.Errorf("%s row ran %d instructions, want 1000", env.Run[0].Mode, got)
+	}
+}

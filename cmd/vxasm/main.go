@@ -12,6 +12,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -22,35 +23,37 @@ import (
 )
 
 func main() {
-	if err := run(); err != nil {
+	if err := run(os.Args[1:], os.Stdout); err != nil {
 		fmt.Fprintln(os.Stderr, "vxasm:", err)
 		os.Exit(1)
 	}
 }
 
-func run() error {
+// run executes one command line (args without the program name), writing
+// listings, source and reports to stdout.
+func run(args []string, stdout io.Writer) error {
+	fs := flag.NewFlagSet("vxasm", flag.ExitOnError)
 	var (
-		out      = flag.String("o", "", "output image path")
-		disasm   = flag.Bool("d", false, "disassemble an image instead of assembling")
-		workload = flag.String("workload", "", "emit a built-in workload instead of reading a source file")
-		scale    = flag.Int("scale", 1, "workload scale (with -workload)")
-		srcOnly  = flag.Bool("src", false, "with -workload: print the generated source and exit")
+		out      = fs.String("o", "", "output image path")
+		disasm   = fs.Bool("d", false, "disassemble an image instead of assembling")
+		workload = fs.String("workload", "", "emit a built-in workload instead of reading a source file")
+		scale    = fs.Int("scale", 1, "workload scale (with -workload)")
+		srcOnly  = fs.Bool("src", false, "with -workload: print the generated source and exit")
 	)
-	flag.Parse()
+	fs.Parse(args)
 
 	if *workload != "" {
-		w, err := workloads.ByName(*workload, *scale)
-		if err != nil {
-			return err
-		}
 		if *srcOnly {
-			// Regenerate to get the source text (Workload carries the image).
-			lst, err := asm.Listing(w.Img)
+			src, err := workloads.Source(*workload, *scale)
 			if err != nil {
 				return err
 			}
-			fmt.Print(lst)
-			return nil
+			_, err = io.WriteString(stdout, src)
+			return err
+		}
+		w, err := workloads.ByName(*workload, *scale)
+		if err != nil {
+			return err
 		}
 		if *out == "" {
 			*out = w.Name + ".img"
@@ -58,10 +61,10 @@ func run() error {
 		return writeImage(w.Img, *out)
 	}
 
-	if flag.NArg() != 1 {
+	if fs.NArg() != 1 {
 		return fmt.Errorf("need exactly one input file (or -workload); see -h")
 	}
-	path := flag.Arg(0)
+	path := fs.Arg(0)
 
 	if *disasm {
 		img, err := readImage(path)
@@ -72,8 +75,8 @@ func run() error {
 		if err != nil {
 			return err
 		}
-		fmt.Print(lst)
-		return nil
+		_, err = io.WriteString(stdout, lst)
+		return err
 	}
 
 	src, err := os.ReadFile(path)
@@ -92,7 +95,7 @@ func run() error {
 		return err
 	}
 	text := img.Text()
-	fmt.Printf("%s: %d bytes of text at %#x, entry %#x, %d relocs\n",
+	fmt.Fprintf(stdout, "%s: %d bytes of text at %#x, entry %#x, %d relocs\n",
 		*out, len(text.Data), text.Addr, img.Entry, len(img.Relocs))
 	return nil
 }

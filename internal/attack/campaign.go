@@ -2,11 +2,8 @@ package attack
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"math/rand"
-	"strings"
-	"sync"
 
 	"vcfr/internal/cpu"
 	"vcfr/internal/harness"
@@ -205,22 +202,8 @@ func RunCampaign(ctx context.Context, r *harness.Runner, cfg Config, onProgress 
 	}
 
 	// Prepare each workload once; every cell shares the first-epoch layout.
-	// The layout seed derives from the campaign seed and the workload name,
-	// so layouts differ across workloads but never across surfaces.
-	apps := make(map[string]*harness.App, len(cfg.Workloads))
-	appErr := make(map[string]error, len(cfg.Workloads))
-	for _, w := range cfg.Workloads {
-		hcfg := harness.Config{
-			Scale:  cfg.Scale,
-			Spread: cfg.Spread,
-			Seed:   harness.CellSeed(cfg.Seed, "attacks", w),
-		}
-		if app, err := r.Prepare(ctx, w, hcfg); err != nil {
-			appErr[w] = err
-		} else {
-			apps[w] = app
-		}
-	}
+	apps, appErr := r.PrepareEach(ctx, "attacks", cfg.Workloads,
+		harness.Config{Seed: cfg.Seed, Scale: cfg.Scale, Spread: cfg.Spread})
 
 	// The cell plan, in fixed order; results land in per-cell slots so
 	// aggregation is deterministic no matter which worker ran what. Each
@@ -232,34 +215,21 @@ func RunCampaign(ctx context.Context, r *harness.Runner, cfg Config, onProgress 
 			for _, p := range cfg.Payloads {
 				row := Row{Workload: w, Mode: m, Payload: p}
 				if err := appErr[w]; err != nil {
-					row.Error = firstLine(err.Error())
+					row.Error = harness.FirstLine(err.Error())
 				}
 				rep.Rows = append(rep.Rows, row)
 			}
 		}
 	}
 
-	var (
-		progMu    sync.Mutex
-		doneCount int
-		instTotal uint64
-	)
+	count := harness.ProgressCounter(len(rep.Rows), onProgress)
 	r.Shard(ctx, len(rep.Rows), func(ctx context.Context, i int) {
 		row := &rep.Rows[i]
 		if row.Error != "" {
 			return
 		}
 		app := apps[row.Workload]
-		insts := runCell(ctx, app, sharedFor(app, row.Mode), cfg, row)
-		if onProgress == nil {
-			return
-		}
-		progMu.Lock()
-		doneCount++
-		instTotal += insts
-		p := harness.Progress{CellsDone: doneCount, CellsTotal: len(rep.Rows), Instructions: instTotal}
-		progMu.Unlock()
-		onProgress(p)
+		count(runCell(ctx, app, sharedFor(app, row.Mode), cfg, row))
 	})
 
 	for i := range rep.Rows {
@@ -267,7 +237,7 @@ func RunCampaign(ctx context.Context, r *harness.Runner, cfg Config, onProgress 
 		// A cell the shard never reached (cancellation) reports why.
 		if row.Error == "" && row.Stats.ChainsBuilt == 0 && row.Stats.Leaks == 0 &&
 			row.Static.PoolSize == 0 {
-			row.Error = firstLine(notExecuted(ctx).Error())
+			row.Error = harness.FirstLine(harness.NotExecuted(ctx, notRun).Error())
 		}
 		if row.Error != "" {
 			rep.Partial = true
@@ -284,12 +254,12 @@ func runCell(ctx context.Context, app *harness.App, sh *shared, cfg Config, row 
 	st := &row.Stats
 	var err error
 	if row.Static, err = runStatic(ctx, app, sh, row.Mode, row.Payload, cfg, st); err != nil {
-		row.Error = firstLine(err.Error())
+		row.Error = harness.FirstLine(err.Error())
 		return insts
 	}
 	var n uint64
 	if row.Plain, n, err = runDisclosure(ctx, app, sh, cfg, row, false, st); err != nil {
-		row.Error = firstLine(err.Error())
+		row.Error = harness.FirstLine(err.Error())
 		return insts + n
 	}
 	insts += n
@@ -298,7 +268,7 @@ func runCell(ctx context.Context, app *harness.App, sh *shared, cfg Config, row 
 	}
 	var d Disclosure
 	if d, n, err = runDisclosure(ctx, app, sh, cfg, row, true, st); err != nil {
-		row.Error = firstLine(err.Error())
+		row.Error = harness.FirstLine(err.Error())
 		return insts + n
 	}
 	insts += n
@@ -365,7 +335,7 @@ func runDisclosure(ctx context.Context, app *harness.App, sh *shared, cfg Config
 		d.ChainsBuilt++
 		outcome := fire(ctx, app, row.Mode, o.res, ch, row.Payload, cfg.MaxInsts)
 		if outcome == "" {
-			return d, ran, notExecuted(ctx)
+			return d, ran, harness.NotExecuted(ctx, notRun)
 		}
 		st.AddFire(outcome)
 		d.ChainsFired++
@@ -385,21 +355,9 @@ func runDisclosure(ctx context.Context, app *harness.App, sh *shared, cfg Config
 	return d, ran, nil
 }
 
-// notExecuted names why planned work never ran: the context's error when it
-// was cancelled, a generic marker otherwise.
-func notExecuted(ctx context.Context) error {
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-	return errors.New("attack cell not executed")
-}
-
-func firstLine(s string) string {
-	if i := strings.IndexByte(s, '\n'); i >= 0 {
-		return s[:i]
-	}
-	return s
-}
+// notRun marks a cell or fire that never ran although its campaign was not
+// cancelled.
+const notRun = "attack cell not executed"
 
 // ModeSummary is one mode's aggregate over the campaign's cells — the
 // numbers the paper-style claim ranks.

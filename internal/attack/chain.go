@@ -100,7 +100,7 @@ func runStatic(ctx context.Context, app *harness.App, sh *shared, mode cpu.Mode,
 	st.ChainsBuilt++
 	o := fire(ctx, app, mode, app.R, ch, payload, cfg.MaxInsts)
 	if o == "" {
-		return s, notExecuted(ctx)
+		return s, harness.NotExecuted(ctx, notRun)
 	}
 	st.AddFire(o)
 	s.Outcome = o

@@ -5,8 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
-	"strings"
-	"sync"
 
 	"vcfr/internal/cpu"
 	"vcfr/internal/harness"
@@ -240,24 +238,14 @@ func RunCampaign(ctx context.Context, r *harness.Runner, cfg Config, onProgress 
 	// land in a per-task slot, so aggregation order (phase 4) is fixed no
 	// matter which worker ran what.
 	outcomes := make([]Outcome, len(tasks))
-	var (
-		progMu    sync.Mutex
-		doneCount int
-		instTotal uint64
-	)
+	count := harness.ProgressCounter(len(tasks), onProgress)
 	r.Shard(ctx, len(tasks), func(ctx context.Context, i int) {
 		t := tasks[i]
 		o, insts := runInjection(ctx, t.cell, t.fault)
 		outcomes[i] = o
-		if o == "" || onProgress == nil {
-			return
+		if o != "" {
+			count(insts)
 		}
-		progMu.Lock()
-		doneCount++
-		instTotal += insts
-		p := harness.Progress{CellsDone: doneCount, CellsTotal: len(tasks), Instructions: instTotal}
-		progMu.Unlock()
-		onProgress(p)
 	})
 
 	// Phase 4: aggregate in plan order.
@@ -266,7 +254,7 @@ func RunCampaign(ctx context.Context, r *harness.Runner, cfg Config, onProgress 
 		if o := outcomes[i]; o != "" {
 			rep.Rows[t.row].Stats.Add(o)
 		} else if rep.Rows[t.row].Error == "" {
-			rep.Rows[t.row].Error = firstLine(notExecuted(ctx).Error())
+			rep.Rows[t.row].Error = harness.FirstLine(harness.NotExecuted(ctx, notRun).Error())
 		}
 	}
 	for i := range rep.Rows {
@@ -282,23 +270,9 @@ func RunCampaign(ctx context.Context, r *harness.Runner, cfg Config, onProgress 
 // runs its clean reference (phases 0 and 1). A cell whose preparation or
 // reference failed, or was never reached before cancellation, carries err.
 func prepareCells(ctx context.Context, r *harness.Runner, cfg Config) []*cell {
-	// Prepare each workload once; every mode cell shares the layout. The
-	// layout seed derives from the campaign seed and the workload name, so
-	// layouts differ across workloads but never across surfaces.
-	apps := make(map[string]*harness.App, len(cfg.Workloads))
-	appErr := make(map[string]error, len(cfg.Workloads))
-	for _, w := range cfg.Workloads {
-		hcfg := harness.Config{
-			Scale:  cfg.Scale,
-			Spread: cfg.Spread,
-			Seed:   harness.CellSeed(cfg.Seed, "faults", w),
-		}
-		if app, err := r.Prepare(ctx, w, hcfg); err != nil {
-			appErr[w] = err
-		} else {
-			apps[w] = app
-		}
-	}
+	// Prepare each workload once; every mode cell shares the layout.
+	apps, appErr := r.PrepareEach(ctx, "faults", cfg.Workloads,
+		harness.Config{Seed: cfg.Seed, Scale: cfg.Scale, Spread: cfg.Spread})
 
 	cells := make([]*cell, 0, len(cfg.Workloads)*len(cfg.Modes))
 	for _, w := range cfg.Workloads {
@@ -325,7 +299,7 @@ func prepareCells(ctx context.Context, r *harness.Runner, cfg Config) []*cell {
 	})
 	for _, c := range cells {
 		if c.err == nil && c.cands == nil {
-			c.err = notExecuted(ctx)
+			c.err = harness.NotExecuted(ctx, notRun)
 		}
 	}
 	return cells
@@ -342,7 +316,7 @@ func plan(cfg Config, cells []*cell) (rows []Row, tasks []task) {
 			rowIdx := len(rows)
 			rows = append(rows, Row{Workload: c.workload, Mode: c.mode, Kind: k})
 			if c.err != nil {
-				rows[rowIdx].Error = firstLine(c.err.Error())
+				rows[rowIdx].Error = harness.FirstLine(c.err.Error())
 				continue
 			}
 			cands := c.cands[ki]
@@ -369,21 +343,9 @@ func plan(cfg Config, cells []*cell) (rows []Row, tasks []task) {
 	return rows, tasks
 }
 
-// notExecuted names why planned work never ran: the context's error when it
-// was cancelled, a generic marker otherwise.
-func notExecuted(ctx context.Context) error {
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-	return errors.New("injection not executed")
-}
-
-func firstLine(s string) string {
-	if i := strings.IndexByte(s, '\n'); i >= 0 {
-		return s[:i]
-	}
-	return s
-}
+// notRun marks an injection that never ran although its campaign was not
+// cancelled.
+const notRun = "injection not executed"
 
 // runInjection executes one injected run and classifies it. A cancelled run
 // returns the empty outcome (not executed); a simulator panic classifies as

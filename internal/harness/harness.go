@@ -278,8 +278,9 @@ func mean(vs []float64) float64 {
 	return s / float64(len(vs))
 }
 
-// geomean returns the geometric mean of positive values.
-func geomean(vs []float64) float64 {
+// Geomean returns the geometric mean of positive values (0 when empty or
+// when any value is not positive).
+func Geomean(vs []float64) float64 {
 	if len(vs) == 0 {
 		return 0
 	}

@@ -141,10 +141,10 @@ func TestMeanGeomean(t *testing.T) {
 	if got := mean([]float64{1, 2, 3}); got != 2 {
 		t.Errorf("mean = %v", got)
 	}
-	if got := geomean([]float64{1, 4}); got != 2 {
+	if got := Geomean([]float64{1, 4}); got != 2 {
 		t.Errorf("geomean = %v", got)
 	}
-	if mean(nil) != 0 || geomean(nil) != 0 || geomean([]float64{0}) != 0 {
+	if mean(nil) != 0 || Geomean(nil) != 0 || Geomean([]float64{0}) != 0 {
 		t.Error("degenerate inputs")
 	}
 }

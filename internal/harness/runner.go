@@ -3,6 +3,7 @@ package harness
 import (
 	"context"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"hash/fnv"
 	"runtime"
@@ -27,9 +28,6 @@ type Runner struct {
 	// Workers bounds the number of concurrently executing cells across
 	// every experiment this runner is driving. <= 0 means GOMAXPROCS.
 	Workers int
-	// Cache, if non-nil, memoizes finished cells keyed by (experiment,
-	// cell, derived seed, config); see Cache for the disk-backed variant.
-	Cache *Cache
 	// Traces is a trace cache no shipped command or internal package
 	// reads: harness cells, fault references and campaigns always execute.
 	// It stays for the benchmark's traced layer (perfbench/traced), which
@@ -133,7 +131,7 @@ func (r *Runner) forgetApp(key string, e *appEntry) {
 }
 
 // NewRunner returns a runner with the given worker budget (<= 0 means
-// GOMAXPROCS) and no cache or timeout.
+// GOMAXPROCS).
 func NewRunner(workers int) *Runner {
 	return &Runner{Workers: workers}
 }
@@ -226,7 +224,7 @@ func (r *Runner) RunAll(ctx context.Context, exps []Experiment, cfg Config) []Sw
 
 // Sweep carries one experiment invocation's context: the runner whose pool
 // the cells share, the cancellation context, and the experiment ID that
-// namespaces derived seeds and cache keys.
+// namespaces derived seeds.
 type Sweep struct {
 	ctx context.Context
 	r   *Runner
@@ -238,10 +236,10 @@ type Sweep struct {
 // into the experiment's aggregate row. Vals' meaning is per-experiment
 // (e.g. Fig4 stores the normalized IPC, Fig13 one value per DRC size).
 type Cell struct {
-	Name string     `json:"name"`
-	Rows [][]string `json:"rows"`
-	Vals []float64  `json:"vals,omitempty"`
-	Err  string     `json:"-"` // non-empty for failed cells; never cached
+	Name string
+	Rows [][]string
+	Vals []float64
+	Err  string // non-empty for failed cells
 }
 
 func (c Cell) failed() bool { return c.Err != "" }
@@ -277,48 +275,44 @@ func CellSeed(base int64, expID, cell string) int64 {
 // order of names. A cell that fails (error, panic, timeout) yields an
 // error row instead of aborting the sweep.
 func (s *Sweep) mapCells(cfg Config, names []string, fn cellFn) []Cell {
+	return s.mapCellsIndexed(cfg, names, func(ctx context.Context, cfg Config, _ int, name string) (Cell, error) {
+		return fn(ctx, cfg, name)
+	})
+}
+
+// mapCellsIndexed is mapCells for a cell function that also needs the
+// cell's index into names, to fill a typed per-cell slot of its own.
+func (s *Sweep) mapCellsIndexed(cfg Config, names []string, fn func(ctx context.Context, cfg Config, i int, name string) (Cell, error)) []Cell {
 	cfg = cfg.withDefaults()
 	cells := make([]Cell, len(names))
-	var wg sync.WaitGroup
-	for i, name := range names {
+	ran := make([]bool, len(names))
+	s.r.Shard(s.ctx, len(names), func(ctx context.Context, i int) {
+		ran[i] = true
 		ccfg := cfg
 		ccfg.Workloads = nil
-		ccfg.Seed = CellSeed(cfg.Seed, s.exp, name)
-		key := cellKey(s.exp, name, ccfg)
-		if c, ok := s.r.Cache.get(key); ok {
-			cells[i] = c
-			continue
+		ccfg.Seed = CellSeed(cfg.Seed, s.exp, names[i])
+		cells[i] = runCell(ctx, ccfg, i, names[i], fn)
+	})
+	for i, name := range names {
+		if !ran[i] {
+			cells[i] = errCell(name, s.ctx.Err())
 		}
-		wg.Add(1)
-		go func(i int, name string, ccfg Config) {
-			defer wg.Done()
-			select {
-			case s.r.slots() <- struct{}{}:
-				defer func() { <-s.r.sem }()
-			case <-s.ctx.Done():
-				cells[i] = errCell(name, s.ctx.Err())
-				return
-			}
-			cells[i] = s.runCell(ccfg, name, key, fn)
-		}(i, name, ccfg)
 	}
-	wg.Wait()
 	return cells
 }
 
-// runCell executes one cell with panic capture.
-func (s *Sweep) runCell(cfg Config, name, key string, fn cellFn) (c Cell) {
+// runCell executes one cell, capturing a panic with its stack.
+func runCell(ctx context.Context, cfg Config, i int, name string, fn func(context.Context, Config, int, string) (Cell, error)) (c Cell) {
 	defer func() {
 		if r := recover(); r != nil {
 			c = errCell(name, fmt.Errorf("panic: %v\n%s", r, debug.Stack()))
 		}
 	}()
-	cell, err := fn(s.ctx, cfg, name)
+	cell, err := fn(ctx, cfg, i, name)
 	if err != nil {
 		return errCell(name, err)
 	}
 	cell.Name = name
-	s.r.Cache.put(key, cell)
 	return cell
 }
 
@@ -326,15 +320,29 @@ func (s *Sweep) runCell(cfg Config, name, key string, fn cellFn) (c Cell) {
 // first line of the error lands in the table (panic values carry stacks);
 // the full text stays in Err.
 func errCell(name string, err error) Cell {
-	msg := err.Error()
-	if i := strings.IndexByte(msg, '\n'); i >= 0 {
-		msg = msg[:i]
-	}
 	return Cell{
 		Name: name,
-		Rows: [][]string{{name, "error: " + msg}},
+		Rows: [][]string{{name, "error: " + FirstLine(err.Error())}},
 		Err:  err.Error(),
 	}
+}
+
+// FirstLine truncates an error message to its first line (panic values
+// carry whole stack traces).
+func FirstLine(s string) string {
+	if i := strings.IndexByte(s, '\n'); i >= 0 {
+		return s[:i]
+	}
+	return s
+}
+
+// NotExecuted names why planned work never ran: the context's error when it
+// was cancelled, otherwise an error carrying marker.
+func NotExecuted(ctx context.Context, marker string) error {
+	if err := ctx.Err(); err != nil {
+		return err
+	}
+	return errors.New(marker)
 }
 
 // appendCells appends every cell's rows to the table, in cell order.
@@ -376,6 +384,24 @@ func appKey(name string, cfg Config, opts ilr.Options) string {
 // re-randomization returns a new result.
 func (r *Runner) Prepare(ctx context.Context, name string, cfg Config) (*App, error) {
 	return r.prepareOpts(ctx, name, cfg, ilr.Options{})
+}
+
+// PrepareEach prepares the named workloads of one campaign kind through
+// the memo. Workload w gets the layout seed CellSeed(cfg.Seed, kind, w), so
+// layouts differ across workloads but never across surfaces. It returns the
+// prepared apps, and the preparation errors, by workload name.
+func (r *Runner) PrepareEach(ctx context.Context, kind string, names []string, cfg Config) (map[string]*App, map[string]error) {
+	apps := make(map[string]*App, len(names))
+	errs := make(map[string]error)
+	for _, w := range names {
+		wcfg := Config{Scale: cfg.Scale, Spread: cfg.Spread, Seed: CellSeed(cfg.Seed, kind, w)}
+		if app, err := r.Prepare(ctx, w, wcfg); err != nil {
+			errs[w] = err
+		} else {
+			apps[w] = app
+		}
+	}
+	return apps, errs
 }
 
 // prepareOpts is PrepareOpts with a cancellation check and prepared-app

@@ -3,8 +3,6 @@ package harness
 import (
 	"context"
 	"errors"
-	"fmt"
-	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -176,82 +174,6 @@ func TestSweepCancel(t *testing.T) {
 			!strings.Contains(c.Err, context.Canceled.Error()) {
 			t.Errorf("cell %s: want cancellation error, got %q", c.Name, c.Err)
 		}
-	}
-}
-
-// TestCacheRoundTrip: cells memoize on hit, skip recompute, persist to
-// disk, and reload across cache instances.
-func TestCacheRoundTrip(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "cells.json")
-	calls := 0
-	fn := func(ctx context.Context, cfg Config, name string) (Cell, error) {
-		calls++
-		return Cell{Rows: [][]string{{name, fmt.Sprint(cfg.Seed)}}, Vals: []float64{1.5}}, nil
-	}
-
-	r := NewRunner(1)
-	r.Cache = OpenCache(path)
-	first := r.Sweep(context.Background(), "cache-test").mapCells(tiny(), []string{"a", "b"}, fn)
-	if calls != 2 {
-		t.Fatalf("first pass: %d calls", calls)
-	}
-	second := r.Sweep(context.Background(), "cache-test").mapCells(tiny(), []string{"a", "b"}, fn)
-	if calls != 2 {
-		t.Errorf("cache did not absorb the second pass: %d calls", calls)
-	}
-	if fmt.Sprint(first) != fmt.Sprint(second) {
-		t.Errorf("cached cells differ:\n %v\n %v", first, second)
-	}
-	if err := r.Cache.Save(); err != nil {
-		t.Fatal(err)
-	}
-
-	// Fresh process: reload from disk, still no recompute.
-	r2 := NewRunner(1)
-	r2.Cache = OpenCache(path)
-	if r2.Cache.Len() != 2 {
-		t.Fatalf("reloaded cache has %d cells", r2.Cache.Len())
-	}
-	third := r2.Sweep(context.Background(), "cache-test").mapCells(tiny(), []string{"a", "b"}, fn)
-	if calls != 2 {
-		t.Errorf("disk cache did not absorb the third pass: %d calls", calls)
-	}
-	if fmt.Sprint(first) != fmt.Sprint(third) {
-		t.Errorf("disk-cached cells differ")
-	}
-
-	// A different config misses: the key covers the fields that change
-	// simulation results.
-	other := tiny()
-	other.MaxInsts = 999
-	r2.Sweep(context.Background(), "cache-test").mapCells(other, []string{"a"}, fn)
-	if calls != 3 {
-		t.Errorf("config change did not invalidate the cache: %d calls", calls)
-	}
-}
-
-// TestCacheNeverStoresFailures: error cells are not memoized, so a
-// transient failure re-runs next time.
-func TestCacheNeverStoresFailures(t *testing.T) {
-	r := NewRunner(1)
-	r.Cache = NewCache()
-	calls := 0
-	fn := func(ctx context.Context, cfg Config, name string) (Cell, error) {
-		calls++
-		if calls == 1 {
-			return Cell{}, errors.New("transient")
-		}
-		return Cell{Rows: [][]string{{name, "ok"}}}, nil
-	}
-	s := r.Sweep(context.Background(), "cache-fail")
-	if c := s.mapCells(tiny(), []string{"x"}, fn); !c[0].failed() {
-		t.Fatal("first call should fail")
-	}
-	if c := s.mapCells(tiny(), []string{"x"}, fn); c[0].failed() {
-		t.Error("failure was cached")
-	}
-	if calls != 2 {
-		t.Errorf("calls = %d, want 2", calls)
 	}
 }
 

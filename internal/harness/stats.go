@@ -2,8 +2,6 @@ package harness
 
 import (
 	"context"
-	"encoding/json"
-	"strings"
 	"sync"
 
 	"vcfr/internal/cpu"
@@ -27,15 +25,34 @@ func StatsSweep(ctx context.Context, r *Runner, cfg Config) ([]results.Run, erro
 	return StatsSweepProgress(ctx, r, cfg, nil)
 }
 
-// Progress is a sweep's live completion state, reported after each finished
-// cell: how many cells are done, how many the sweep has in total, and the
-// simulated instructions accumulated by the finished cells (read from the
-// statistics spine). Cells served from a disk results cache do not execute
-// and therefore do not report.
+// Progress is a sweep's or campaign's live completion state, reported after
+// each finished unit: how many units are done, how many there are in total,
+// and the simulated instructions accumulated by the finished units (read
+// from the statistics spine).
 type Progress struct {
 	CellsDone    int    `json:"cells_done"`
 	CellsTotal   int    `json:"cells_total"`
 	Instructions uint64 `json:"instructions"`
+}
+
+// ProgressCounter returns the tally of a job of total units: each call
+// counts one finished unit that simulated insts instructions and reports
+// the cumulative Progress to onProgress. It is safe to call from worker
+// goroutines; with a nil onProgress it does nothing.
+func ProgressCounter(total int, onProgress func(Progress)) func(insts uint64) {
+	if onProgress == nil {
+		return func(uint64) {}
+	}
+	var mu sync.Mutex
+	p := Progress{CellsTotal: total}
+	return func(insts uint64) {
+		mu.Lock()
+		p.CellsDone++
+		p.Instructions += insts
+		now := p
+		mu.Unlock()
+		onProgress(now)
+	}
 }
 
 // StatsSweepProgress is StatsSweep with a live progress callback: onProgress
@@ -46,28 +63,14 @@ func StatsSweepProgress(ctx context.Context, r *Runner, cfg Config, onProgress f
 	s := r.Sweep(ctx, "stats")
 	cfg = cfg.withDefaults()
 	names := cfg.names(workloads.SpecNames)
-	var (
-		progMu sync.Mutex
-		prog   = Progress{CellsTotal: len(names)}
-	)
-	report := func(insts uint64) {
-		if onProgress == nil {
-			return
-		}
-		progMu.Lock()
-		prog.CellsDone++
-		prog.Instructions += insts
-		p := prog
-		progMu.Unlock()
-		onProgress(p)
-	}
-	cells := s.mapCells(cfg, names,
-		func(ctx context.Context, cfg Config, name string) (Cell, error) {
+	count := ProgressCounter(len(names), onProgress)
+	runs := make([][]results.Run, len(names))
+	cells := s.mapCellsIndexed(cfg, names,
+		func(ctx context.Context, cfg Config, i int, name string) (Cell, error) {
 			app, err := s.r.Prepare(ctx, name, cfg)
 			if err != nil {
 				return Cell{}, err
 			}
-			var rows [][]string
 			var cellInsts uint64
 			for _, mode := range cpu.AllModes() {
 				res, ccfg, err := s.runMode(ctx, app, mode, cfg.MaxInsts, nil)
@@ -75,35 +78,23 @@ func StatsSweepProgress(ctx context.Context, r *Runner, cfg Config, onProgress f
 					return Cell{}, err
 				}
 				cellInsts += res.Stats.Instructions
-				// Cells carry [][]string rows (and must stay cacheable), so
-				// the structured row travels JSON-encoded in a single column.
-				enc, err := encodeStatsRow(RunRow(name, mode, cfg.Seed, ccfg, res, app.R))
-				if err != nil {
-					return Cell{}, err
-				}
-				rows = append(rows, []string{enc})
+				runs[i] = append(runs[i], RunRow(name, mode, cfg.Seed, ccfg, res, app.R))
 			}
-			report(cellInsts)
-			return Cell{Rows: rows}, nil
+			count(cellInsts)
+			return Cell{}, nil
 		})
 
 	var out []results.Run
-	for _, c := range cells {
+	for i, c := range cells {
 		if c.failed() {
 			out = append(out, results.Run{
 				Workload: c.Name,
 				Seed:     CellSeed(cfg.Seed, s.exp, c.Name),
-				Error:    firstLine(c.Err),
+				Error:    FirstLine(c.Err),
 			})
 			continue
 		}
-		for _, row := range c.Rows {
-			sr, err := decodeStatsRow(row[0])
-			if err != nil {
-				return out, err
-			}
-			out = append(out, sr)
-		}
+		out = append(out, runs[i]...)
 	}
 	return out, nil
 }
@@ -167,24 +158,4 @@ func RunRow(name string, mode cpu.Mode, seed int64, ccfg cpu.Config, res cpu.Res
 		row.Ilr = &st
 	}
 	return row
-}
-
-// firstLine truncates an error message to its first line (panic values
-// carry whole stack traces).
-func firstLine(s string) string {
-	if i := strings.IndexByte(s, '\n'); i >= 0 {
-		return s[:i]
-	}
-	return s
-}
-
-func encodeStatsRow(r results.Run) (string, error) {
-	b, err := json.Marshal(r)
-	return string(b), err
-}
-
-func decodeStatsRow(s string) (results.Run, error) {
-	var r results.Run
-	err := json.Unmarshal([]byte(s), &r)
-	return r, err
 }

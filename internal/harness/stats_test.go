@@ -3,6 +3,7 @@ package harness
 import (
 	"context"
 	"reflect"
+	"sync"
 	"testing"
 	"time"
 
@@ -90,4 +91,41 @@ func TestStatsSweepTimeoutMidRun(t *testing.T) {
 	if len(rows) != 1 || !rows[0].Failed() {
 		t.Fatalf("rows = %+v, want a single error row for the timed-out cell", rows)
 	}
+}
+
+// TestProgressCounter: counts from concurrent workers add up, every report
+// is a consistent snapshot (one per finished unit, instructions matching
+// the units counted), and a nil callback makes the counter a no-op.
+func TestProgressCounter(t *testing.T) {
+	const units = 64
+	var mu sync.Mutex
+	var reports []Progress
+	count := ProgressCounter(units, func(p Progress) {
+		mu.Lock()
+		defer mu.Unlock()
+		reports = append(reports, p)
+	})
+	var wg sync.WaitGroup
+	for i := 0; i < units; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			count(10)
+		}()
+	}
+	wg.Wait()
+	if len(reports) != units {
+		t.Fatalf("%d reports, want %d", len(reports), units)
+	}
+	seen := make(map[int]bool)
+	for _, p := range reports {
+		if p.CellsTotal != units || p.Instructions != 10*uint64(p.CellsDone) || seen[p.CellsDone] {
+			t.Errorf("inconsistent or repeated report %+v", p)
+		}
+		seen[p.CellsDone] = true
+	}
+	if !seen[units] {
+		t.Errorf("no report reached %d/%d", units, units)
+	}
+	ProgressCounter(1, nil)(5)
 }

@@ -15,7 +15,6 @@ import (
 	"math"
 	"strconv"
 	"strings"
-	"sync"
 
 	"vcfr/internal/cpu"
 	"vcfr/internal/harness"
@@ -241,22 +240,7 @@ func RunCampaign(ctx context.Context, r *harness.Runner, cfg Config, onProgress 
 	// is fixed no matter which worker ran what.
 	solos := make([]soloRun, len(instances)*len(cfg.Modes))
 	clusters := make([]clusterRun, len(cfg.Cells)*len(cfg.Modes))
-	var (
-		progMu    sync.Mutex
-		doneCount int
-		instTotal uint64
-	)
-	report := func(insts uint64) {
-		if onProgress == nil {
-			return
-		}
-		progMu.Lock()
-		doneCount++
-		instTotal += insts
-		p := harness.Progress{CellsDone: doneCount, CellsTotal: len(solos) + len(clusters), Instructions: instTotal}
-		progMu.Unlock()
-		onProgress(p)
-	}
+	count := harness.ProgressCounter(len(solos)+len(clusters), onProgress)
 	r.Shard(ctx, len(solos)+len(clusters), func(ctx context.Context, u int) {
 		if u < len(solos) {
 			inst, mode := instances[u/len(cfg.Modes)], cfg.Modes[u%len(cfg.Modes)]
@@ -267,7 +251,7 @@ func RunCampaign(ctx context.Context, r *harness.Runner, cfg Config, onProgress 
 				return
 			}
 			s.res, _, s.err = inst.app.RunContext(ctx, mode, cfg.MaxInsts, nil)
-			report(s.res.Stats.Instructions)
+			count(s.res.Stats.Instructions)
 			return
 		}
 		u -= len(solos)
@@ -298,7 +282,7 @@ func RunCampaign(ctx context.Context, r *harness.Runner, cfg Config, onProgress 
 		for _, res := range out {
 			insts += res.Stats.Instructions
 		}
-		report(insts)
+		count(insts)
 	})
 
 	// Phase 3: aggregate in plan order.
@@ -318,9 +302,9 @@ func RunCampaign(ctx context.Context, r *harness.Runner, cfg Config, onProgress 
 		}
 		switch {
 		case s.err != nil:
-			row.Error = firstLine(s.err.Error())
+			row.Error = harness.FirstLine(s.err.Error())
 		case !s.done:
-			row.Error = firstLine(notExecuted(ctx).Error())
+			row.Error = harness.FirstLine(harness.NotExecuted(ctx, notRun).Error())
 		default:
 			fillRow(&row, s.res)
 			soloIPC[u] = row.IPC
@@ -351,11 +335,11 @@ func RunCampaign(ctx context.Context, r *harness.Runner, cfg Config, onProgress 
 			}
 			switch {
 			case c.err != nil:
-				row.Error = firstLine(c.err.Error())
+				row.Error = harness.FirstLine(c.err.Error())
 			case !c.done:
-				row.Error = firstLine(notExecuted(ctx).Error())
+				row.Error = harness.FirstLine(harness.NotExecuted(ctx, notRun).Error())
 			case c.errs[t] != nil:
-				row.Error = firstLine(c.errs[t].Error())
+				row.Error = harness.FirstLine(c.errs[t].Error())
 			}
 			if c.done && t < len(c.out) {
 				res := c.out[t]
@@ -387,7 +371,7 @@ func RunCampaign(ctx context.Context, r *harness.Runner, cfg Config, onProgress 
 			total.Preemptions += st.Preemptions
 			total.BlockDrops += st.BlockDrops
 		}
-		total.MeanSlowdown = round4(geomean(slowdowns))
+		total.MeanSlowdown = round4(harness.Geomean(slowdowns))
 		rep.Totals = append(rep.Totals, total)
 	}
 
@@ -414,7 +398,7 @@ func RunCampaign(ctx context.Context, r *harness.Runner, cfg Config, onProgress 
 				sum.Switches += total.Switches
 			}
 		}
-		sum.MeanSlowdown = round4(geomean(slowdowns))
+		sum.MeanSlowdown = round4(harness.Geomean(slowdowns))
 		sum.MaxSlowdown = round4(sum.MaxSlowdown)
 		rep.Summaries = append(rep.Summaries, sum)
 	}
@@ -528,36 +512,9 @@ func (rep *Report) Table() *harness.Table {
 	return t
 }
 
-// notExecuted names why planned work never ran: the context's error when it
-// was cancelled, a generic marker otherwise.
-func notExecuted(ctx context.Context) error {
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-	return errors.New("cell not executed")
-}
-
-func firstLine(s string) string {
-	if i := strings.IndexByte(s, '\n'); i >= 0 {
-		return s[:i]
-	}
-	return s
-}
+// notRun marks a unit that never ran although its campaign was not
+// cancelled.
+const notRun = "cell not executed"
 
 // round4 keeps the wire floats at 4 decimals so reports are byte-stable.
 func round4(v float64) float64 { return math.Round(v*1e4) / 1e4 }
-
-// geomean returns the geometric mean of positive values (0 when empty).
-func geomean(vs []float64) float64 {
-	if len(vs) == 0 {
-		return 0
-	}
-	var s float64
-	for _, v := range vs {
-		if v <= 0 {
-			return 0
-		}
-		s += math.Log(v)
-	}
-	return math.Exp(s / float64(len(vs)))
-}
