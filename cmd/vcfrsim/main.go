@@ -325,7 +325,7 @@ func report(w io.Writer, row results.Run) {
 		100*condAcc, u("bpred.btb.misses"), u("bpred.ras.mispredicts"))
 	fmt.Fprintf(w, "itlb          accesses=%d misses=%d\n",
 		u("cpu.itlb.accesses"), u("cpu.itlb.misses"))
-	if row.Config.Mode == cpu.ModeVCFR {
+	if row.Config.Mode.HasDRC() {
 		fmt.Fprintf(w, "drc           lookups=%d miss=%.2f%% (rand=%d derand=%d walks=%d)\n",
 			u("drc.lookups"), 100*rate("drc.misses", "drc.lookups"),
 			u("drc.lookups.rand"), u("drc.lookups.derand"), u("drc.table_walks"))

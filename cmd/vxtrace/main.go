@@ -206,7 +206,7 @@ func replay(args []string) error {
 	fmt.Printf("IPC           %.3f\n", s.IPC())
 	fmt.Printf("stalls        fetch=%d mem=%d exec=%d control=%d drc=%d\n",
 		s.FetchStall, s.MemStall, s.ExecStall, s.ControlStall, s.DRCStall)
-	if m.Mode == cpu.ModeVCFR {
+	if m.Mode.HasDRC() {
 		fmt.Printf("drc           lookups=%d miss=%.2f%% walks=%d\n",
 			res.DRC.Lookups, 100*res.DRC.MissRate(), res.DRC.TableWalks)
 	}

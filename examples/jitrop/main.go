@@ -26,6 +26,7 @@ import (
 	"log"
 
 	"vcfr/internal/asm"
+	"vcfr/internal/cpu"
 	"vcfr/internal/emu"
 	"vcfr/internal/gadget"
 	"vcfr/internal/ilr"
@@ -135,13 +136,12 @@ func attackNative(victim *program.Image) {
 // attackVCFR mounts the identical sequence against the VCFR-protected
 // victim.
 func attackVCFR(res *ilr.Result) {
-	m, err := emu.NewMachine(res.VCFR, emu.Config{
-		Mode: emu.ModeVCFR, Trans: res.Tables, RandRA: res.RandRA,
-	})
+	img, trans, randRA := cpu.ModeVCFR.Deploy(res)
+	m, err := emu.NewMachine(img, emu.Config{Mode: emu.ModeVCFR, Trans: trans, RandRA: randRA})
 	if err != nil {
 		log.Fatal(err)
 	}
-	text := res.VCFR.Text()
+	text := img.Text()
 	leaked := discloseText(m, text.Addr, len(text.Data))
 	pool := gadget.Scan(leaked, gadget.DefaultMaxInsts)
 	chain, err := gadget.BuildPrintChain(pool, "JITROP")
@@ -154,9 +154,7 @@ func attackVCFR(res *ilr.Result) {
 		len(text.Data), len(pool), len(chain.Words))
 
 	payload := append(make([]byte, 32), chain.Bytes()...)
-	_, err = emu.Run(res.VCFR, emu.Config{
-		Mode: emu.ModeVCFR, Trans: res.Tables, RandRA: res.RandRA, Input: payload,
-	})
+	_, err = emu.Run(img, emu.Config{Mode: emu.ModeVCFR, Trans: trans, RandRA: randRA, Input: payload})
 	switch {
 	case errors.Is(err, emu.ErrControlViolation):
 		fmt.Printf("attack outcome: control-flow violation fault (%v)\n", err)

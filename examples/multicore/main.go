@@ -17,22 +17,25 @@ import (
 
 func main() {
 	// Two different programs, randomized under two different seeds — two
-	// processes with unrelated randomized layouts.
-	w0 := workloads.MustByName("h264ref", 1)
-	w1 := workloads.MustByName("hmmer", 1)
-	r0, err := ilr.Rewrite(w0.Img, ilr.Options{Seed: 10})
-	if err != nil {
-		log.Fatal(err)
+	// processes with unrelated randomized layouts. Mode.Deploy picks what a
+	// mode runs of a rewrite: under VCFR, the VCFR image with the process's
+	// own tables and randomized return addresses.
+	var names []string
+	var procs []cpu.ClusterProc
+	for _, p := range []struct {
+		name string
+		seed int64
+	}{{"h264ref", 10}, {"hmmer", 20}} {
+		w := workloads.MustByName(p.name, 1)
+		r, err := ilr.Rewrite(w.Img, ilr.Options{Seed: p.seed})
+		if err != nil {
+			log.Fatal(err)
+		}
+		img, trans, randRA := cpu.ModeVCFR.Deploy(r)
+		names = append(names, w.Name)
+		procs = append(procs, cpu.ClusterProc{Img: img, Trans: trans, RandRA: randRA, Input: w.Input})
 	}
-	r1, err := ilr.Rewrite(w1.Img, ilr.Options{Seed: 20})
-	if err != nil {
-		log.Fatal(err)
-	}
-
-	cluster, err := cpu.NewCluster(cpu.DefaultConfig(cpu.ModeVCFR), []cpu.ClusterProc{
-		{Img: r0.VCFR, Trans: r0.Tables, RandRA: r0.RandRA, Input: w0.Input},
-		{Img: r1.VCFR, Trans: r1.Tables, RandRA: r1.RandRA, Input: w1.Input},
-	})
+	cluster, err := cpu.NewCluster(cpu.DefaultConfig(cpu.ModeVCFR), procs)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -41,7 +44,6 @@ func main() {
 		log.Fatal(err)
 	}
 
-	names := []string{w0.Name, w1.Name}
 	for i, res := range results {
 		fmt.Printf("core %d (%s): output %q, IPC %.3f, %d private-DRC lookups (%.1f%% miss)\n",
 			i, names[i], res.Out, res.Stats.IPC(),

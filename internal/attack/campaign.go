@@ -263,7 +263,7 @@ func runCell(ctx context.Context, app *harness.App, sh *shared, cfg Config, row 
 		return insts + n
 	}
 	insts += n
-	if row.Mode == cpu.ModeBaseline {
+	if !row.Mode.Randomized() {
 		return insts // no layout to re-randomize: the rerand arm is moot
 	}
 	var d Disclosure

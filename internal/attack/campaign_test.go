@@ -373,7 +373,7 @@ func BenchmarkChainBuild(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	pool := staticPool(app.R, cpu.ModeBaseline, nil)
+	pool := sharedFor(app, cpu.ModeBaseline).pool
 	payloads := AllPayloads()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -393,7 +393,7 @@ func BenchmarkFire(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	ch, err := buildChain(staticPool(app.R, cpu.ModeBaseline, nil), PayloadPrint)
+	ch, err := buildChain(sharedFor(app, cpu.ModeBaseline).pool, PayloadPrint)
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -7,7 +7,6 @@ import (
 	"vcfr/internal/cpu"
 	"vcfr/internal/gadget"
 	"vcfr/internal/harness"
-	"vcfr/internal/ilr"
 )
 
 // buildChain compiles one payload template against a gadget pool.
@@ -28,26 +27,6 @@ func chainKey(c gadget.Chain) string {
 	return fmt.Sprint(c.Words)
 }
 
-// staticPool is the full-knowledge gadget view of one mode: what an
-// attacker holding the program binary can compile against before leaking
-// anything. Under baseline that is simply the binary's pool. Under naive
-// ILR the binary still yields every intended-instruction gadget, because
-// original addresses stay live (the fetch path translates them) — the
-// static phase exists to surface exactly that hole. Under VCFR the pool is
-// scanned from the deployed image, but every address it names requires the
-// randomized tag the attacker does not have. origAddrs, the ascending
-// original instruction starts, is read only under naive ILR.
-func staticPool(res *ilr.Result, mode cpu.Mode, origAddrs []uint32) []gadget.Gadget {
-	switch mode {
-	case cpu.ModeNaiveILR:
-		return gadget.ScanAddrs(res.Orig, origAddrs, 0)
-	case cpu.ModeVCFR:
-		return gadget.Scan(res.VCFR, 0)
-	default:
-		return gadget.Scan(res.Orig, 0)
-	}
-}
-
 // shared is one (workload, mode)'s read-only attack state, derived once per
 // prepared app and mode (sharedFor) and shared by every cell, disclosure
 // arm and campaign that attacks that app.
@@ -65,15 +44,22 @@ type shared struct {
 type sharedKey struct{ mode cpu.Mode }
 
 // sharedFor returns mode's shared state for app, building it from the
-// app's first-epoch rewrite on first use.
+// app's first-epoch rewrite on first use. Its pool is what an attacker
+// holding the program binary can compile against before leaking anything.
+// Under naive ILR the binary still yields every intended-instruction gadget,
+// because original addresses stay live (the fetch path translates them) —
+// the static phase exists to surface exactly that hole. Every other mode's
+// pool is the scan of its deployed image: under baseline simply the
+// binary's pool, under VCFR one whose every address requires the randomized
+// tag the attacker does not have.
 func sharedFor(app *harness.App, mode cpu.Mode) *shared {
 	return app.Derived(sharedKey{mode}, func() any {
-		s := &shared{}
 		if mode == cpu.ModeNaiveILR {
-			s.origAddrs = app.R.Tables.OrigAddrs()
+			addrs := app.R.Tables.OrigAddrs()
+			return &shared{pool: gadget.ScanAddrs(app.R.Orig, addrs, 0), origAddrs: addrs}
 		}
-		s.pool = staticPool(app.R, mode, s.origAddrs)
-		return s
+		img, _, _ := mode.Deploy(app.R)
+		return &shared{pool: gadget.Scan(img, 0)}
 	}).(*shared)
 }
 

@@ -45,20 +45,42 @@ const (
 
 // String names the mode.
 func (m Mode) String() string {
-	switch m {
-	case ModeBaseline:
-		return "baseline"
-	case ModeNaiveILR:
-		return "naive-ilr"
-	case ModeVCFR:
-		return "vcfr"
-	default:
+	if !m.Valid() {
 		return fmt.Sprintf("mode(%d)", int(m))
 	}
+	return modeTable[m].name
+}
+
+// modeSpec is one row of the fetch-mode table: every per-mode fact decided
+// outside the pipeline's hot loop, which keeps its own inlined mode tests.
+type modeSpec struct {
+	name, flag      string // report name (String) and CLI/request name (ParseModes)
+	randomized, drc bool   // see Randomized and HasDRC
+	// deploy picks the image the mode runs and, if it has them, the
+	// randomized return addresses.
+	deploy func(*ilr.Result) (*program.Image, map[uint32]uint32)
+}
+
+// modeTable is indexed by Mode; row 0, the invalid zero Mode, is empty.
+var modeTable = [...]modeSpec{
+	ModeBaseline: {name: "baseline", flag: "baseline",
+		deploy: func(r *ilr.Result) (*program.Image, map[uint32]uint32) { return r.Orig, nil }},
+	ModeNaiveILR: {name: "naive-ilr", flag: "naive", randomized: true,
+		deploy: func(r *ilr.Result) (*program.Image, map[uint32]uint32) { return r.Scattered, nil }},
+	ModeVCFR: {name: "vcfr", flag: "vcfr", randomized: true, drc: true,
+		deploy: func(r *ilr.Result) (*program.Image, map[uint32]uint32) { return r.VCFR, r.RandRA }},
 }
 
 // Valid reports whether m is one of the simulated architectures.
-func (m Mode) Valid() bool { return m >= ModeBaseline && m <= ModeVCFR }
+func (m Mode) Valid() bool { return m >= ModeBaseline && int(m) < len(modeTable) }
+
+// Randomized reports whether m runs an ILR layout: it needs a translator,
+// reports the rewrite's statistics and can be re-randomized.
+func (m Mode) Randomized() bool { return m.Valid() && modeTable[m].randomized }
+
+// HasDRC reports whether m's fetch path has a De-Randomization Cache, and
+// with it the DRC's configuration, area, energy and fault kind.
+func (m Mode) HasDRC() bool { return m.Valid() && modeTable[m].drc }
 
 // Deploy selects what mode m runs of one ILR rewrite: the image the pipeline
 // loads and fetches from, the translator behind its randomized control flow,
@@ -67,42 +89,39 @@ func (m Mode) Valid() bool { return m >= ModeBaseline && m <= ModeVCFR }
 // untyped nil translator; an invalid mode or a nil res gets all nils, and a
 // nil res.Tables a nil translator.
 func (m Mode) Deploy(res *ilr.Result) (img *program.Image, trans emu.Translator, randRA map[uint32]uint32) {
-	if res == nil {
+	if res == nil || !m.Valid() {
 		return nil, nil, nil
 	}
-	switch m {
-	case ModeBaseline:
-		return res.Orig, nil, nil
-	case ModeNaiveILR:
-		img = res.Scattered
-	case ModeVCFR:
-		img, randRA = res.VCFR, res.RandRA
-	default:
-		return nil, nil, nil
-	}
-	if res.Tables != nil { // a nil *ilr.Tables must not become a non-nil interface
+	img, randRA = modeTable[m].deploy(res)
+	if m.Randomized() && res.Tables != nil { // a nil *ilr.Tables must not become a non-nil interface
 		trans = res.Tables
 	}
 	return img, trans, randRA
 }
 
-// AllModes returns the three architecture modes in report order.
-func AllModes() []Mode { return []Mode{ModeBaseline, ModeNaiveILR, ModeVCFR} }
+// AllModes returns every mode of the table, in report order.
+func AllModes() []Mode {
+	out := make([]Mode, 0, len(modeTable)-1)
+	for m := ModeBaseline; m.Valid(); m++ {
+		out = append(out, m)
+	}
+	return out
+}
 
 // ParseModes maps a CLI flag or request mode string onto a mode list: one
-// of baseline, naive or vcfr, or all three for "all" and "".
+// mode's flag name (baseline, naive or vcfr), or every mode for "all" and "".
 func ParseModes(s string) ([]Mode, error) {
-	switch s {
-	case "", "all":
+	if s == "" || s == "all" {
 		return AllModes(), nil
-	case "baseline":
-		return []Mode{ModeBaseline}, nil
-	case "naive":
-		return []Mode{ModeNaiveILR}, nil
-	case "vcfr":
-		return []Mode{ModeVCFR}, nil
 	}
-	return nil, fmt.Errorf("unknown mode %q (want baseline, naive, vcfr, or all)", s)
+	want := ""
+	for _, m := range AllModes() {
+		if modeTable[m].flag == s {
+			return []Mode{m}, nil
+		}
+		want += modeTable[m].flag + ", "
+	}
+	return nil, fmt.Errorf("unknown mode %q (want %sor all)", s, want)
 }
 
 // Config parameterizes the machine. DefaultConfig matches Sec. VI-C.
@@ -226,9 +245,6 @@ func (c Config) Validate() error {
 		return fmt.Errorf("cpu: iTLB %d entries / walk %d invalid",
 			c.ITLBEntries, c.PageWalkLatency)
 	}
-	if c.DRCSplit && c.Mode == ModeVCFR && c.DRCEntries%2 != 0 {
-		return fmt.Errorf("cpu: split DRC needs an even entry count, got %d", c.DRCEntries)
-	}
 	if c.DRC2Entries < 0 || (c.DRC2Entries > 0 && c.DRC2Latency <= 0) {
 		return fmt.Errorf("cpu: DRC2 %d entries / %d latency invalid",
 			c.DRC2Entries, c.DRC2Latency)
@@ -236,9 +252,12 @@ func (c Config) Validate() error {
 	if c.IssueWidth < 1 || c.IssueWidth > 4 {
 		return fmt.Errorf("cpu: issue width %d out of range [1,4]", c.IssueWidth)
 	}
-	if c.Mode == ModeVCFR {
+	if c.Mode.HasDRC() {
 		if c.DRCEntries <= 0 || c.DRCAssoc <= 0 || c.DRCEntries%c.DRCAssoc != 0 {
 			return fmt.Errorf("cpu: DRC %d entries / %d ways invalid", c.DRCEntries, c.DRCAssoc)
+		}
+		if c.DRCSplit && c.DRCEntries%2 != 0 {
+			return fmt.Errorf("cpu: split DRC needs an even entry count, got %d", c.DRCEntries)
 		}
 	}
 	return nil

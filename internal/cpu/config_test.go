@@ -92,25 +92,42 @@ func TestValidateMessagePrefix(t *testing.T) {
 	}
 }
 
-// TestModeDeploy pins the one mode->artifact selection behind New, every
-// ClusterProc and Rerandomize: each mode's image, translator and RandRA are
-// exactly the rewrite's own, baseline's translator is an untyped nil, and an
-// invalid mode selects nothing (New then rejects it through Validate).
+// TestModeDeploy pins the fetch-mode table behind New, every ClusterProc,
+// Rerandomize and the per-mode facts other packages read: each mode's name,
+// flag (the vocabulary every CLI flag and request field shares) and
+// predicates; its image, translator and RandRA being exactly the
+// rewrite's own; baseline's translator an untyped nil; and an invalid mode
+// named mode(N), with false predicates, that selects nothing (New then
+// rejects it through Validate).
 func TestModeDeploy(t *testing.T) {
 	res := rewriteSrc(t, "fib", fibSrc)
 	tests := []struct {
-		mode   Mode
-		img    *program.Image
-		trans  emu.Translator
-		randRA map[uint32]uint32
+		mode            Mode
+		name, flag      string
+		randomized, drc bool
+		img             *program.Image
+		trans           emu.Translator
+		randRA          map[uint32]uint32
 	}{
-		{ModeBaseline, res.Orig, nil, nil},
-		{ModeNaiveILR, res.Scattered, res.Tables, nil},
-		{ModeVCFR, res.VCFR, res.Tables, res.RandRA},
-		{Mode(0), nil, nil, nil},
-		{Mode(9), nil, nil, nil},
+		{ModeBaseline, "baseline", "baseline", false, false, res.Orig, nil, nil},
+		{ModeNaiveILR, "naive-ilr", "naive", true, false, res.Scattered, res.Tables, nil},
+		{ModeVCFR, "vcfr", "vcfr", true, true, res.VCFR, res.Tables, res.RandRA},
+		{Mode(0), "mode(0)", "", false, false, nil, nil, nil},
+		{Mode(9), "mode(9)", "", false, false, nil, nil, nil},
 	}
 	for _, tc := range tests {
+		if got := tc.mode.String(); got != tc.name {
+			t.Errorf("Mode(%d).String() = %q, want %q", int(tc.mode), got, tc.name)
+		}
+		if tc.flag != "" {
+			if got, err := ParseModes(tc.flag); err != nil || !reflect.DeepEqual(got, []Mode{tc.mode}) {
+				t.Errorf("ParseModes(%q) = %v, %v; want [%v]", tc.flag, got, err, tc.mode)
+			}
+		}
+		if tc.mode.Randomized() != tc.randomized || tc.mode.HasDRC() != tc.drc {
+			t.Errorf("%v: Randomized() = %v, HasDRC() = %v; want %v, %v",
+				tc.mode, tc.mode.Randomized(), tc.mode.HasDRC(), tc.randomized, tc.drc)
+		}
 		img, trans, randRA := tc.mode.Deploy(res)
 		if img != tc.img {
 			t.Errorf("%v: image %p, want %p", tc.mode, img, tc.img)
@@ -132,6 +149,18 @@ func TestModeDeploy(t *testing.T) {
 
 	if _, trans, _ := ModeBaseline.Deploy(res); trans != nil {
 		t.Errorf("baseline translator = %#v, want an untyped nil", trans)
+	}
+	if len(AllModes()) != 3 {
+		t.Errorf("AllModes() = %v, want the three rows above", AllModes())
+	}
+	for _, s := range []string{"", "all"} {
+		if got, err := ParseModes(s); err != nil || !reflect.DeepEqual(got, AllModes()) {
+			t.Errorf("ParseModes(%q) = %v, %v; want AllModes()", s, got, err)
+		}
+	}
+	const unknown = `unknown mode "naive-ilr" (want baseline, naive, vcfr, or all)`
+	if _, err := ParseModes("naive-ilr"); err == nil || err.Error() != unknown {
+		t.Errorf("ParseModes(report name) error = %v, want %q", err, unknown)
 	}
 	noTables := &ilr.Result{Orig: res.Orig, Scattered: res.Scattered, VCFR: res.VCFR, RandRA: res.RandRA}
 	for _, m := range AllModes() {

@@ -48,7 +48,7 @@ func newMachine(cfg Config, ownHier bool) (*machine, error) {
 		}
 		m.hier = hier
 	}
-	if cfg.Mode == ModeVCFR {
+	if cfg.Mode.HasDRC() {
 		m.drc = newDRC(cfg.DRCEntries, cfg.DRCAssoc, cfg.DRCSplit, nil)
 		if cfg.DRC2Entries > 0 {
 			m.drc2 = newDRC(cfg.DRC2Entries, cfg.DRCAssoc, false, nil)

@@ -25,8 +25,7 @@ import (
 // migration (documented simplification). When a core dispatches a different
 // tenant than it last ran, the incoming tenant pays the paper's switch-in
 // cost: its process-private translation state (DRC hierarchy, iTLB) is
-// flushed and refills cold, and for per-process-key modes the decoded-block
-// memoization is dropped too. Shared-cache contention appears through shared
+// flushed and refills cold. Shared-cache contention appears through shared
 // L2/DRAM capacity and replacement state; port contention is not modelled
 // (documented simplification — the paper's single-issue cores rarely
 // saturate an L2 port).
@@ -138,12 +137,10 @@ func NewScheduledCluster(cfg Config, sched SchedConfig, procs []ClusterProc) (*C
 		errs:    make([]error, len(procs)),
 	}
 	for i, pr := range procs {
-		mode := cfg.Mode
-		if pr.Mode != 0 {
-			mode = pr.Mode
-		}
 		ccfg := cfg
-		ccfg.Mode = mode
+		if pr.Mode != 0 {
+			ccfg.Mode = pr.Mode
+		}
 		core := i % sched.Cores
 		p, err := NewWithHierarchy(pr.Img, ccfg, pr.Trans, pr.RandRA, hiers[core])
 		if err != nil {
@@ -258,7 +255,7 @@ func (cl *Cluster) dispatch(c int, maxInsts uint64) bool {
 			st.Switches++
 			switched = true
 			p.SwitchIn()
-			if p.cfg.Mode != ModeBaseline {
+			if p.cfg.Mode.Randomized() {
 				st.BlockDrops++
 			}
 		}

@@ -180,7 +180,7 @@ func checkNew(cfg Config, trans emu.Translator) error {
 	if err := cfg.Validate(); err != nil {
 		return err
 	}
-	if cfg.Mode != ModeBaseline && trans == nil {
+	if cfg.Mode.Randomized() && trans == nil {
 		return fmt.Errorf("cpu: mode %v requires a Translator", cfg.Mode)
 	}
 	return nil
@@ -279,7 +279,7 @@ func (p *Pipeline) emitTrace(in isa.Inst, sAddr uint32) {
 		return
 	}
 	rpc := p.pc
-	if p.cfg.Mode != ModeBaseline && p.trans != nil {
+	if p.trans != nil {
 		if r, ok := p.trans.ToRand(p.pc); ok {
 			rpc = r
 		}

@@ -46,7 +46,7 @@ import (
 // deliberately crafted integer equal to an old randomized address would see
 // it re-translated.
 func (p *Pipeline) Rerandomize(next *ilr.Result) error {
-	if p.cfg.Mode == ModeBaseline {
+	if !p.cfg.Mode.Randomized() {
 		return fmt.Errorf("cpu: mode %v does not re-randomize", p.cfg.Mode)
 	}
 	img, trans, randRA := p.cfg.Mode.Deploy(next)

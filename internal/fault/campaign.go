@@ -135,7 +135,7 @@ type Report struct {
 func kindsFor(kinds []Kind, mode cpu.Mode) []Kind {
 	out := make([]Kind, 0, len(kinds))
 	for _, k := range kinds {
-		if k.NeedsVCFR() && mode != cpu.ModeVCFR {
+		if k.NeedsDRC() && !mode.HasDRC() {
 			continue
 		}
 		out = append(out, k)

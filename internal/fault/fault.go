@@ -77,8 +77,8 @@ func (k Kind) valid() bool {
 	return false
 }
 
-// NeedsVCFR reports whether the kind only exists under ModeVCFR.
-func (k Kind) NeedsVCFR() bool { return k == KindDRCEntry }
+// NeedsDRC reports whether the kind only exists in a mode with a DRC.
+func (k Kind) NeedsDRC() bool { return k == KindDRCEntry }
 
 // matches reports whether this kind can fire on an instruction of the given
 // class whose transfer was taken.

@@ -1,6 +1,7 @@
 package gadget
 
 import (
+	"encoding/binary"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -11,56 +12,57 @@ import (
 	"vcfr/internal/program"
 )
 
-// TestScanRandomImagesNeverPanics throws random byte soup at the scanner:
-// it must terminate, never panic, and every reported gadget must decode
-// cleanly from its start address and end in an indirect transfer.
-func TestScanRandomImagesNeverPanics(t *testing.T) {
-	rng := rand.New(rand.NewSource(4))
-	for trial := 0; trial < 50; trial++ {
-		data := make([]byte, 512+rng.Intn(2048))
-		rng.Read(data)
+// FuzzGadgetScan throws byte soup at the scanner: it must terminate, never
+// panic, and every gadget that Scan or ScanAddrs reports must decode cleanly
+// from its start address and end in an indirect transfer within the bound.
+// text is the image's text at 0x1000. Each two probe bytes (little-endian)
+// pick a ScanAddrs start in [0x1000-8, end+8), on top of four fixed probes
+// below, at and past the ends of the text (including the top of the address
+// space), so the probe list is unsorted and may repeat.
+//
+// Seeds: the checked-in corpus under testdata/fuzz/FuzzGadgetScan, 50
+// random texts of 512-2559 bytes with 256 probes each.
+func FuzzGadgetScan(f *testing.F) {
+	f.Fuzz(func(t *testing.T, text, probeBytes []byte) {
+		const base = 0x1000
 		img := &program.Image{
 			Name:  "fuzz",
-			Entry: 0x1000,
+			Entry: base,
 			Segments: []program.Segment{{
-				Name: program.SegText, Addr: 0x1000, Data: data,
+				Name: program.SegText, Addr: base, Data: text,
 				Perm: program.PermR | program.PermX,
 			}},
 		}
-		// ScanAddrs gets arbitrary probe lists: unsorted, duplicated, and
-		// reaching past both ends of the text (including the top of the
-		// address space).
-		probes := []uint32{0, 0xfff, 0x1000 + uint32(len(data)), ^uint32(0)}
-		for i := 0; i < 256; i++ {
-			probes = append(probes, 0x1000-8+uint32(rng.Intn(len(data)+16)))
+		end := base + uint32(len(text))
+		probes := []uint32{0, base - 1, end, ^uint32(0)}
+		for i := 0; i+1 < len(probeBytes); i += 2 {
+			off := uint32(binary.LittleEndian.Uint16(probeBytes[i:])) % uint32(len(text)+16)
+			probes = append(probes, base-8+off)
 		}
 		found := Scan(img, DefaultMaxInsts)
 		found = append(found, ScanAddrs(img, probes, DefaultMaxInsts)...)
 		for _, g := range found {
 			// Re-decode the gadget from scratch and verify its shape.
-			off := g.Addr - 0x1000
 			addr := g.Addr
 			for _, want := range g.Insts {
-				in, err := isa.Decode(data[off:], addr)
+				in, err := isa.Decode(text[addr-base:], addr)
 				if err != nil {
-					t.Fatalf("trial %d: reported gadget fails to decode at %#x: %v",
-						trial, addr, err)
+					t.Fatalf("reported gadget fails to decode at %#x: %v", addr, err)
 				}
 				if in.Op != want.Op {
-					t.Fatalf("trial %d: decode disagrees at %#x", trial, addr)
+					t.Fatalf("decode disagrees at %#x", addr)
 				}
-				off += uint32(in.Len())
 				addr += uint32(in.Len())
 			}
-			end, err := isa.Decode(data[off:], addr)
-			if err != nil || !end.Class().IsIndirect() {
-				t.Fatalf("trial %d: gadget terminator invalid at %#x", trial, addr)
+			term, err := isa.Decode(text[addr-base:], addr)
+			if err != nil || !term.Class().IsIndirect() {
+				t.Fatalf("gadget terminator invalid at %#x", addr)
 			}
 			if len(g.Insts) > DefaultMaxInsts {
-				t.Fatalf("trial %d: gadget longer than bound", trial)
+				t.Fatalf("gadget at %#x longer than bound", g.Addr)
 			}
 		}
-	}
+	})
 }
 
 // randomCode builds n bytes of gadget-rich soup: runs of valid encodings

@@ -432,9 +432,8 @@ func ExtensionMulticore(s *Sweep, cfg Config) (*Table, error) {
 				apps[i] = a
 			}
 			proc := func(a *App) cpu.ClusterProc {
-				return cpu.ClusterProc{
-					Img: a.R.VCFR, Trans: a.R.Tables, RandRA: a.R.RandRA, Input: a.W.Input,
-				}
+				img, trans, randRA := cpu.ModeVCFR.Deploy(a.R)
+				return cpu.ClusterProc{Img: img, Trans: trans, RandRA: randRA, Input: a.W.Input}
 			}
 			solo := make([]uint64, 2)
 			for i := range apps {

@@ -227,23 +227,18 @@ func Table1(s *Sweep, cfg Config) (*Table, error) {
 			if err != nil {
 				return Cell{}, err
 			}
-			type row struct {
-				mode cpu.Mode
-				cf   string
-			}
-			rows := []row{
-				{cpu.ModeBaseline, "no"},
-				{cpu.ModeNaiveILR, "randomized"},
-				{cpu.ModeVCFR, "randomized"},
-			}
 			var c Cell
 			var baseIPC float64
-			for _, r := range rows {
-				res, _, err := s.runMode(ctx, app, r.mode, cfg.MaxInsts, nil)
+			for _, mode := range cpu.AllModes() {
+				res, _, err := s.runMode(ctx, app, mode, cfg.MaxInsts, nil)
 				if err != nil {
 					return Cell{}, err
 				}
-				if r.mode == cpu.ModeBaseline {
+				cf := "no"
+				if mode.Randomized() {
+					cf = "randomized"
+				}
+				if mode == cpu.ModeBaseline {
 					baseIPC = res.Stats.IPC()
 				}
 				perInst := float64(res.IL1.Accesses) / float64(res.Stats.Instructions)
@@ -252,7 +247,7 @@ func Table1(s *Sweep, cfg Config) (*Table, error) {
 					locality = "destroyed"
 				}
 				c.Rows = append(c.Rows, []string{
-					r.mode.String(), r.cf, f3(perInst),
+					mode.String(), cf, f3(perInst),
 					pct(res.IL1.PrefetchMissRate()), locality,
 					f3(res.Stats.IPC() / baseIPC)})
 			}

@@ -175,21 +175,22 @@ func (a *App) RunContext(ctx context.Context, mode cpu.Mode, maxInsts uint64, mu
 	return res, ccfg, nil
 }
 
-// Emulate runs the app on the functional interpreter in mode, with input
-// served to SysGetChar: the original binary under emu.ModeNative, the VCFR
-// binary under emu.ModeVCFR, the scattered binary under emu.ModeScattered
-// and emu.ModeEmulatedILR (Fig. 2's software-ILR baseline). maxInsts of 0
-// runs to completion.
+// emuDeploys maps each interpreter mode to the fetch mode whose deployment
+// it runs.
+var emuDeploys = map[emu.Mode]cpu.Mode{
+	emu.ModeNative:      cpu.ModeBaseline,
+	emu.ModeScattered:   cpu.ModeNaiveILR,
+	emu.ModeVCFR:        cpu.ModeVCFR,
+	emu.ModeEmulatedILR: cpu.ModeNaiveILR,
+}
+
+// Emulate runs the app on the functional interpreter in mode, on what
+// emuDeploys[mode] deploys, with input served to SysGetChar (Fig. 2's
+// software-ILR baseline is emu.ModeEmulatedILR). maxInsts of 0 runs to
+// completion.
 func (a *App) Emulate(mode emu.Mode, input []byte, maxInsts uint64) (emu.RunResult, error) {
-	cfg := emu.Config{Mode: mode, Trans: a.R.Tables, Input: input}
-	img := a.R.Scattered
-	switch mode {
-	case emu.ModeNative:
-		img, cfg.Trans = a.R.Orig, nil
-	case emu.ModeVCFR:
-		img, cfg.RandRA = a.R.VCFR, a.R.RandRA
-	}
-	m, err := emu.NewMachine(img, cfg)
+	img, trans, randRA := emuDeploys[mode].Deploy(a.R)
+	m, err := emu.NewMachine(img, emu.Config{Mode: mode, Trans: trans, RandRA: randRA, Input: input})
 	if err != nil {
 		return emu.RunResult{}, err
 	}

@@ -153,7 +153,7 @@ func RunRow(name string, mode cpu.Mode, seed int64, ccfg cpu.Config, res cpu.Res
 		Result:    res,
 		Intervals: results.MakeIntervals(res.Intervals),
 	}
-	if mode != cpu.ModeBaseline {
+	if mode.Randomized() {
 		st := rw.Stats
 		row.Ilr = &st
 	}

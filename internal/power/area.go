@@ -54,7 +54,7 @@ func (m *Model) AnalyzeArea(cfg cpu.Config) AreaBreakdown {
 	b.L2 = m.SRAMArea(cfg.Mem.L2.Size, cfg.Mem.L2.Assoc)
 	b.BPred = m.SRAMArea((1<<cfg.GshareBits)/4, 1)
 	b.BTB = m.SRAMArea(cfg.BTBEntries*btbEntryBytes, cfg.BTBAssoc)
-	if cfg.Mode == cpu.ModeVCFR {
+	if cfg.Mode.HasDRC() {
 		b.DRC = m.SRAMArea(cfg.DRCEntries*drcEntryBytes, cfg.DRCAssoc)
 		if cfg.DRC2Entries > 0 {
 			b.DRC += m.SRAMArea(cfg.DRC2Entries*drcEntryBytes, cfg.DRCAssoc)

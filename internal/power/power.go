@@ -107,7 +107,7 @@ func (m *Model) Analyze(res cpu.Result, cfg cpu.Config) Breakdown {
 	btbE := m.SRAMAccess(cfg.BTBEntries*btbEntryBytes, cfg.BTBAssoc)
 	b.BPred = bpredE*float64(res.BPred.CondLookups) + btbE*float64(res.BPred.BTBLookups)
 
-	if cfg.Mode == cpu.ModeVCFR {
+	if cfg.Mode.HasDRC() {
 		drcE := m.SRAMAccess(cfg.DRCEntries*drcEntryBytes, cfg.DRCAssoc)
 		// Lookups plus installs each cycle the array once.
 		b.DRC = drcE * float64(res.DRC.Lookups+res.DRC.Installs)
