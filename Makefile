@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test test-short bench bench-pipeline bench-pipeline-record bench-check bench-fault bench-attack bench-service bench-multicore bench-realbin experiments results examples vet fmt fmtcheck cover race check trace serve serve-smoke faults attacks multicore realbin
+.PHONY: all build test test-short bench bench-pipeline bench-pipeline-record bench-check bench-multicore experiments results examples vet fmt fmtcheck cover race check trace serve serve-smoke faults attacks multicore realbin
 
 all: build test
 
@@ -74,29 +74,10 @@ bench-check:
 bench-pipeline-record:
 	./scripts/bench_pipeline.sh
 
-# Campaign throughput (injections/s), archived as BENCH_fault.json.
-bench-fault:
-	./scripts/bench_fault.sh
-
-# Attack-evaluation throughput (chains/s, fires/s, campaign cells/s),
-# archived as BENCH_attack.json.
-bench-attack:
-	./scripts/bench_attack.sh
-
-# Service-level load benchmark (cmd/vcfrload) against one vcfrd, archived
-# as BENCH_service.json.
-bench-service:
-	./scripts/bench_service.sh
-
 # Scheduled-cluster throughput (ns/instr), archived as BENCH_multicore.json
 # and held within 1.5x of the single-core execute budget.
 bench-multicore:
 	./scripts/bench_multicore.sh
-
-# Real-binary front-end throughput (lift instrs/s, simulate ns/instr on
-# lifted text), archived as BENCH_realbin.json. Non-gating.
-bench-realbin:
-	./scripts/bench_realbin.sh
 
 # Every table and figure, as readable text tables.
 experiments:

@@ -367,7 +367,6 @@ func TestParsePayloads(t *testing.T) {
 
 // BenchmarkChainBuild measures the chain builder alone: payload templates
 // compiled per second against a full-knowledge baseline gadget pool.
-// scripts/bench_attack.sh records this as chains evaluated per second.
 func BenchmarkChainBuild(b *testing.B) {
 	app, err := harness.Prepare("sjeng", harness.Config{Seed: 42})
 	if err != nil {
@@ -410,8 +409,7 @@ func BenchmarkFire(b *testing.B) {
 // BenchmarkCampaign measures the whole canonical campaign on one worker —
 // workload preparation, the leak oracle, gadget pools, re-randomization
 // epochs, chain builds and fires — as campaign cells per second. It is the
-// end-to-end row the chain-build and fire benchmarks above are layers of;
-// scripts/bench_attack.sh records it as campaign_cells_per_sec.
+// end-to-end row the chain-build and fire benchmarks above are layers of.
 func BenchmarkCampaign(b *testing.B) {
 	cells := 0
 	for i := 0; i < b.N; i++ {

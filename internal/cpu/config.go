@@ -245,10 +245,6 @@ func (c Config) Validate() error {
 		return fmt.Errorf("cpu: iTLB %d entries / walk %d invalid",
 			c.ITLBEntries, c.PageWalkLatency)
 	}
-	if c.DRC2Entries < 0 || (c.DRC2Entries > 0 && c.DRC2Latency <= 0) {
-		return fmt.Errorf("cpu: DRC2 %d entries / %d latency invalid",
-			c.DRC2Entries, c.DRC2Latency)
-	}
 	if c.IssueWidth < 1 || c.IssueWidth > 4 {
 		return fmt.Errorf("cpu: issue width %d out of range [1,4]", c.IssueWidth)
 	}
@@ -258,6 +254,10 @@ func (c Config) Validate() error {
 		}
 		if c.DRCSplit && c.DRCEntries%2 != 0 {
 			return fmt.Errorf("cpu: split DRC needs an even entry count, got %d", c.DRCEntries)
+		}
+		if c.DRC2Entries < 0 || (c.DRC2Entries > 0 && c.DRC2Latency <= 0) {
+			return fmt.Errorf("cpu: DRC2 %d entries / %d latency invalid",
+				c.DRC2Entries, c.DRC2Latency)
 		}
 	}
 	return nil

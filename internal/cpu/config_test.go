@@ -60,11 +60,16 @@ func TestValidateRejections(t *testing.T) {
 			"cpu: DRC 0 entries / 1 ways invalid"},
 		{"drc-uneven-ways", mod(func(c *Config) { c.DRCEntries = 100; c.DRCAssoc = 3 }),
 			"cpu: DRC 100 entries / 3 ways invalid"},
-		// The DRC bounds apply only to the mode that has a DRC: a baseline
-		// machine with a nonsense DRC config is still valid.
+		// The DRC and DRC2 bounds apply only to a mode that has a DRC: a
+		// baseline machine with a nonsense DRC config is still valid.
 		{"drc-ignored-outside-vcfr", func() Config {
 			c := DefaultConfig(ModeBaseline)
 			c.DRCEntries = 0
+			return c
+		}(), ""},
+		{"drc2-ignored-outside-vcfr", func() Config {
+			c := DefaultConfig(ModeBaseline)
+			c.DRC2Entries = -1
 			return c
 		}(), ""},
 	}

@@ -77,22 +77,6 @@ func FindSyscall(gs []Gadget, num int32) (Gadget, bool) {
 	return Gadget{}, false
 }
 
-// FindStore returns a write-what-where gadget: a single store through
-// registers, ending in ret.
-func FindStore(gs []Gadget) (Gadget, bool) {
-	for _, g := range gs {
-		if g.End.Op != isa.OpRet {
-			continue
-		}
-		for _, in := range g.Insts {
-			if in.Op == isa.OpStore || in.Op == isa.OpStoreR {
-				return g, true
-			}
-		}
-	}
-	return Gadget{}, false
-}
-
 func touchesStack(in isa.Inst) bool {
 	switch in.Op {
 	case isa.OpPush, isa.OpPop:

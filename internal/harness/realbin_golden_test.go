@@ -56,7 +56,7 @@ func TestELFGoldenEnvelopes(t *testing.T) {
 
 			sweepCfg := cfg
 			sweepCfg.Workloads = []string{name}
-			sweepRows, err := StatsSweep(context.Background(), NewRunner(1), sweepCfg)
+			sweepRows, err := StatsSweepProgress(context.Background(), NewRunner(1), sweepCfg, nil)
 			if err != nil {
 				t.Fatal(err)
 			}

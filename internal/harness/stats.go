@@ -10,21 +10,6 @@ import (
 	"vcfr/internal/workloads"
 )
 
-// StatsSweep simulates every configured workload (default: the 11 SPEC
-// analogs) under all three architecture modes on the runner's worker pool
-// and returns one row per (workload, mode) in stable (workload, mode) order.
-// Per-workload derived seeds and the prepared-app memo follow the same
-// rules as the table experiments.
-//
-// A failed or cancelled cell does not discard the sweep: its workload
-// contributes a single error row (Mode empty, Error set) and every cell
-// that did finish is returned intact. Callers that need all-or-nothing
-// semantics can check results.Run.Failed on each row, or wrap the rows with
-// results.NewSweep, which derives the Partial flag.
-func StatsSweep(ctx context.Context, r *Runner, cfg Config) ([]results.Run, error) {
-	return StatsSweepProgress(ctx, r, cfg, nil)
-}
-
 // Progress is a sweep's or campaign's live completion state, reported after
 // each finished unit: how many units are done, how many there are in total,
 // and the simulated instructions accumulated by the finished units (read
@@ -55,10 +40,22 @@ func ProgressCounter(total int, onProgress func(Progress)) func(insts uint64) {
 	}
 }
 
-// StatsSweepProgress is StatsSweep with a live progress callback: onProgress
-// (when non-nil) is invoked after every executed cell, from worker
-// goroutines, with a consistent cumulative Progress. The vcfrd service feeds
-// this into GET /v1/jobs/{id} so a running sweep is observable mid-flight.
+// StatsSweepProgress simulates every configured workload (default: the 11 SPEC
+// analogs) under all three architecture modes on the runner's worker pool
+// and returns one row per (workload, mode) in stable (workload, mode) order.
+// Per-workload derived seeds and the prepared-app memo follow the same
+// rules as the table experiments.
+//
+// A failed or cancelled cell does not discard the sweep: its workload
+// contributes a single error row (Mode empty, Error set) and every cell
+// that did finish is returned intact. Callers that need all-or-nothing
+// semantics can check results.Run.Failed on each row, or wrap the rows with
+// results.NewSweep, which derives the Partial flag.
+//
+// onProgress (when non-nil) is invoked after every executed cell, from
+// worker goroutines, with a consistent cumulative Progress. The vcfrd
+// service feeds this into GET /v1/jobs/{id} so a running sweep is
+// observable mid-flight.
 func StatsSweepProgress(ctx context.Context, r *Runner, cfg Config, onProgress func(Progress)) ([]results.Run, error) {
 	s := r.Sweep(ctx, "stats")
 	cfg = cfg.withDefaults()

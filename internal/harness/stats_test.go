@@ -15,7 +15,7 @@ import (
 // table experiments — identical output with and without the trace cache.
 func TestStatsSweep(t *testing.T) {
 	cfg := tiny("h264ref", "lbm")
-	rows, err := StatsSweep(context.Background(), NewRunner(2), cfg)
+	rows, err := StatsSweepProgress(context.Background(), NewRunner(2), cfg, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -41,7 +41,7 @@ func TestStatsSweep(t *testing.T) {
 		t.Error("rows carry the wrong machine configuration")
 	}
 
-	traced, err := StatsSweep(context.Background(), tracedRunner(2), cfg)
+	traced, err := StatsSweepProgress(context.Background(), tracedRunner(2), cfg, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -57,7 +57,7 @@ func TestStatsSweep(t *testing.T) {
 func TestStatsSweepCancelledPartial(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	rows, err := StatsSweep(ctx, NewRunner(2), tiny("h264ref", "lbm"))
+	rows, err := StatsSweepProgress(ctx, NewRunner(2), tiny("h264ref", "lbm"), nil)
 	if err != nil {
 		t.Fatalf("cancelled sweep must return partial rows, got error %v", err)
 	}
@@ -84,7 +84,7 @@ func TestStatsSweepTimeoutMidRun(t *testing.T) {
 	defer cancel()
 	cfg := tiny("h264ref")
 	cfg.MaxInsts = 0 // uncapped: only cancellation can stop the run early
-	rows, err := StatsSweep(ctx, r, cfg)
+	rows, err := StatsSweepProgress(ctx, r, cfg, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -19,7 +19,7 @@ func TestStatsSweepWorkerDeterminism(t *testing.T) {
 	cfg := Config{MaxInsts: 30_000, Scale: 1, Seed: 42, Spread: 8,
 		Workloads: append(append([]string{}, workloads.SpecNames...), workloads.ELFNames()...)}
 	run := func(workers int) []byte {
-		rows, err := StatsSweep(context.Background(), NewRunner(workers), cfg)
+		rows, err := StatsSweepProgress(context.Background(), NewRunner(workers), cfg, nil)
 		if err != nil {
 			t.Fatalf("%d workers: %v", workers, err)
 		}

@@ -95,10 +95,11 @@ func TestNormalizeExplicitZero(t *testing.T) {
 	}
 }
 
-// BenchmarkServiceMix runs each kind of vcfrload's default mix through Run
-// on a warm runner, as a long-running vcfrd serves them: the job templates
-// are vcfrload's (2000 instructions; faults with 2 injections; attacks with
-// max_leaks 4 and advance_insts 500), rotating over its three workloads. The
+// BenchmarkServiceMix runs each kind of the service benchmark's mix
+// (perfbench/spec.Mix) through Run on a warm runner, as a long-running vcfrd
+// serves them: the job templates are the mix's (2000 instructions; faults
+// with 2 injections; attacks with max_leaks 4 and advance_insts 500),
+// rotating over its three workloads. The
 // runner's prepared-app memo is warm after the first round, which the timer
 // skips. It reports milliseconds per job; -benchmem adds bytes and
 // allocations per job.

@@ -19,10 +19,7 @@
 // time, which is what keeps the three consumers from drifting apart.
 package stats
 
-import (
-	"fmt"
-	"sort"
-)
+import "fmt"
 
 // Kind classifies a registered value for consumers that care (the Prometheus
 // renderer maps KindCounter to `counter` + a `_total` suffix, everything else
@@ -178,15 +175,6 @@ func (r *Registry) Float(name, help string, v *float64) {
 		panic(fmt.Sprintf("stats: nil float %q", name))
 	}
 	r.add(entry{desc: Desc{Name: name, Help: help, Kind: KindFloat}, f: v})
-}
-
-// Descs returns the registered descriptors in registration order.
-func (r *Registry) Descs() []Desc {
-	out := make([]Desc, len(r.entries))
-	for i, e := range r.entries {
-		out[i] = e.desc
-	}
-	return out
 }
 
 // Scope returns a registrar that prefixes every name with prefix + "." —
@@ -355,14 +343,4 @@ func (s Snapshot) Delta(prev Snapshot) (Snapshot, error) {
 func (s Snapshot) Monotonic(prev Snapshot) error {
 	_, err := s.Delta(prev)
 	return err
-}
-
-// Keys returns every registration key in sorted order (test helper).
-func (s Snapshot) Keys() []string {
-	out := make([]string, 0, len(s.index))
-	for k := range s.index {
-		out = append(out, k)
-	}
-	sort.Strings(out)
-	return out
 }
