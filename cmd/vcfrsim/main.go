@@ -16,10 +16,10 @@
 // DRC statistics and the dynamic-power breakdown. With -stats-json the
 // per-mode rows are emitted as one versioned results.Envelope instead.
 //
-// A -workload invocation is a run job: the flags build the jobs.Request a
-// vcfrd POST /v1/simulate body decodes to, and jobs.Run computes it, so
-// `vcfrsim -workload W -stats-json` and the service's response are the same
-// bytes. -elf, a source file and -bundle name programs a request cannot; they
+// A -workload invocation is a run job: the flags build the jobs.Request of
+// a vcfrd `{"kind": "run", ...}` POST /v1/jobs body, and jobs.Run computes
+// it, so `vcfrsim -workload W -stats-json` and that job's
+// /v1/jobs/{id}/result are the same bytes. -elf, a source file and -bundle name programs a request cannot; they
 // run the same per-mode rows (harness.App.RunRows) on an app built here, each
 // row labelled with the layout seed it ran. -trace N and -emulate are the
 // only additions to either path. To capture or replay a run, use vxtrace.
@@ -129,11 +129,11 @@ func run(o options, w io.Writer) error {
 		// so the CLI listing and the service listing describe the same registry
 		// the same way.
 		for _, n := range workloads.Names() {
-			wl, err := workloads.ByName(n, 1)
+			desc, source, err := workloads.Describe(n)
 			if err != nil {
 				return err
 			}
-			fmt.Fprintf(w, "%-12s %-10s %s\n", n, wl.Source, wl.Desc)
+			fmt.Fprintf(w, "%-12s %-10s %s\n", n, source, desc)
 		}
 		return nil
 	}

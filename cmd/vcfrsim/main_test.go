@@ -18,9 +18,9 @@ import (
 
 // TestFlagsMatchServiceRequest pins the CLI↔service identity at the
 // request level: the normalized request vcfrsim builds from its flags must
-// equal the one vcfrd decodes and normalizes from the equivalent POST
-// /v1/simulate body. Equal requests run the same jobs.Run, so their
-// envelopes are byte-identical.
+// equal the one vcfrd decodes and normalizes from the parameters of the
+// equivalent kind "run" POST /v1/jobs body. Equal requests run the same
+// jobs.Run, so their envelopes are byte-identical.
 func TestFlagsMatchServiceRequest(t *testing.T) {
 	for _, tc := range []struct {
 		name, args, body string

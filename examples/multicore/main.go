@@ -35,7 +35,7 @@ func main() {
 		names = append(names, w.Name)
 		procs = append(procs, cpu.ClusterProc{Img: img, Trans: trans, RandRA: randRA, Input: w.Input})
 	}
-	cluster, err := cpu.NewCluster(cpu.DefaultConfig(cpu.ModeVCFR), procs)
+	cluster, err := cpu.NewScheduledCluster(cpu.DefaultConfig(cpu.ModeVCFR), cpu.SchedConfig{}, procs)
 	if err != nil {
 		log.Fatal(err)
 	}

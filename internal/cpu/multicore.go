@@ -96,13 +96,6 @@ type Cluster struct {
 	errs    []error      // per-tenant fault; a faulted tenant stops, others run on
 }
 
-// NewCluster wires one core per process — every tenant runs alone on its
-// core, the original co-run deployment. See NewScheduledCluster for the
-// general tenants-over-cores form.
-func NewCluster(cfg Config, procs []ClusterProc) (*Cluster, error) {
-	return NewScheduledCluster(cfg, SchedConfig{Cores: len(procs)}, procs)
-}
-
 // NewScheduledCluster builds a cluster of sched.Cores cores running
 // len(procs) tenant processes. Each entry supplies the image and
 // randomization context for that tenant; tenant i is pinned to core

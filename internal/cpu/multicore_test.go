@@ -29,7 +29,7 @@ func clusterProcs(t *testing.T) []ClusterProc {
 }
 
 func TestClusterRunsIndependentProcesses(t *testing.T) {
-	cl, err := NewCluster(DefaultConfig(ModeVCFR), clusterProcs(t))
+	cl, err := NewScheduledCluster(DefaultConfig(ModeVCFR), SchedConfig{}, clusterProcs(t))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,7 +67,7 @@ func TestClusterRunsIndependentProcesses(t *testing.T) {
 func TestClusterSharedL2Contention(t *testing.T) {
 	procs := clusterProcs(t)
 
-	solo, err := NewCluster(DefaultConfig(ModeVCFR), procs[:1])
+	solo, err := NewScheduledCluster(DefaultConfig(ModeVCFR), SchedConfig{}, procs[:1])
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,7 +76,7 @@ func TestClusterSharedL2Contention(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	co, err := NewCluster(DefaultConfig(ModeVCFR), procs)
+	co, err := NewScheduledCluster(DefaultConfig(ModeVCFR), SchedConfig{}, procs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,7 +94,7 @@ func TestClusterSharedL2Contention(t *testing.T) {
 
 func TestClusterMixedModes(t *testing.T) {
 	a := rewriteSrc(t, "fib", fibSrc)
-	cl, err := NewCluster(DefaultConfig(ModeVCFR), []ClusterProc{
+	cl, err := NewScheduledCluster(DefaultConfig(ModeVCFR), SchedConfig{}, []ClusterProc{
 		{Img: a.VCFR, Trans: a.Tables, RandRA: a.RandRA},
 		{Img: a.Orig, Mode: ModeBaseline},
 	})
@@ -130,7 +130,7 @@ func TestClusterSoloMatchesPipeline(t *testing.T) {
 			cfg := DefaultConfig(mode)
 			cfg.SampleEvery = 997
 			img, trans, randRA := mode.Deploy(res)
-			cl, err := NewCluster(cfg, []ClusterProc{{Img: img, Trans: trans, RandRA: randRA}})
+			cl, err := NewScheduledCluster(cfg, SchedConfig{}, []ClusterProc{{Img: img, Trans: trans, RandRA: randRA}})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -178,7 +178,7 @@ func TestClusterSoloMatchesPipeline(t *testing.T) {
 func TestClusterTimeSharing(t *testing.T) {
 	procs := clusterProcs(t)
 
-	wide, err := NewCluster(DefaultConfig(ModeVCFR), procs)
+	wide, err := NewScheduledCluster(DefaultConfig(ModeVCFR), SchedConfig{}, procs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -278,7 +278,7 @@ main:
 // TestClusterRunContextCancelled: a cancelled context stops the scheduler
 // between quanta and still hands back one (partial) result per tenant.
 func TestClusterRunContextCancelled(t *testing.T) {
-	cl, err := NewCluster(DefaultConfig(ModeVCFR), clusterProcs(t))
+	cl, err := NewScheduledCluster(DefaultConfig(ModeVCFR), SchedConfig{}, clusterProcs(t))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -294,11 +294,11 @@ func TestClusterRunContextCancelled(t *testing.T) {
 }
 
 func TestClusterValidation(t *testing.T) {
-	if _, err := NewCluster(DefaultConfig(ModeVCFR), nil); err == nil {
+	if _, err := NewScheduledCluster(DefaultConfig(ModeVCFR), SchedConfig{}, nil); err == nil {
 		t.Error("empty cluster accepted")
 	}
 	a := rewriteSrc(t, "fib", fibSrc)
-	if _, err := NewCluster(DefaultConfig(ModeVCFR), []ClusterProc{
+	if _, err := NewScheduledCluster(DefaultConfig(ModeVCFR), SchedConfig{}, []ClusterProc{
 		{Img: a.VCFR /* missing translator */},
 	}); err == nil || !strings.Contains(err.Error(), "Translator") {
 		t.Errorf("VCFR core without translator accepted: %v", err)

@@ -440,7 +440,7 @@ func ExtensionMulticore(s *Sweep, cfg Config) (*Table, error) {
 				if err := ctx.Err(); err != nil {
 					return Cell{}, err
 				}
-				cl, err := cpu.NewCluster(cpu.DefaultConfig(cpu.ModeVCFR),
+				cl, err := cpu.NewScheduledCluster(cpu.DefaultConfig(cpu.ModeVCFR), cpu.SchedConfig{},
 					[]cpu.ClusterProc{proc(apps[i])})
 				if err != nil {
 					return Cell{}, err
@@ -454,7 +454,7 @@ func ExtensionMulticore(s *Sweep, cfg Config) (*Table, error) {
 			if err := ctx.Err(); err != nil {
 				return Cell{}, err
 			}
-			cl, err := cpu.NewCluster(cpu.DefaultConfig(cpu.ModeVCFR),
+			cl, err := cpu.NewScheduledCluster(cpu.DefaultConfig(cpu.ModeVCFR), cpu.SchedConfig{},
 				[]cpu.ClusterProc{proc(apps[0]), proc(apps[1])})
 			if err != nil {
 				return Cell{}, err

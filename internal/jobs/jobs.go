@@ -198,7 +198,7 @@ func campaignOutcome(rep Report, partial bool, units string) Outcome {
 
 func validateRun(r *Request) error {
 	if r.Workload == "" {
-		return fmt.Errorf("simulate needs a workload")
+		return fmt.Errorf("a run needs a workload")
 	}
 	return workloads.CheckName(r.Workload)
 }

@@ -12,19 +12,19 @@ import (
 	"vcfr/internal/workloads"
 )
 
-// Request is the body of POST /v1/simulate, the parameters of POST
-// /v1/jobs, and what `experiments` and `vcfrsim` build from their flags.
+// Request is the parameters of a POST /v1/jobs body (beside its kind), and
+// what `experiments` and `vcfrsim` build from their flags.
 // Absent fields take the kind's defaults (documented per field), which is
 // what keeps service responses byte-identical to CLI output. The numeric tuning knobs
 // are pointers so that presence, not value, selects the default:
 // `"seed": 0` means literally seed 0 (handled downstream exactly as the
 // CLIs handle `-seed 0`), while omitting seed means the default.
 type Request struct {
-	// Workload names the built-in workload to simulate (required for
-	// simulate; ignored by sweep).
+	// Workload names the built-in workload to simulate (required for a
+	// run; ignored by sweep).
 	Workload string `json:"workload,omitempty"`
 	// Workloads restricts a sweep to a subset (default: all 11 SPEC
-	// analogs). Ignored by simulate.
+	// analogs). Ignored by a run.
 	Workloads []string `json:"workloads,omitempty"`
 	// Mode is baseline | naive | vcfr | all. Default "vcfr", or "all" for a
 	// campaign. Ignored by sweep, which always
@@ -51,13 +51,13 @@ type Request struct {
 	// service twin of vcfrsim -interval). Default 0 (off).
 	Interval uint64 `json:"interval,omitempty"`
 	// Injections per (workload, mode) cell of a fault campaign. Default
-	// 120. Ignored by simulate and sweep.
+	// 120. Ignored by run and sweep.
 	Injections int `json:"injections,omitempty"`
 	// Faults restricts a campaign to a subset of the fault model (kind
 	// names as in internal/fault). Default: the full model. Ignored by
-	// simulate and sweep.
+	// run and sweep.
 	Faults []string `json:"faults,omitempty"`
-	// Bits flipped per injection. Default 1. Ignored by simulate and sweep.
+	// Bits flipped per injection. Default 1. Ignored by run and sweep.
 	Bits int `json:"bits,omitempty"`
 	// Payloads restricts an attack campaign to a subset of the payload
 	// templates (names as in internal/attack). Default: all three. Only

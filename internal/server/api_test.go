@@ -7,14 +7,13 @@ import (
 	"io"
 	"net/http"
 	"strings"
-	"sync"
 	"testing"
 	"time"
 
 	"vcfr/internal/results"
 )
 
-// postWithHeaders is post with extra request headers (Idempotency-Key).
+// postWithHeaders is post with extra request headers.
 func postWithHeaders(t *testing.T, s *Server, path, body string, hdr map[string]string) (*http.Response, []byte) {
 	t.Helper()
 	req, err := http.NewRequest(http.MethodPost, "http://"+s.Addr()+path, strings.NewReader(body))
@@ -55,102 +54,10 @@ func swapExec(s *Server) {
 	}
 }
 
-// TestJobsListPagination pins the listing contract: submission order, state
-// filtering, and a cursor that stays valid across retention eviction —
-// pagination never skips or repeats a surviving job even when the job the
-// cursor names has been evicted between pages.
-func TestJobsListPagination(t *testing.T) {
-	s := startServer(t, Config{Workers: 2, QueueDepth: 32, JobRetention: 8})
-	swapExec(s)
-
-	submit := func(n int) []string {
-		ids := make([]string, 0, n)
-		for i := 0; i < n; i++ {
-			resp, body := post(t, s, "/v1/jobs", `{"kind": "run", "workload": "bzip2"}`)
-			if resp.StatusCode != http.StatusAccepted {
-				t.Fatalf("submit: %d: %s", resp.StatusCode, body)
-			}
-			id := acceptedID(t, body)
-			pollJob(t, s, id)
-			ids = append(ids, id)
-		}
-		return ids
-	}
-	first := submit(10) // retention 8: the oldest two are already evicted
-
-	type page struct {
-		Jobs []struct {
-			ID    string
-			State string
-		}
-		NextCursor string `json:"next_cursor"`
-	}
-	list := func(query string) page {
-		resp, body := get(t, s, "/v1/jobs"+query)
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("list %q: %d: %s", query, resp.StatusCode, body)
-		}
-		var p page
-		if err := json.Unmarshal(body, &p); err != nil {
-			t.Fatal(err)
-		}
-		return p
-	}
-
-	p1 := list("?limit=3&state=done")
-	if len(p1.Jobs) != 3 || p1.NextCursor == "" {
-		t.Fatalf("page 1 = %d jobs, cursor %q; want 3 jobs and a cursor", len(p1.Jobs), p1.NextCursor)
-	}
-	if p1.Jobs[0].ID != first[2] {
-		t.Errorf("page 1 starts at %s; want %s (oldest two evicted by retention)", p1.Jobs[0].ID, first[2])
-	}
-
-	// Push more jobs through so eviction advances past the cursor itself.
-	submit(4)
-
-	p2 := list("?limit=100&state=done&cursor=" + p1.NextCursor)
-	seen := map[string]bool{}
-	for _, j := range p1.Jobs {
-		seen[j.ID] = true
-	}
-	prev := p1.NextCursor
-	for _, j := range p2.Jobs {
-		if seen[j.ID] {
-			t.Errorf("job %s repeated across pages", j.ID)
-		}
-		if j.ID <= prev {
-			t.Errorf("page 2 out of order: %s after %s", j.ID, prev)
-		}
-		prev = j.ID
-	}
-	// Every job the server still remembers and that postdates the cursor
-	// must be on page 2: nothing skipped.
-	full := list("?limit=100&state=done")
-	want := 0
-	for _, j := range full.Jobs {
-		if j.ID > p1.NextCursor {
-			want++
-		}
-	}
-	if len(p2.Jobs) != want {
-		t.Errorf("page 2 has %d jobs, want %d (all surviving jobs past the cursor)", len(p2.Jobs), want)
-	}
-
-	// Listing rejects junk with the shared error envelope.
-	if resp, _ := get(t, s, "/v1/jobs?state=melting"); resp.StatusCode != http.StatusBadRequest {
-		t.Errorf("bad state filter: %d, want 400", resp.StatusCode)
-	}
-	if resp, _ := get(t, s, "/v1/jobs?cursor=nope"); resp.StatusCode != http.StatusBadRequest {
-		t.Errorf("bad cursor: %d, want 400", resp.StatusCode)
-	}
-	if resp, _ := get(t, s, "/v1/jobs?limit=0"); resp.StatusCode != http.StatusBadRequest {
-		t.Errorf("bad limit: %d, want 400", resp.StatusCode)
-	}
-}
-
 // TestJobDeleteMidSweep cancels a running sweep through DELETE and pins the
-// response contract: 200 with the partial-rows envelope — the rows that
-// finished plus error rows for the cells cancellation reached first.
+// contract: DELETE answers 200 with the settled job's status view, and
+// /result then serves the partial-rows envelope — the rows that finished
+// plus error rows for the cells cancellation reached first.
 func TestJobDeleteMidSweep(t *testing.T) {
 	s := startServer(t, Config{Workers: 2, QueueDepth: 8})
 	resp, body := post(t, s, "/v1/jobs", `{"kind": "sweep", "workloads": ["bzip2", "sjeng", "xalan"]}`)
@@ -195,12 +102,21 @@ func TestJobDeleteMidSweep(t *testing.T) {
 	if dresp.StatusCode != http.StatusOK {
 		t.Fatalf("DELETE: %d: %.300s", dresp.StatusCode, dbody)
 	}
-	env, err := results.Unmarshal(dbody)
+	// The job settles as done (partial rows are a result, not a failure),
+	// and DELETE waited for that before answering.
+	var v jobView
+	if err := json.Unmarshal(dbody, &v); err != nil {
+		t.Fatalf("DELETE body is not a status view: %v", err)
+	}
+	if v.ID != id || v.State != JobDone {
+		t.Errorf("DELETE view = %s %s, want %s done", v.ID, v.State, id)
+	}
+	env, err := results.Unmarshal(jobResult(t, s, id))
 	if err != nil {
-		t.Fatalf("DELETE body is not an envelope: %v", err)
+		t.Fatalf("result after DELETE is not an envelope: %v", err)
 	}
 	if env.Kind != results.KindSweep || env.Sweep == nil {
-		t.Fatalf("DELETE body kind = %s, want sweep", env.Kind)
+		t.Fatalf("result kind = %s, want sweep", env.Kind)
 	}
 	if !env.Sweep.Partial {
 		t.Error("cancelled sweep not marked partial")
@@ -215,13 +131,6 @@ func TestJobDeleteMidSweep(t *testing.T) {
 		t.Error("cancelled sweep has no error rows")
 	}
 
-	// The job settles as done (partial rows are a result, not a failure) and
-	// a second DELETE answers the same settled envelope.
-	v := pollJob(t, s, id)
-	if v.State != JobDone {
-		t.Errorf("cancelled job state = %s, want done", v.State)
-	}
-
 	// Unknown ids 404 with the shared envelope.
 	req, _ = http.NewRequest(http.MethodDelete, "http://"+s.Addr()+"/v1/jobs/job-999999", nil)
 	nresp, err := http.DefaultClient.Do(req)
@@ -231,78 +140,6 @@ func TestJobDeleteMidSweep(t *testing.T) {
 	nresp.Body.Close()
 	if nresp.StatusCode != http.StatusNotFound {
 		t.Errorf("DELETE unknown job: %d, want 404", nresp.StatusCode)
-	}
-}
-
-// TestIdempotencyKeyDedupe fires 8 concurrent identical submissions with
-// one Idempotency-Key and requires exactly one job: one 202 without the
-// replay marker, seven with it, all naming the same id.
-func TestIdempotencyKeyDedupe(t *testing.T) {
-	s := startServer(t, Config{Workers: 2, QueueDepth: 32})
-	swapExec(s)
-
-	const dupes = 8
-	var (
-		wg       sync.WaitGroup
-		mu       sync.Mutex
-		ids      = map[string]int{}
-		replayed int
-	)
-	for i := 0; i < dupes; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			req, err := http.NewRequest(http.MethodPost, "http://"+s.Addr()+"/v1/jobs",
-				strings.NewReader(`{"kind": "run", "workload": "bzip2"}`))
-			if err != nil {
-				t.Error(err)
-				return
-			}
-			req.Header.Set("Content-Type", "application/json")
-			req.Header.Set("Idempotency-Key", "dedupe-test-1")
-			resp, err := http.DefaultClient.Do(req)
-			if err != nil {
-				t.Error(err)
-				return
-			}
-			defer resp.Body.Close()
-			var acc struct{ ID string }
-			if err := json.NewDecoder(resp.Body).Decode(&acc); err != nil {
-				t.Error(err)
-				return
-			}
-			mu.Lock()
-			defer mu.Unlock()
-			if resp.StatusCode != http.StatusAccepted {
-				t.Errorf("concurrent submit: %d", resp.StatusCode)
-				return
-			}
-			ids[acc.ID]++
-			if resp.Header.Get("Idempotency-Replayed") == "true" {
-				replayed++
-			}
-		}()
-	}
-	wg.Wait()
-	if len(ids) != 1 {
-		t.Fatalf("8 submissions with one key created %d jobs: %v", len(ids), ids)
-	}
-	if replayed != dupes-1 {
-		t.Errorf("replayed = %d, want %d", replayed, dupes-1)
-	}
-
-	// A different key is a different job.
-	resp, body := postWithHeaders(t, s, "/v1/jobs",
-		`{"kind": "run", "workload": "bzip2"}`, map[string]string{"Idempotency-Key": "dedupe-test-2"})
-	if resp.StatusCode != http.StatusAccepted {
-		t.Fatalf("second key: %d: %s", resp.StatusCode, body)
-	}
-	var other string
-	for id := range ids {
-		other = id
-	}
-	if acceptedID(t, body) == other {
-		t.Error("distinct keys shared a job")
 	}
 }
 

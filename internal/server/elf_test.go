@@ -54,7 +54,9 @@ func TestELFJobMatchesCLI(t *testing.T) {
 // TestWorkloadsEndpointSource pins the /v1/workloads listing contract: every
 // entry carries a source field, the embedded ELF fixtures are listed with
 // source "elf", and the synthetic analogs with source "synthetic" — the same
-// name/source/desc triple `vcfrsim -list` prints.
+// name/source/desc triple `vcfrsim -list` prints. The listing reads the
+// registry tables without building anything, so each entry is checked
+// against the workload ByName builds.
 func TestWorkloadsEndpointSource(t *testing.T) {
 	s := startServer(t, Config{Workers: 1, QueueDepth: 4})
 	resp, body := get(t, s, "/v1/workloads")
@@ -77,6 +79,13 @@ func TestWorkloadsEndpointSource(t *testing.T) {
 		}
 		if e.Desc == "" {
 			t.Errorf("%s: empty desc", e.Name)
+		}
+		wl, err := workloads.ByName(e.Name, 1)
+		if err != nil {
+			t.Fatalf("%s: %v", e.Name, err)
+		}
+		if e.Desc != wl.Desc || e.Source != wl.Source {
+			t.Errorf("%s: listed (%q, %q), ByName has (%q, %q)", e.Name, e.Desc, e.Source, wl.Desc, wl.Source)
 		}
 		got[e.Name] = e.Source
 	}

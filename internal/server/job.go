@@ -2,7 +2,6 @@ package server
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 	"runtime/debug"
 	"sync"
@@ -29,23 +28,17 @@ const (
 
 // Job is one queued or executing request. State, timestamps, and the result
 // are guarded by mu; done is closed exactly once when the job leaves the
-// running state, which is what synchronous waiters block on.
+// running state, which is what SSE streams and DELETE block on.
 type Job struct {
 	ID   string
 	Kind jobs.Kind
 	Req  jobs.Request
 
-	// seq is the monotonic submission number embedded in ID, kept numeric
-	// for cursor comparisons (string compare would wrap past job-999999).
-	seq uint64
 	// ctx is cancelled by DELETE /v1/jobs/{id}; the per-job execution
 	// deadline derives from it, so cancellation reaches a running
 	// simulation mid-loop. cancel is safe to call repeatedly.
 	ctx    context.Context
 	cancel context.CancelFunc
-	// idemKey is the Idempotency-Key that created this job ("" if none);
-	// retention eviction uses it to drop the dedupe entry with the job.
-	idemKey string
 
 	mu       sync.Mutex
 	state    JobState
@@ -60,13 +53,12 @@ type Job struct {
 	done chan struct{}
 }
 
-func newJob(id string, seq uint64, kind jobs.Kind, req jobs.Request) *Job {
+func newJob(id string, kind jobs.Kind, req jobs.Request) *Job {
 	ctx, cancel := context.WithCancel(context.Background())
 	return &Job{
 		ID:      id,
 		Kind:    kind,
 		Req:     req,
-		seq:     seq,
 		ctx:     ctx,
 		cancel:  cancel,
 		state:   JobQueued,
@@ -140,7 +132,8 @@ func (j *Job) unsubscribe(ch chan harness.Progress) {
 	j.mu.Unlock()
 }
 
-// view is the JSON shape GET /v1/jobs/{id} serves.
+// jobView is the JSON shape GET and DELETE /v1/jobs/{id} serve: the job's
+// lifecycle, never its result (that is GET /v1/jobs/{id}/result).
 type jobView struct {
 	ID       string     `json:"id"`
 	Kind     jobs.Kind  `json:"kind"`
@@ -153,7 +146,6 @@ type jobView struct {
 	// finished, total, simulated instructions so far), populated while a
 	// sweep or fault campaign runs and retained on its final view.
 	Progress *harness.Progress `json:"progress,omitempty"`
-	Result   json.RawMessage   `json:"result,omitempty"`
 }
 
 func (j *Job) view() jobView {
@@ -171,9 +163,6 @@ func (j *Job) view() jobView {
 	if !j.finished.IsZero() {
 		t := j.finished
 		v.Finished = &t
-	}
-	if j.state == JobDone {
-		v.Result = json.RawMessage(j.envelope)
 	}
 	return v
 }

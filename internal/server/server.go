@@ -1,34 +1,30 @@
 // Package server implements vcfrd, the long-running HTTP/JSON simulation
-// service: it accepts simulation, sweep, and campaign jobs, runs them on a
-// shared harness.Runner, and answers every request in the one versioned wire
+// service: it accepts run, sweep, and campaign jobs, runs them on a shared
+// harness.Runner, and answers every request in the one versioned wire
 // format of internal/results. Every run executes; what the shared runner
 // saves across requests is the prepared app (workload build and ILR rewrite,
 // reused from its memo).
 //
 // Endpoints:
 //
-//	POST /v1/jobs       unified asynchronous submission: one body with a
-//	                    "kind" discriminator (run | sweep | faults |
-//	                    attacks | multicore) plus the kind's parameters;
-//	                    returns 202 and a job id. Honors Idempotency-Key: a
-//	                    retried POST with the same key dedupes to the
-//	                    original job.
-//	GET  /v1/jobs       list jobs over the retention window, with ?state=
-//	                    filtering and ?cursor=/?limit= pagination
-//	GET  /v1/jobs/{id}  job state, timings, error, and (when done) result
+//	POST /v1/jobs       the one way in: one body with a "kind"
+//	                    discriminator (run | sweep | faults | attacks |
+//	                    multicore) plus the kind's parameters; returns 202
+//	                    and a job id
+//	GET  /v1/jobs/{id}  job state, timings, progress, and error
 //	GET  /v1/jobs/{id}/result
-//	                    the finished job's result envelope, streamed exactly
-//	                    as results.Marshal produced it (byte-identical to
-//	                    the equivalent CLI invocation)
+//	                    the one way out: the finished job's result
+//	                    envelope, streamed exactly as results.Marshal
+//	                    produced it (byte-identical to the equivalent CLI
+//	                    invocation; a kind "run" job matches
+//	                    `vcfrsim -stats-json`)
 //	GET  /v1/jobs/{id}/events
 //	                    live job progress as Server-Sent Events (state,
 //	                    then coalesced progress updates, then done/failed)
 //	DELETE /v1/jobs/{id}
-//	                    cancel: the job's context is cancelled mid-run and
-//	                    the partial-rows envelope is returned
-//	POST /v1/simulate   one workload, one layout seed — synchronous; the
-//	                    response body is byte-identical to the equivalent
-//	                    `vcfrsim -stats-json` invocation
+//	                    cancel: the job's context is cancelled mid-run; once
+//	                    the job settles the answer is its status view, and
+//	                    the partial-rows envelope is read from /result
 //	GET  /v1/workloads  the built-in workload catalog
 //	GET  /healthz       liveness
 //	GET  /metrics       Prometheus text: jobs by state, queue pressure,
@@ -121,12 +117,6 @@ type Server struct {
 	intakeMu sync.Mutex     // serializes enqueue vs. shutdown's queue close
 	draining bool           // guarded by intakeMu
 
-	// idem maps Idempotency-Key header values to the job they created, so
-	// a retried POST returns the original job instead of running twice.
-	// Entries die with their job's retention eviction.
-	idemMu sync.Mutex
-	idem   map[string]string
-
 	// exec runs one job's computation. Production is (*Server).execute;
 	// lifecycle tests substitute controllable executors.
 	exec func(context.Context, *Job) (results.Envelope, error)
@@ -142,7 +132,6 @@ func New(cfg Config) *Server {
 		mux:     http.NewServeMux(),
 		queue:   make(chan *Job, cfg.QueueDepth),
 		jobs:    make(map[string]*Job),
-		idem:    make(map[string]string),
 	}
 	s.exec = s.execute
 	s.routes()
@@ -152,8 +141,6 @@ func New(cfg Config) *Server {
 
 func (s *Server) routes() {
 	s.mux.HandleFunc("POST /v1/jobs", s.handleJobs)
-	s.mux.HandleFunc("GET /v1/jobs", s.handleJobsList)
-	s.mux.HandleFunc("POST /v1/simulate", s.handleSimulate)
 	s.mux.HandleFunc("GET /v1/jobs/{id}", s.handleJob)
 	s.mux.HandleFunc("GET /v1/jobs/{id}/result", s.handleJobResult)
 	s.mux.HandleFunc("GET /v1/jobs/{id}/events", s.handleJobEvents)
@@ -200,8 +187,8 @@ func (s *Server) Addr() string {
 }
 
 // Shutdown gracefully stops the server: new jobs are refused (503), the
-// HTTP layer finishes in-flight requests (including synchronous simulate
-// calls still waiting on their job), and every job already accepted into
+// HTTP layer finishes in-flight requests (including a DELETE still waiting
+// for its job to settle), and every job already accepted into
 // the queue runs to completion before Shutdown returns. ctx bounds the
 // whole drain; an expired ctx abandons the remaining work and returns its
 // error.
@@ -268,36 +255,20 @@ func (s *Server) enqueue(j *Job) error {
 
 // retireJob records j as finished and evicts the oldest finished jobs past
 // the retention bound, so completed envelopes don't accumulate for the life
-// of the process. Waiters holding the *Job (the synchronous simulate path)
-// are unaffected — eviction only drops the map entry that serves polling.
-// An evicted job's idempotency-key entry dies with it (taken out under
-// idemMu after jobMu is released; idemMu is never held inside jobMu).
+// of the process. Waiters holding the *Job (an SSE stream, a DELETE) are
+// unaffected — eviction only drops the map entry that serves lookups.
 func (s *Server) retireJob(j *Job) {
-	var evicted []*Job
 	s.jobMu.Lock()
+	defer s.jobMu.Unlock()
 	s.finished = append(s.finished, j.ID)
 	for len(s.finished) > s.cfg.JobRetention {
-		if old := s.jobs[s.finished[0]]; old != nil && old.idemKey != "" {
-			evicted = append(evicted, old)
-		}
 		delete(s.jobs, s.finished[0])
 		s.finished = s.finished[1:]
-	}
-	s.jobMu.Unlock()
-	if len(evicted) > 0 {
-		s.idemMu.Lock()
-		for _, old := range evicted {
-			if s.idem[old.idemKey] == old.ID {
-				delete(s.idem, old.idemKey)
-			}
-		}
-		s.idemMu.Unlock()
 	}
 }
 
 func (s *Server) newJob(kind jobs.Kind, req jobs.Request) *Job {
-	seq := s.jobSeq.Add(1)
-	return newJob(fmt.Sprintf("job-%06d", seq), seq, kind, req)
+	return newJob(fmt.Sprintf("job-%06d", s.jobSeq.Add(1)), kind, req)
 }
 
 // apiError is the uniform error shape of every endpoint:
@@ -368,69 +339,41 @@ func decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
 	return false
 }
 
-// handleSimulate runs one simulation synchronously: the job goes through
-// the same queue and workers as everything else (so backpressure and
-// deadlines apply), and the handler streams back the job's envelope bytes
-// untouched — the bytes results.Marshal produced, hence byte-identical to
-// the CLI.
-func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
-	var req jobs.Request
-	if !decodeBody(w, r, &req) {
-		return
-	}
-	if err := req.Normalize(jobs.KindRun); err != nil {
-		writeError(w, http.StatusBadRequest, "bad_request", "%v", err)
-		return
-	}
-	j := s.newJob(jobs.KindRun, req)
-	if err := s.enqueue(j); err != nil {
-		s.writeRefusal(w, err)
-		return
-	}
-	select {
-	case <-j.Done():
-	case <-r.Context().Done():
-		// The client went away; the job still runs to completion and
-		// remains pollable at /v1/jobs/{id}.
-		writeError(w, http.StatusRequestTimeout, "client_cancelled",
-			"client cancelled while job %s still runs", j.ID)
-		return
-	}
-	body, errMsg := j.Envelope()
-	if errMsg != "" {
-		writeError(w, http.StatusInternalServerError, "job_failed", "%s", errMsg)
-		return
-	}
-	w.Header().Set("Content-Type", "application/json")
-	w.Header().Set("X-Job-Id", j.ID)
-	_, _ = w.Write(body)
-}
-
-func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {
+// lookupJob finds the job the request's {id} names, answering 404 itself
+// when the server does not know it (never submitted, or evicted past
+// retention).
+func (s *Server) lookupJob(w http.ResponseWriter, r *http.Request) (*Job, bool) {
 	id := r.PathValue("id")
 	s.jobMu.Lock()
 	j, ok := s.jobs[id]
 	s.jobMu.Unlock()
 	if !ok {
 		writeError(w, http.StatusNotFound, "not_found", "no job %q", id)
-		return
 	}
+	return j, ok
+}
+
+func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {
+	if j, ok := s.lookupJob(w, r); ok {
+		writeView(w, j)
+	}
+}
+
+// writeView answers with the job's status view.
+func writeView(w http.ResponseWriter, j *Job) {
 	w.Header().Set("Content-Type", "application/json")
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	_ = enc.Encode(j.view())
 }
 
-// handleJobResult streams a finished job's envelope bytes untouched — the
-// polling view (handleJob) re-indents the embedded result, so this is the
-// endpoint that preserves byte-identity with the CLIs for async jobs.
+// handleJobResult is the only endpoint that serves result envelopes: it
+// streams a finished job's bytes untouched, exactly as results.Marshal
+// produced them, which is what keeps the service byte-identical to the
+// CLIs.
 func (s *Server) handleJobResult(w http.ResponseWriter, r *http.Request) {
-	id := r.PathValue("id")
-	s.jobMu.Lock()
-	j, ok := s.jobs[id]
-	s.jobMu.Unlock()
+	j, ok := s.lookupJob(w, r)
 	if !ok {
-		writeError(w, http.StatusNotFound, "not_found", "no job %q", id)
 		return
 	}
 	switch j.State() {
@@ -443,7 +386,7 @@ func (s *Server) handleJobResult(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusInternalServerError, "job_failed", "%s", errMsg)
 	default:
 		w.Header().Set("Retry-After", "1")
-		writeError(w, http.StatusConflict, "conflict", "job %s still %s", id, j.State())
+		writeError(w, http.StatusConflict, "conflict", "job %s still %s", j.ID, j.State())
 	}
 }
 
@@ -455,12 +398,12 @@ func (s *Server) handleWorkloads(w http.ResponseWriter, r *http.Request) {
 	}
 	var out []entry
 	for _, n := range workloads.Names() {
-		wl, err := workloads.ByName(n, 1)
+		desc, source, err := workloads.Describe(n)
 		if err != nil {
 			writeError(w, http.StatusInternalServerError, "internal", "%v", err)
 			return
 		}
-		out = append(out, entry{Name: n, Desc: wl.Desc, Source: wl.Source})
+		out = append(out, entry{Name: n, Desc: desc, Source: source})
 	}
 	w.Header().Set("Content-Type", "application/json")
 	enc := json.NewEncoder(w)

@@ -64,18 +64,32 @@ func get(t *testing.T, s *Server, path string) (*http.Response, []byte) {
 	return resp, b
 }
 
+// runResult submits body to POST /v1/jobs, waits for the job to settle,
+// and returns the answer of GET /v1/jobs/{id}/result with the job's id.
+func runResult(t *testing.T, s *Server, body string) (*http.Response, []byte, string) {
+	t.Helper()
+	resp, b := post(t, s, "/v1/jobs", body)
+	if resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("POST /v1/jobs %s: %d: %s", body, resp.StatusCode, b)
+	}
+	id := acceptedID(t, b)
+	pollJob(t, s, id)
+	resp, b = get(t, s, "/v1/jobs/"+id+"/result")
+	return resp, b, id
+}
+
 // TestSimulateMatchesCLI is the acceptance criterion of the API redesign: a
-// POST /v1/simulate response body must be byte-identical to what
+// kind "run" job's /result body must be byte-identical to what
 // `vcfrsim -stats-json` prints for the same (workload, mode, seed, config).
 // The CLI's JSON path is harness.SimulateRuns + results.Marshal, so the
 // test computes those bytes directly and compares.
 func TestSimulateMatchesCLI(t *testing.T) {
 	s := startServer(t, Config{Workers: 2, QueueDepth: 8})
 
-	resp, body := post(t, s, "/v1/simulate",
-		`{"workload": "h264ref", "mode": "all", "instructions": 30000}`)
+	resp, body, _ := runResult(t, s,
+		`{"kind": "run", "workload": "h264ref", "mode": "all", "instructions": 30000}`)
 	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("simulate: %d: %s", resp.StatusCode, body)
+		t.Fatalf("run result: %d: %s", resp.StatusCode, body)
 	}
 	if ct := resp.Header.Get("Content-Type"); ct != "application/json" {
 		t.Errorf("Content-Type = %q", ct)
@@ -108,19 +122,19 @@ func TestRepeatedQueryReusesApp(t *testing.T) {
 	r := harness.NewRunner(0)
 	s := startServer(t, Config{Workers: 2, QueueDepth: 8, Runner: r})
 
-	body := `{"workload": "lbm", "mode": "vcfr", "instructions": 30000}`
-	if resp, b := post(t, s, "/v1/simulate", body); resp.StatusCode != http.StatusOK {
-		t.Fatalf("first simulate: %d: %s", resp.StatusCode, b)
+	body := `{"kind": "run", "workload": "lbm", "mode": "vcfr", "instructions": 30000}`
+	if resp, b, _ := runResult(t, s, body); resp.StatusCode != http.StatusOK {
+		t.Fatalf("first run: %d: %s", resp.StatusCode, b)
 	}
 	hits0, misses0 := r.AppMemoStats()
 	if misses0 == 0 {
 		t.Fatal("first request did not prepare an app")
 	}
 
-	timingOnly := `{"workload": "lbm", "mode": "vcfr", "instructions": 30000, "drc": 64}`
-	resp, got := post(t, s, "/v1/simulate", timingOnly)
+	timingOnly := `{"kind": "run", "workload": "lbm", "mode": "vcfr", "instructions": 30000, "drc": 64}`
+	resp, got, _ := runResult(t, s, timingOnly)
 	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("second simulate: %d: %s", resp.StatusCode, got)
+		t.Fatalf("second run: %d: %s", resp.StatusCode, got)
 	}
 	hits1, misses1 := r.AppMemoStats()
 	if hits1 <= hits0 {
@@ -198,9 +212,9 @@ func TestBackpressure429(t *testing.T) {
 		t.Error("429 without Retry-After")
 	}
 
-	// Synchronous simulate hits the same bound.
-	if resp, _ := post(t, s, "/v1/simulate", `{"workload": "lbm"}`); resp.StatusCode != http.StatusTooManyRequests {
-		t.Errorf("simulate under full queue: %d, want 429", resp.StatusCode)
+	// A run job hits the same bound.
+	if resp, _ := post(t, s, "/v1/jobs", `{"kind": "run", "workload": "lbm"}`); resp.StatusCode != http.StatusTooManyRequests {
+		t.Errorf("run under full queue: %d, want 429", resp.StatusCode)
 	}
 
 	// Bounced jobs must leave no trace in the accounting: only jobs 1 and 2
@@ -286,7 +300,11 @@ func TestShutdownDrains(t *testing.T) {
 	j := s.jobs[accepted.ID]
 	s.jobMu.Unlock()
 	if j == nil || j.State() != JobDone {
-		t.Errorf("drained job state = %v, want done", j.State())
+		t.Fatalf("drained job state = %v, want done", j.State())
+	}
+	// The drained job kept its envelope, the bytes /result would serve.
+	if body, _ := j.Envelope(); len(body) == 0 {
+		t.Error("drained job has no result envelope")
 	}
 }
 
@@ -302,11 +320,11 @@ func TestFinishedJobRetention(t *testing.T) {
 
 	var ids []string
 	for i := 0; i < 4; i++ {
-		resp, body := post(t, s, "/v1/simulate", `{"workload": "lbm"}`)
+		resp, body, id := runResult(t, s, `{"kind": "run", "workload": "lbm"}`)
 		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("simulate %d: %d: %s", i, resp.StatusCode, body)
+			t.Fatalf("run %d: %d: %s", i, resp.StatusCode, body)
 		}
-		ids = append(ids, resp.Header.Get("X-Job-Id"))
+		ids = append(ids, id)
 	}
 
 	// The last job's retirement (which evicts ids[1]) may still be racing
@@ -334,15 +352,16 @@ func TestFinishedJobRetention(t *testing.T) {
 // unknown workloads and modes are rejected before touching the queue.
 func TestRequestValidation(t *testing.T) {
 	s := startServer(t, Config{Workers: 1, QueueDepth: 2})
+	swapExec(s)
 	for _, tc := range []struct{ name, body string }{
-		{"empty", `{}`}, // simulate requires a workload
-		{"unknown workload", `{"workload": "doom"}`},
-		{"unknown mode", `{"workload": "lbm", "mode": "quantum"}`},
-		{"unknown field", `{"workload": "lbm", "turbo": true}`},
-		{"negative timeout", `{"workload": "lbm", "timeout_ms": -5}`},
+		{"no workload", `{"kind": "run"}`}, // a run requires a workload
+		{"unknown workload", `{"kind": "run", "workload": "doom"}`},
+		{"unknown mode", `{"kind": "run", "workload": "lbm", "mode": "quantum"}`},
+		{"unknown field", `{"kind": "run", "workload": "lbm", "turbo": true}`},
+		{"negative timeout", `{"kind": "run", "workload": "lbm", "timeout_ms": -5}`},
 		{"not json", `drop table jobs`},
 	} {
-		if resp, b := post(t, s, "/v1/simulate", tc.body); resp.StatusCode != http.StatusBadRequest {
+		if resp, b := post(t, s, "/v1/jobs", tc.body); resp.StatusCode != http.StatusBadRequest {
 			t.Errorf("%s: %d (%s), want 400", tc.name, resp.StatusCode, b)
 		}
 	}
@@ -360,29 +379,27 @@ func TestRequestValidation(t *testing.T) {
 			t.Errorf("error envelope = %s, want {error:{code:bad_request,...}}", body)
 		}
 	}
-	// A body past the 1 MiB cap is refused with 413 on both endpoints. The
-	// padding is valid JSON whitespace, so only the size is wrong.
+	// A body past the 1 MiB cap is refused with 413. The padding is valid
+	// JSON whitespace, so only the size is wrong.
 	pad := strings.Repeat(" ", maxBodyBytes)
-	for route, huge := range map[string]string{
-		"/v1/jobs":     `{"kind": "run", "workload": "lbm"` + pad + `}`,
-		"/v1/simulate": `{"workload": "lbm"` + pad + `}`,
-	} {
-		resp, body := post(t, s, route, huge)
-		var e struct {
-			Error struct{ Code, Message string }
-		}
-		if resp.StatusCode != http.StatusRequestEntityTooLarge || json.Unmarshal(body, &e) != nil ||
-			e.Error.Code != "body_too_large" || e.Error.Message != "request body exceeds 1048576 bytes" {
-			t.Errorf("%s: oversized body: %d (%s), want 413 body_too_large", route, resp.StatusCode, body)
-		}
+	resp, body := post(t, s, "/v1/jobs", `{"kind": "run", "workload": "lbm"`+pad+`}`)
+	var e struct {
+		Error struct{ Code, Message string }
+	}
+	if resp.StatusCode != http.StatusRequestEntityTooLarge || json.Unmarshal(body, &e) != nil ||
+		e.Error.Code != "body_too_large" || e.Error.Message != "request body exceeds 1048576 bytes" {
+		t.Errorf("oversized body: %d (%s), want 413 body_too_large", resp.StatusCode, body)
 	}
 	if resp, _ := get(t, s, "/v1/jobs/job-999999"); resp.StatusCode != http.StatusNotFound {
 		t.Errorf("unknown job: %d, want 404", resp.StatusCode)
 	}
 	// Routes that are no longer served — the per-kind submission routes
-	// that predate /v1/jobs and the artifact exchange — fall through to
-	// the mux's 404 or 405, never to a handler.
+	// that predate /v1/jobs, the synchronous simulate route, the job
+	// listing, and the artifact exchange — fall through to the mux's 404
+	// or 405, never to a handler.
 	for _, tc := range []struct{ method, route string }{
+		{http.MethodPost, "simulate"},
+		{http.MethodGet, "jobs"},
 		{http.MethodPost, "sweep"},
 		{http.MethodPost, "faults"},
 		{http.MethodPost, "attacks"},
@@ -402,6 +419,18 @@ func TestRequestValidation(t *testing.T) {
 			t.Errorf("%s /v1/%s: %d, want 404 or 405", tc.method, tc.route, resp.StatusCode)
 		}
 	}
+	// Idempotency-Key carries no meaning: two POSTs with the same key are
+	// two jobs.
+	run := `{"kind": "run", "workload": "lbm"}`
+	key := map[string]string{"Idempotency-Key": "same-key"}
+	resp1, body1 := postWithHeaders(t, s, "/v1/jobs", run, key)
+	resp2, body2 := postWithHeaders(t, s, "/v1/jobs", run, key)
+	if resp1.StatusCode != http.StatusAccepted || resp2.StatusCode != http.StatusAccepted {
+		t.Fatalf("keyed submits: %d, %d; want 202, 202", resp1.StatusCode, resp2.StatusCode)
+	}
+	if id1, id2 := acceptedID(t, body1), acceptedID(t, body2); id1 == id2 {
+		t.Errorf("two POSTs with one Idempotency-Key shared job %s", id1)
+	}
 }
 
 // TestPanicIsolation proves one panicking job fails alone: the worker
@@ -417,10 +446,11 @@ func TestPanicIsolation(t *testing.T) {
 		return results.NewRun(results.Run{Workload: j.Req.Workload}), nil
 	}
 
-	if resp, b := post(t, s, "/v1/simulate", `{"workload": "lbm"}`); resp.StatusCode != http.StatusInternalServerError {
+	run := `{"kind": "run", "workload": "lbm"}`
+	if resp, b, _ := runResult(t, s, run); resp.StatusCode != http.StatusInternalServerError {
 		t.Fatalf("panicking job: %d (%s), want 500", resp.StatusCode, b)
 	}
-	if resp, b := post(t, s, "/v1/simulate", `{"workload": "lbm"}`); resp.StatusCode != http.StatusOK {
+	if resp, b, _ := runResult(t, s, run); resp.StatusCode != http.StatusOK {
 		t.Fatalf("job after panic: %d (%s), want 200 from the same worker", resp.StatusCode, b)
 	}
 	_, metricsBody := get(t, s, "/metrics")
@@ -442,25 +472,16 @@ func TestJobEndpointLifecycle(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	deadline := time.Now().Add(30 * time.Second)
-	var v jobView
-	for {
-		_, b := get(t, s, "/v1/jobs/"+accepted.ID)
-		if err := json.Unmarshal(b, &v); err != nil {
-			t.Fatal(err)
-		}
-		if v.State == JobDone || v.State == JobFailed {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("job stuck in %s", v.State)
-		}
-		time.Sleep(20 * time.Millisecond)
-	}
+	v := pollJob(t, s, accepted.ID)
 	if v.State != JobDone {
 		t.Fatalf("job failed: %s", v.Error)
 	}
-	env, err := results.Unmarshal(v.Result)
+	// The status view carries the lifecycle only; the envelope is served
+	// by /result alone.
+	if _, b := get(t, s, "/v1/jobs/"+accepted.ID); bytes.Contains(b, []byte(`"result"`)) {
+		t.Errorf("status view embeds the result: %.300s", b)
+	}
+	env, err := results.Unmarshal(jobResult(t, s, accepted.ID))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -475,6 +496,16 @@ func TestJobEndpointLifecycle(t *testing.T) {
 	if v.Progress.CellsDone != 1 || v.Progress.CellsTotal != 1 || v.Progress.Instructions == 0 {
 		t.Errorf("final progress = %+v, want 1/1 cells with nonzero instructions", *v.Progress)
 	}
+}
+
+// jobResult reads a done job's envelope from GET /v1/jobs/{id}/result.
+func jobResult(t *testing.T, s *Server, id string) []byte {
+	t.Helper()
+	resp, body := get(t, s, "/v1/jobs/"+id+"/result")
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("job %s result: %d: %s", id, resp.StatusCode, body)
+	}
+	return body
 }
 
 // pollJob waits for a job to leave the running states and returns its final
@@ -540,18 +571,12 @@ func TestFaultsEndpointLifecycle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The polling view re-indents its embedded result; the /result endpoint
-	// is the byte-exact surface.
-	resultResp, resultBody := get(t, s, "/v1/jobs/"+accepted.ID+"/result")
-	if resultResp.StatusCode != http.StatusOK {
-		t.Fatalf("job result: %d: %s", resultResp.StatusCode, resultBody)
-	}
+	resultBody := jobResult(t, s, accepted.ID)
 	if !bytes.Equal(resultBody, want) {
 		t.Errorf("service campaign differs from CLI bytes:\n--- service ---\n%.600s\n--- cli ---\n%.600s", resultBody, want)
 	}
-	// The view's embedded result must agree semantically.
-	if env, err := results.Unmarshal(v.Result); err != nil || env.Kind != results.KindCampaign {
-		t.Errorf("job view result: kind=%v err=%v, want campaign", env.Kind, err)
+	if env, err := results.Unmarshal(resultBody); err != nil || env.Kind != results.KindCampaign {
+		t.Errorf("job result: kind=%v err=%v, want campaign", env.Kind, err)
 	}
 
 	// The finished campaign feeds the fault.* spine counters on /metrics.
@@ -608,15 +633,12 @@ func TestAttacksEndpointLifecycle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	resultResp, resultBody := get(t, s, "/v1/jobs/"+accepted.ID+"/result")
-	if resultResp.StatusCode != http.StatusOK {
-		t.Fatalf("job result: %d: %s", resultResp.StatusCode, resultBody)
-	}
+	resultBody := jobResult(t, s, accepted.ID)
 	if !bytes.Equal(resultBody, want) {
 		t.Errorf("service campaign differs from CLI bytes:\n--- service ---\n%.600s\n--- cli ---\n%.600s", resultBody, want)
 	}
-	if env, err := results.Unmarshal(v.Result); err != nil || env.Kind != results.KindAttack {
-		t.Errorf("job view result: kind=%v err=%v, want attack", env.Kind, err)
+	if env, err := results.Unmarshal(resultBody); err != nil || env.Kind != results.KindAttack {
+		t.Errorf("job result: kind=%v err=%v, want attack", env.Kind, err)
 	}
 
 	// The finished campaign feeds the attack.* spine counters on /metrics.
@@ -681,15 +703,12 @@ func TestMulticoreEndpointLifecycle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	resultResp, resultBody := get(t, s, "/v1/jobs/"+accepted.ID+"/result")
-	if resultResp.StatusCode != http.StatusOK {
-		t.Fatalf("job result: %d: %s", resultResp.StatusCode, resultBody)
-	}
+	resultBody := jobResult(t, s, accepted.ID)
 	if !bytes.Equal(resultBody, want) {
 		t.Errorf("service campaign differs from CLI bytes:\n--- service ---\n%.600s\n--- cli ---\n%.600s", resultBody, want)
 	}
-	if env, err := results.Unmarshal(v.Result); err != nil || env.Kind != results.KindMulticore {
-		t.Errorf("job view result: kind=%v err=%v, want multicore", env.Kind, err)
+	if env, err := results.Unmarshal(resultBody); err != nil || env.Kind != results.KindMulticore {
+		t.Errorf("job result: kind=%v err=%v, want multicore", env.Kind, err)
 	}
 
 	// Request validation rides the same vocabulary as the CLI flags.
@@ -756,7 +775,7 @@ func TestFaultsBackpressureAndCancellation(t *testing.T) {
 	if v.State != JobDone {
 		t.Fatalf("deadline-bounded campaign failed instead of returning partial rows: %s", v.Error)
 	}
-	env, err := results.Unmarshal(v.Result)
+	env, err := results.Unmarshal(jobResult(t, s, accepted.ID))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -799,14 +818,14 @@ func TestFaultsRequestValidation(t *testing.T) {
 }
 
 // TestSimulateInterval drives the spine's interval sampling end to end over
-// HTTP: a simulate request with "interval" set must produce rows whose
-// per-window series covers the whole run.
+// HTTP: a run job with "interval" set must produce rows whose per-window
+// series covers the whole run.
 func TestSimulateInterval(t *testing.T) {
 	s := startServer(t, Config{Workers: 1, QueueDepth: 4})
-	resp, body := post(t, s, "/v1/simulate",
-		`{"workload": "lbm", "mode": "vcfr", "instructions": 30000, "interval": 10000}`)
+	resp, body, _ := runResult(t, s,
+		`{"kind": "run", "workload": "lbm", "mode": "vcfr", "instructions": 30000, "interval": 10000}`)
 	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("simulate: %d: %s", resp.StatusCode, body)
+		t.Fatalf("run result: %d: %s", resp.StatusCode, body)
 	}
 	env, err := results.Unmarshal(body)
 	if err != nil {

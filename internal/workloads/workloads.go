@@ -118,13 +118,21 @@ func Names() []string {
 // CheckName reports whether name is an available workload without building
 // it: nil, or the error ByName returns for an unknown name.
 func CheckName(name string) error {
-	if _, ok := fixtures.ByName(name); ok {
-		return nil
+	_, _, err := Describe(name)
+	return err
+}
+
+// Describe returns the Desc and Source that ByName's Workload carries for
+// name, read from the generator and fixture tables without building or
+// lifting anything.
+func Describe(name string) (desc, source string, err error) {
+	if fx, ok := fixtures.ByName(name); ok {
+		return fx.Desc, SourceELF, nil
 	}
-	if _, ok := registry[name]; ok {
-		return nil
+	if g, ok := registry[name]; ok {
+		return g.desc, SourceSynthetic, nil
 	}
-	return fmt.Errorf("workloads: unknown workload %q (have %v)", name, Names())
+	return "", "", fmt.Errorf("workloads: unknown workload %q (have %v)", name, Names())
 }
 
 // ByName builds the named workload at the given scale (scale <= 0 means 1).
