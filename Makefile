@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test test-short bench bench-pipeline bench-pipeline-record bench-check bench-multicore experiments results examples vet fmt fmtcheck cover race check trace serve serve-smoke faults attacks multicore realbin
+.PHONY: all build test test-short bench bench-pipeline bench-pipeline-record bench-check bench-multicore experiments results examples vet fmt fmtcheck cover race check serve serve-smoke faults attacks multicore realbin
 
 all: build test
 
@@ -18,7 +18,7 @@ test-short:
 # The concurrency-heavy packages under the race detector: the parallel
 # experiment runner, the pipeline it drives (including the block-cache
 # differential and fuzz-corpus tests), the functional core the block
-# executor calls into, the shared trace cache, the versioned wire format,
+# executor calls into, trace capture/replay, the versioned wire format,
 # the vcfrd job queue / worker pool, and the sharded fault-injection
 # campaign runner, the sharded adversary-in-the-loop attack campaign, and
 # the sharded multi-tenant interference campaign.
@@ -88,14 +88,6 @@ experiments:
 # fails when it drifts.
 results:
 	$(GO) run ./cmd/experiments -experiment all >docs/RESULTS.txt
-
-# Record-once/replay-many demo: capture a trace, inspect it, replay it
-# against two DRC sizes (see docs/EXPERIMENTS.md).
-trace:
-	$(GO) run ./cmd/vxtrace record -workload h264ref -mode vcfr -instructions 120000 -o /tmp/h264ref.vxt
-	$(GO) run ./cmd/vxtrace info /tmp/h264ref.vxt
-	$(GO) run ./cmd/vxtrace replay /tmp/h264ref.vxt
-	$(GO) run ./cmd/vxtrace replay -drc 64 /tmp/h264ref.vxt
 
 # Run the simulation service in the foreground (SIGINT/SIGTERM drain).
 serve:

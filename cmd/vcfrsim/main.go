@@ -19,10 +19,11 @@
 // A -workload invocation is a run job: the flags build the jobs.Request of
 // a vcfrd `{"kind": "run", ...}` POST /v1/jobs body, and jobs.Run computes
 // it, so `vcfrsim -workload W -stats-json` and that job's
-// /v1/jobs/{id}/result are the same bytes. -elf, a source file and -bundle name programs a request cannot; they
-// run the same per-mode rows (harness.App.RunRows) on an app built here, each
-// row labelled with the layout seed it ran. -trace N and -emulate are the
-// only additions to either path. To capture or replay a run, use vxtrace.
+// /v1/jobs/{id}/result are the same bytes. -elf, a source file and -bundle
+// name programs a request cannot; they run the same per-mode rows
+// (harness.App.RunRows) on an app built here, each row labelled with the
+// layout seed it ran. -trace N (a UPC/RPC listing) and -emulate are the only
+// additions to either path.
 package main
 
 import (

@@ -8,7 +8,6 @@ import (
 	"vcfr/internal/cpu"
 	"vcfr/internal/harness"
 	"vcfr/internal/results"
-	"vcfr/internal/workloads"
 )
 
 // Config scopes one attack campaign. The zero value (after withDefaults) is
@@ -18,7 +17,7 @@ import (
 // re-randomization — all drawn deterministically from Seed, so the same
 // Config always yields the same work-factor table.
 type Config struct {
-	// Workloads to attack; empty means DefaultWorkloads.
+	// Workloads to attack; empty means harness.CampaignWorkloads.
 	Workloads []string
 	// Modes to evaluate; empty means all three architectures.
 	Modes []cpu.Mode
@@ -49,11 +48,6 @@ type Config struct {
 	AdvanceInsts uint64
 }
 
-// DefaultWorkloads is the canonical campaign's workload set, matching the
-// fault campaign's: three small, behaviorally distinct SPEC analogs whose
-// text sizes span one page (bzip2, sjeng) to several (xalan).
-func DefaultWorkloads() []string { return []string{"bzip2", "sjeng", "xalan"} }
-
 // ParseModes forwards to cpu.ParseModes.
 //
 // Deprecated: use cpu.ParseModes. The forward stays while the benchmark
@@ -61,26 +55,9 @@ func DefaultWorkloads() []string { return []string{"bzip2", "sjeng", "xalan"} }
 func ParseModes(s string) ([]cpu.Mode, error) { return cpu.ParseModes(s) }
 
 func (c Config) withDefaults() Config {
-	if len(c.Workloads) == 0 {
-		c.Workloads = DefaultWorkloads()
-	}
-	if len(c.Modes) == 0 {
-		c.Modes = cpu.AllModes()
-	}
+	harness.CampaignDefaults(&c.Workloads, &c.Modes, &c.Seed, &c.Scale, &c.Spread, &c.MaxInsts)
 	if len(c.Payloads) == 0 {
 		c.Payloads = AllPayloads()
-	}
-	if c.Seed == 0 {
-		c.Seed = 42
-	}
-	if c.Scale <= 0 {
-		c.Scale = 1
-	}
-	if c.Spread <= 0 {
-		c.Spread = 8
-	}
-	if c.MaxInsts == 0 {
-		c.MaxInsts = 25000
 	}
 	if c.LeakBudget <= 0 {
 		c.LeakBudget = 16
@@ -95,15 +72,8 @@ func (c Config) withDefaults() Config {
 }
 
 func (c Config) validate() error {
-	for _, w := range c.Workloads {
-		if err := workloads.CheckName(w); err != nil {
-			return err
-		}
-	}
-	for _, m := range c.Modes {
-		if !m.Valid() {
-			return fmt.Errorf("attack: unknown mode %v", m)
-		}
+	if err := harness.CheckCampaign("attack", c.Workloads, c.Modes); err != nil {
+		return err
 	}
 	for _, p := range c.Payloads {
 		if !p.valid() {

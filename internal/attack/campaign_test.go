@@ -156,7 +156,7 @@ func TestColdCampaignsPrepareOnce(t *testing.T) {
 	if !reflect.DeepEqual(reps[0].Envelope(), reps[1].Envelope()) {
 		t.Error("two identical campaigns reported different envelopes")
 	}
-	want := uint64(len(DefaultWorkloads()))
+	want := uint64(len(harness.CampaignWorkloads()))
 	if hits, misses := r.AppMemoStats(); misses != want || hits != want {
 		t.Errorf("app memo: %d hits, %d misses; want %d and %d (one build per workload)",
 			hits, misses, want, want)

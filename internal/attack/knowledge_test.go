@@ -107,7 +107,7 @@ func newArmOracle(t *testing.T, app *harness.App, cfg Config, workload string, m
 // equal the scanned image: the oracle must notice and scan the view, whose
 // result filtering the image scan would not give.
 func TestOraclePoolMatchesViewScan(t *testing.T) {
-	for _, workload := range DefaultWorkloads() {
+	for _, workload := range harness.CampaignWorkloads() {
 		cfg := Config{Workloads: []string{workload}}.withDefaults()
 		app := prepareAttacked(t, cfg, workload)
 		for _, mode := range cpu.AllModes() {

@@ -61,7 +61,7 @@ const bbPageBits = 12
 type decoded struct {
 	in    isa.Inst
 	sAddr uint32 // storage address of the bytes (≠ in.Addr under naive ILR)
-	n     int    // encoded length, memoized from in.Len()
+	n     uint8  // encoded length, memoized from in.Len()
 	ctl   bool   // control class other than halt: resolved via control()
 }
 
@@ -125,6 +125,10 @@ type blockCache struct {
 	// image-independent storage (machine.go).
 	pages   []uint64
 	flushed bool // latched by flush() so an executing block stops itself
+	// scratch is where decodeBlock grows a block before copying it out at
+	// its exact length: a cached block keeps no spare capacity and leaves
+	// no garbage behind.
+	scratch []decoded
 	stats   BlockCacheStats
 }
 
@@ -202,13 +206,13 @@ func (p *Pipeline) BlockCacheStats() BlockCacheStats {
 // pc); an error later in the block just truncates it, and execution falling
 // through the truncated end re-attempts the faulting pc as a fresh leader.
 func (p *Pipeline) decodeBlock(leader uint32) (*bblock, error) {
-	b := &bblock{insts: make([]decoded, 0, 8)}
+	insts := p.bb.scratch[:0]
 	pc := leader
-	for len(b.insts) < maxBlockInsts {
+	for len(insts) < maxBlockInsts {
 		sAddr := p.storageAddr(pc)
 		in, err := emu.FetchDecode(p.mem, sAddr)
 		if err != nil {
-			if len(b.insts) == 0 {
+			if len(insts) == 0 {
 				return nil, err
 			}
 			break
@@ -217,10 +221,10 @@ func (p *Pipeline) decodeBlock(leader uint32) (*bblock, error) {
 		cls := in.Class()
 		n := in.Len()
 		p.bb.cover(sAddr, n)
-		b.insts = append(b.insts, decoded{
+		insts = append(insts, decoded{
 			in:    in,
 			sAddr: sAddr,
-			n:     n,
+			n:     uint8(n),
 			ctl:   cls.IsControl() && cls != isa.ClassHalt,
 		})
 		if cls.IsControl() {
@@ -228,6 +232,8 @@ func (p *Pipeline) decodeBlock(leader uint32) (*bblock, error) {
 		}
 		pc = in.NextAddr()
 	}
+	p.bb.scratch = insts
+	b := &bblock{insts: append([]decoded(nil), insts...)}
 	p.bb.blocks[leader] = b
 	p.bb.stats.Blocks++
 	p.bb.stats.Insts += uint64(len(b.insts))
@@ -311,7 +317,7 @@ func (p *Pipeline) runBlocks(limit uint64) (bool, error) {
 			var bubble uint64
 			if first := d.sAddr & lineMask; first != p.curLine ||
 				(d.sAddr+uint32(d.n)-1)&lineMask != first {
-				bubble = p.fetchSupply(d.sAddr, d.n)
+				bubble = p.fetchSupply(d.sAddr, int(d.n))
 				fetchStall += bubble
 			}
 			cost := 1 + bubble
@@ -337,7 +343,7 @@ func (p *Pipeline) runBlocks(limit uint64) (bool, error) {
 			if vcfr && !p.inRand {
 				p.stats.Unrand++
 			}
-			tail, err := p.stepTail(&d.in, &out, d.n, d.ctl)
+			tail, err := p.stepTail(&d.in, &out, int(d.n), d.ctl)
 			if err != nil {
 				flush()
 				return false, err

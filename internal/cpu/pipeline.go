@@ -123,8 +123,11 @@ type Pipeline struct {
 	nextSample uint64
 
 	// pendingDerands counts auto-de-randomizing stack-bitmap loads performed
-	// by the current instruction (timing charged after Exec).
+	// by the current instruction (timing charged after Exec); derandKey is
+	// the randomized value the last of them translated, the key of its DRC
+	// lookup.
 	pendingDerands int
+	derandKey      uint32
 
 	issue  issueState
 	tracer func(TraceEvent)
@@ -316,6 +319,7 @@ func (p *Pipeline) vcfrLoadedWord(addr, val uint32) uint32 {
 	}
 	if orig, ok := p.trans.ToOrig(val); ok {
 		p.pendingDerands++
+		p.derandKey = val
 		return orig
 	}
 	return val
@@ -602,15 +606,19 @@ func (p *Pipeline) stepTail(in *isa.Inst, out *emu.Outcome, n int, isCtl bool) (
 	// Execution-stage stalls.
 	cost := p.execStall(in, out)
 
-	// Auto-de-randomized stack loads each pay a standalone DRC lookup.
+	// Auto-de-randomized stack loads each pay a standalone DRC lookup,
+	// keyed by the randomized value the load translated (an instruction
+	// makes at most one data access). The stall is a DRC cost, and DRCStall
+	// is a sub-account of ControlStall. A replayed record carries no loaded
+	// value, so replay keys the lookup by the load address instead.
 	for i := 0; i < p.pendingDerands; i++ {
-		// The key was the randomized value; the hook already translated it
-		// functionally. Charge a derand lookup on the raw value — we can't
-		// recover it here, so account a representative lookup keyed by the
-		// load address (documented approximation: one DRC access + possible
-		// walk per marked-slot load).
-		_, _, stall := p.drcLookup(lookupDerand, out.MemAddr, 0)
+		key := p.derandKey
+		if p.replay != nil {
+			key = out.MemAddr
+		}
+		_, _, stall := p.drcLookup(lookupDerand, key, 0)
 		p.stats.DRCStall += stall
+		p.stats.ControlStall += stall
 		cost += stall
 	}
 

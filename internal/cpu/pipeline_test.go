@@ -390,6 +390,69 @@ func TestPipelineStallBreakdownConsistent(t *testing.T) {
 	}
 }
 
+// retPeekSrc explicitly loads its own call-pushed return-address slot
+// before returning, so under VCFR every call of peek makes one
+// auto-de-randomized stack load.
+const retPeekSrc = `
+.entry main
+main:
+	movi r8, 40
+loop:
+	cmpi r8, 0
+	je done
+	call peek
+	subi r8, 1
+	jmp loop
+done:
+	movi r1, 0
+	sys 0
+.func peek
+peek:
+	load r1, [sp]
+	ret
+`
+
+// TestDerandLoadConservesCycles holds the width-1 cycle identity on the
+// auto-de-randomized stack-load path, direct and block-cached: the DRC
+// lookup's stall is charged to ControlStall as well as DRCStall, and the
+// lookup is keyed by the randomized return address the load translated,
+// not by the stack address it was loaded from.
+func TestDerandLoadConservesCycles(t *testing.T) {
+	res := rewriteSrc(t, "retpeek", retPeekSrc)
+	for _, noBB := range []bool{false, true} {
+		cfg := DefaultConfig(ModeVCFR)
+		cfg.NoBlockCache = noBB
+		img, trans, randRA := ModeVCFR.Deploy(res)
+		p, err := New(img, cfg, trans, randRA)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out, err := p.Run(0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s := out.Stats
+		if out.DRC.DerandLookups < 40 {
+			t.Fatalf("nobbcache=%v: %d derand lookups, want one per call (40)", noBB, out.DRC.DerandLookups)
+		}
+		if sum := s.Instructions + s.FetchStall + s.MemStall + s.ExecStall + s.ControlStall; s.Cycles != sum {
+			t.Errorf("nobbcache=%v: cycles %d != instructions+stalls %d", noBB, s.Cycles, sum)
+		}
+		if s.DRCStall > s.ControlStall {
+			t.Errorf("nobbcache=%v: drc stall %d exceeds control stall %d", noBB, s.DRCStall, s.ControlStall)
+		}
+		keyed := false
+		for _, r := range randRA {
+			if _, hit := p.drc.probe(lookupDerand, r); hit {
+				keyed = true
+			}
+		}
+		if !keyed {
+			t.Errorf("nobbcache=%v: no derand DRC entry is keyed by a randomized return address", noBB)
+		}
+	}
+}
+
 func TestPipelineRunRespectsInstructionBudget(t *testing.T) {
 	res := rewriteSrc(t, "fib", fibSrc)
 	p, err := New(res.Orig, DefaultConfig(ModeBaseline), nil, nil)

@@ -9,7 +9,6 @@ import (
 	"vcfr/internal/cpu"
 	"vcfr/internal/harness"
 	"vcfr/internal/results"
-	"vcfr/internal/workloads"
 )
 
 // Config scopes one fault-injection campaign. The zero value (after
@@ -18,7 +17,7 @@ import (
 // injections per (workload, mode) cell — all drawn deterministically from
 // Seed, so the same Config always yields the same coverage table.
 type Config struct {
-	// Workloads to inject into; empty means DefaultWorkloads.
+	// Workloads to inject into; empty means harness.CampaignWorkloads.
 	Workloads []string
 	// Modes to evaluate; empty means all three architectures.
 	Modes []cpu.Mode
@@ -46,13 +45,6 @@ type Config struct {
 	Bits int
 }
 
-// DefaultWorkloads is the canonical campaign's workload set: three small,
-// behaviorally distinct SPEC analogs, chosen so every fault kind has live
-// sites in the reference window (xalan is the one analog that executes
-// register-indirect transfers early; sjeng adds deep call/return activity;
-// bzip2 is the branchy sequential case).
-func DefaultWorkloads() []string { return []string{"bzip2", "sjeng", "xalan"} }
-
 // ParseModes forwards to cpu.ParseModes.
 //
 // Deprecated: use cpu.ParseModes. The forward stays while the benchmark
@@ -60,29 +52,12 @@ func DefaultWorkloads() []string { return []string{"bzip2", "sjeng", "xalan"} }
 func ParseModes(s string) ([]cpu.Mode, error) { return cpu.ParseModes(s) }
 
 func (c Config) withDefaults() Config {
-	if len(c.Workloads) == 0 {
-		c.Workloads = DefaultWorkloads()
-	}
-	if len(c.Modes) == 0 {
-		c.Modes = cpu.AllModes()
-	}
+	harness.CampaignDefaults(&c.Workloads, &c.Modes, &c.Seed, &c.Scale, &c.Spread, &c.MaxInsts)
 	if len(c.Kinds) == 0 {
 		c.Kinds = AllKinds()
 	}
 	if c.Injections <= 0 {
 		c.Injections = 120
-	}
-	if c.Seed == 0 {
-		c.Seed = 42
-	}
-	if c.Scale <= 0 {
-		c.Scale = 1
-	}
-	if c.Spread <= 0 {
-		c.Spread = 8
-	}
-	if c.MaxInsts == 0 {
-		c.MaxInsts = 25000
 	}
 	if c.Bits <= 0 {
 		c.Bits = 1
@@ -91,15 +66,8 @@ func (c Config) withDefaults() Config {
 }
 
 func (c Config) validate() error {
-	for _, w := range c.Workloads {
-		if err := workloads.CheckName(w); err != nil {
-			return err
-		}
-	}
-	for _, m := range c.Modes {
-		if !m.Valid() {
-			return fmt.Errorf("fault: unknown mode %v", m)
-		}
+	if err := harness.CheckCampaign("fault", c.Workloads, c.Modes); err != nil {
+		return err
 	}
 	for _, k := range c.Kinds {
 		if !k.valid() {

@@ -30,28 +30,78 @@ type Config struct {
 	// analogs complete in a few hundred thousand instructions per scale
 	// unit).
 	MaxInsts uint64
-	// Seed drives the randomization. Default 42.
+	// Seed drives the randomization. Default DefaultSeed.
 	Seed int64
-	// Spread is the ILR scatter factor. Default 8 (see withDefaults).
+	// Spread is the ILR scatter factor. Default DefaultSpread.
 	Spread int
 }
 
+// The defaults of a zero Seed, Scale and Spread, shared by Config, the
+// campaigns and the job requests.
+const (
+	DefaultSeed  = 42
+	DefaultScale = 1
+	// DefaultSpread places scattered instructions ~64 bytes apart (about
+	// one per cache line): dense enough that the naive layout's damage is
+	// dominated by the paper's mechanism (IL1/prefetch/L2 pressure) rather
+	// than by iTLB saturation from a sparse gigantic image (see
+	// EXPERIMENTS.md, "calibration").
+	DefaultSpread = 8
+)
+
 func (c Config) withDefaults() Config {
 	if c.Scale <= 0 {
-		c.Scale = 1
+		c.Scale = DefaultScale
 	}
 	if c.Seed == 0 {
-		c.Seed = 42
+		c.Seed = DefaultSeed
 	}
 	if c.Spread <= 0 {
-		// Spread 8 places scattered instructions ~64 bytes apart (about one
-		// per cache line): dense enough that the naive layout's damage is
-		// dominated by the paper's mechanism (IL1/prefetch/L2 pressure)
-		// rather than by iTLB saturation from a sparse gigantic image (see
-		// EXPERIMENTS.md, "calibration").
-		c.Spread = 8
+		c.Spread = DefaultSpread
 	}
 	return c
+}
+
+// CampaignWorkloads is the canonical workload set of the fault, attack and
+// multicore campaigns: three small, behaviorally distinct SPEC analogs.
+// xalan is the one analog that executes register-indirect transfers early
+// and spans several text pages, sjeng adds deep call/return activity, and
+// bzip2 is the branchy sequential case, so every fault kind has live sites
+// in the reference window and co-tenants contend for the shared L2.
+func CampaignWorkloads() []string { return []string{"bzip2", "sjeng", "xalan"} }
+
+// CampaignDefaults fills, in place, the scope fields every campaign Config
+// shares: no workloads means CampaignWorkloads, no modes means all three
+// architectures, a zero seed, scale or spread takes Config's default, and a
+// zero instruction cap means 25,000 per run.
+func CampaignDefaults(names *[]string, modes *[]cpu.Mode, seed *int64, scale, spread *int, maxInsts *uint64) {
+	if len(*names) == 0 {
+		*names = CampaignWorkloads()
+	}
+	if len(*modes) == 0 {
+		*modes = cpu.AllModes()
+	}
+	c := Config{Seed: *seed, Scale: *scale, Spread: *spread}.withDefaults()
+	*seed, *scale, *spread = c.Seed, c.Scale, c.Spread
+	if *maxInsts == 0 {
+		*maxInsts = 25_000
+	}
+}
+
+// CheckCampaign validates a campaign's workload names and modes; pkg
+// prefixes the unknown-mode error.
+func CheckCampaign(pkg string, names []string, modes []cpu.Mode) error {
+	for _, w := range names {
+		if err := workloads.CheckName(w); err != nil {
+			return err
+		}
+	}
+	for _, m := range modes {
+		if !m.Valid() {
+			return fmt.Errorf("%s: unknown mode %v", pkg, m)
+		}
+	}
+	return nil
 }
 
 func (c Config) names(def []string) []string {
@@ -102,7 +152,7 @@ func (a *App) Derived(key any, build func() any) any {
 }
 
 // NewApp randomizes w's image under opts. A zero Seed or Spread takes the
-// harness default (42 and 8, as Config). The workload is not modified.
+// harness default (DefaultSeed and DefaultSpread, as Config). The workload is not modified.
 func NewApp(w workloads.Workload, opts ilr.Options) (*App, error) {
 	def := Config{Seed: opts.Seed, Spread: opts.Spread}.withDefaults()
 	opts.Seed, opts.Spread = def.Seed, def.Spread

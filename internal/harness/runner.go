@@ -10,6 +10,7 @@ import (
 	"runtime/debug"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"vcfr/internal/cpu"
@@ -28,10 +29,9 @@ type Runner struct {
 	// Workers bounds the number of concurrently executing cells across
 	// every experiment this runner is driving. <= 0 means GOMAXPROCS.
 	Workers int
-	// Traces is a trace cache no shipped command or internal package
-	// reads: harness cells, fault references and campaigns always execute.
-	// It stays for the benchmark's traced layer (perfbench/traced), which
-	// sets it, until that layer stops using internal/trace.
+	// Traces is never read: harness cells, fault references and campaigns
+	// always execute. It stays only because the benchmark's traced layer
+	// (perfbench/traced) assigns it.
 	Traces *trace.Cache
 
 	semOnce sync.Once
@@ -152,32 +152,45 @@ func (r *Runner) slots() chan struct{} {
 
 // Shard runs fn(ctx, i) for every i in [0, n) on the runner's bounded
 // worker pool and returns once all of them finished or the context was
-// cancelled. Indices whose slot acquisition loses to cancellation are
-// simply never invoked — callers detect skipped work by the absence of a
-// result for that index, which is how the fault-injection campaign reports
-// partial coverage. fn runs with panic capture; a panicking index does not
-// take down its worker or the sweep (the panic value is discarded, so fn
-// should capture its own failure state before returning).
+// cancelled. min(n, Workers) goroutines take the indices in order, and each
+// holds one of the runner's shared slots per index, so the bound holds
+// across every Shard the runner drives at once. Indices whose slot
+// acquisition loses to cancellation are simply never invoked — callers
+// detect skipped work by the absence of a result for that index, which is
+// how the fault-injection campaign reports partial coverage. fn runs with
+// panic capture; a panicking index does not take down its worker or the
+// sweep (the panic value is discarded, so fn should capture its own failure
+// state before returning).
 func (r *Runner) Shard(ctx context.Context, n int, fn func(ctx context.Context, i int)) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
+	sem := r.slots()
+	var next atomic.Int64
 	var wg sync.WaitGroup
-	for i := 0; i < n; i++ {
+	for w := 0; w < min(n, r.Workers); w++ {
 		wg.Add(1)
-		go func(i int) {
+		go func() {
 			defer wg.Done()
-			select {
-			case r.slots() <- struct{}{}:
-				defer func() { <-r.sem }()
-			case <-ctx.Done():
-				return
+			for i := int(next.Add(1) - 1); i < n; i = int(next.Add(1) - 1) {
+				select {
+				case sem <- struct{}{}:
+				case <-ctx.Done():
+					return
+				}
+				shardOne(ctx, sem, i, fn)
 			}
-			defer func() { _ = recover() }()
-			fn(ctx, i)
-		}(i)
+		}()
 	}
 	wg.Wait()
+}
+
+// shardOne runs one Shard index on a held slot, releasing the slot and
+// discarding any panic.
+func shardOne(ctx context.Context, sem chan struct{}, i int, fn func(ctx context.Context, i int)) {
+	defer func() { <-sem }()
+	defer func() { _ = recover() }()
+	fn(ctx, i)
 }
 
 // Sweep returns the execution context for invoking one experiment function

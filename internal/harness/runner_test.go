@@ -3,7 +3,9 @@ package harness
 import (
 	"context"
 	"errors"
+	"runtime"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -210,4 +212,72 @@ func mustByID(t *testing.T, id string) Experiment {
 		t.Fatal(err)
 	}
 	return e
+}
+
+// TestSweepDeterministicAcrossWorkers reruns a multi-config experiment
+// (fig13: four runs per cell) at 1 and 8 workers: per-cell derived seeds
+// and the shared app memo must keep the output byte-stable regardless of
+// scheduling.
+func TestSweepDeterministicAcrossWorkers(t *testing.T) {
+	cfg := tiny("h264ref", "lbm")
+	exp, err := ByID("fig13")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var outs [2]string
+	for i, workers := range []int{1, 8} {
+		tb, err := exp.Run(NewRunner(workers).Sweep(context.Background(), "fig13"), cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		outs[i] = tb.Render()
+	}
+	if outs[0] != outs[1] {
+		t.Errorf("output depends on worker count:\n--- 1 worker ---\n%s--- 8 workers ---\n%s", outs[0], outs[1])
+	}
+}
+
+// TestPrepareMemoizedWithoutTraces locks the prepared-app memo: a second
+// prepare of the same (workload, layout) returns the same *App.
+func TestPrepareMemoizedWithoutTraces(t *testing.T) {
+	r := NewRunner(1)
+	cfg := tiny()
+	a, err := r.Prepare(context.Background(), "h264ref", cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := r.Prepare(context.Background(), "h264ref", cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if a != b {
+		t.Error("second prepare rebuilt the app")
+	}
+	if hits, misses := r.AppMemoStats(); hits != 1 || misses != 1 {
+		t.Errorf("memo stats = %d hits, %d misses; want 1, 1", hits, misses)
+	}
+}
+
+// TestShardBoundsGoroutines: Shard runs its indices on at most Workers
+// goroutines, however many indices there are, and still invokes every
+// index exactly once.
+func TestShardBoundsGoroutines(t *testing.T) {
+	const n = 1000
+	base := int64(runtime.NumGoroutine())
+	var peak atomic.Int64
+	var calls [n]atomic.Int32
+	NewRunner(2).Shard(context.Background(), n, func(_ context.Context, i int) {
+		calls[i].Add(1)
+		g := int64(runtime.NumGoroutine())
+		for p := peak.Load(); g > p && !peak.CompareAndSwap(p, g); p = peak.Load() {
+		}
+	})
+	for i := range calls {
+		if c := calls[i].Load(); c != 1 {
+			t.Fatalf("index %d invoked %d times, want 1", i, c)
+		}
+	}
+	if extra := peak.Load() - base; extra > 8 {
+		t.Errorf("a 1000-index Shard on 2 workers held %d extra goroutines", extra)
+	}
 }

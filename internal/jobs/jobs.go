@@ -61,10 +61,10 @@ type entry struct {
 // table is the one place the job kinds are listed.
 var table = []entry{
 	{name: KindRun, seed: 1, ownModes: true, validate: validateRun, run: runOne},
-	{name: KindSweep, seed: 42, run: runSweep},
-	{name: KindFaults, campaign: true, seed: 42, validate: validateFaults, run: runFaults},
-	{name: KindAttacks, campaign: true, seed: 42, validate: validateAttacks, run: runAttacks},
-	{name: KindMulticore, campaign: true, seed: 42, validate: validateMulticore, run: runMulticore},
+	{name: KindSweep, seed: harness.DefaultSeed, run: runSweep},
+	{name: KindFaults, campaign: true, seed: harness.DefaultSeed, validate: validateFaults, run: runFaults},
+	{name: KindAttacks, campaign: true, seed: harness.DefaultSeed, validate: validateAttacks, run: runAttacks},
+	{name: KindMulticore, campaign: true, seed: harness.DefaultSeed, validate: validateMulticore, run: runMulticore},
 }
 
 // ParseKind maps a request or CLI kind name onto its Kind.
@@ -203,12 +203,38 @@ func validateRun(r *Request) error {
 	return workloads.CheckName(r.Workload)
 }
 
+// Size bounds on what a request makes a campaign allocate while planning,
+// before any deadline can act. Each is far above the largest use in the
+// repository (500 injections, 2 cells, 2c4t).
+const (
+	maxInjections = 10_000 // per (workload, mode) cell of a fault campaign
+	maxCells      = 16     // multicore grid points
+	maxCellSize   = 64     // cores, and tenants, per multicore cell
+)
+
+// checkUnique refuses a list that names an entry twice: a repeated name
+// would repeat its share of every plan built from the list.
+func checkUnique[T comparable](field string, items []T) error {
+	seen := make(map[T]bool, len(items))
+	for _, v := range items {
+		if seen[v] {
+			return fmt.Errorf("%s lists %q twice", field, fmt.Sprint(v))
+		}
+		seen[v] = true
+	}
+	return nil
+}
+
 func validateFaults(r *Request) error {
-	if _, err := fault.ParseKinds(r.Faults); err != nil {
+	kinds, err := fault.ParseKinds(r.Faults)
+	if err != nil {
 		return err
 	}
-	if r.Injections < 0 {
-		return fmt.Errorf("injections must be >= 0")
+	if err := checkUnique("faults", kinds); err != nil {
+		return err
+	}
+	if r.Injections < 0 || r.Injections > maxInjections {
+		return fmt.Errorf("injections must be in [0, %d]", maxInjections)
 	}
 	if r.Bits < 0 {
 		return fmt.Errorf("bits must be >= 0")
@@ -217,7 +243,11 @@ func validateFaults(r *Request) error {
 }
 
 func validateAttacks(r *Request) error {
-	if _, err := attack.ParsePayloads(r.Payloads); err != nil {
+	payloads, err := attack.ParsePayloads(r.Payloads)
+	if err != nil {
+		return err
+	}
+	if err := checkUnique("payloads", payloads); err != nil {
 		return err
 	}
 	if r.LeakBudget < 0 {
@@ -236,6 +266,17 @@ func validateMulticore(r *Request) error {
 	if len(r.Cells) == 0 {
 		return nil
 	}
-	_, err := multicore.ParseCells(strings.Join(r.Cells, ","))
-	return err
+	cells, err := multicore.ParseCells(strings.Join(r.Cells, ","))
+	if err != nil {
+		return err
+	}
+	if len(cells) > maxCells {
+		return fmt.Errorf("cells lists %d cells, at most %d", len(cells), maxCells)
+	}
+	for _, c := range cells {
+		if c.Cores > maxCellSize || c.Tenants > maxCellSize {
+			return fmt.Errorf("cell %s exceeds %d cores or tenants", c, maxCellSize)
+		}
+	}
+	return checkUnique("cells", cells)
 }

@@ -142,11 +142,11 @@ func (r *Request) normalize(e *entry, validate func(*Request) error) error {
 		r.Seed = &seed
 	}
 	if r.Spread == nil {
-		spread := 8
+		spread := harness.DefaultSpread
 		r.Spread = &spread
 	}
 	if r.Scale == nil {
-		scale := 1
+		scale := harness.DefaultScale
 		r.Scale = &scale
 	}
 	if r.DRC == nil {
@@ -161,6 +161,9 @@ func (r *Request) normalize(e *entry, validate func(*Request) error) error {
 		if err := workloads.CheckName(w); err != nil {
 			return err
 		}
+	}
+	if err := checkUnique("workloads", r.Workloads); err != nil {
+		return err
 	}
 	if r.TimeoutMS < 0 {
 		return fmt.Errorf("timeout_ms must be >= 0")

@@ -19,7 +19,6 @@ import (
 	"vcfr/internal/cpu"
 	"vcfr/internal/harness"
 	"vcfr/internal/results"
-	"vcfr/internal/workloads"
 )
 
 // Cell is one cores × tenants grid point.
@@ -68,7 +67,7 @@ func ParseCells(s string) ([]Cell, error) {
 type Config struct {
 	// Workloads is the tenant pool: tenant i of a cell runs workload
 	// Workloads[i%len], randomization epoch i/len (same program, fresh
-	// layout seed). Empty means DefaultWorkloads.
+	// layout seed). Empty means harness.CampaignWorkloads.
 	Workloads []string
 	// Modes to evaluate; empty means all three architectures.
 	Modes []cpu.Mode
@@ -87,54 +86,25 @@ type Config struct {
 	MaxInsts uint64
 }
 
-// DefaultWorkloads is the canonical tenant pool: the same three SPEC analogs
-// the fault campaign uses, behaviorally distinct enough that co-tenants
-// genuinely fight over the shared L2.
-func DefaultWorkloads() []string { return []string{"bzip2", "sjeng", "xalan"} }
-
 // DefaultCells is the canonical grid: one cell isolating pure shared-L2
 // contention (every tenant alone on its core) and one isolating the
 // switch-in cost (two tenants time-sharing one core).
 func DefaultCells() []Cell { return []Cell{{Cores: 2, Tenants: 2}, {Cores: 1, Tenants: 2}} }
 
 func (c Config) withDefaults() Config {
-	if len(c.Workloads) == 0 {
-		c.Workloads = DefaultWorkloads()
-	}
-	if len(c.Modes) == 0 {
-		c.Modes = cpu.AllModes()
-	}
+	harness.CampaignDefaults(&c.Workloads, &c.Modes, &c.Seed, &c.Scale, &c.Spread, &c.MaxInsts)
 	if len(c.Cells) == 0 {
 		c.Cells = DefaultCells()
 	}
 	if c.Quantum == 0 {
 		c.Quantum = cpu.DefaultQuantum
 	}
-	if c.Seed == 0 {
-		c.Seed = 42
-	}
-	if c.Scale <= 0 {
-		c.Scale = 1
-	}
-	if c.Spread <= 0 {
-		c.Spread = 8
-	}
-	if c.MaxInsts == 0 {
-		c.MaxInsts = 25000
-	}
 	return c
 }
 
 func (c Config) validate() error {
-	for _, w := range c.Workloads {
-		if err := workloads.CheckName(w); err != nil {
-			return err
-		}
-	}
-	for _, m := range c.Modes {
-		if !m.Valid() {
-			return fmt.Errorf("multicore: unknown mode %v", m)
-		}
+	if err := harness.CheckCampaign("multicore", c.Workloads, c.Modes); err != nil {
+		return err
 	}
 	for _, cell := range c.Cells {
 		if cell.Cores < 1 || cell.Tenants < 1 {

@@ -1,6 +1,6 @@
 // Package results defines the one versioned wire format every VCFR entry
 // point speaks: the vcfrd service, vcfrsim -stats-json, experiments
-// -stats-json, and vxtrace info -json all serialize through the Envelope
+// -stats-json, and gadgetscan -json all serialize through the Envelope
 // below. One schema, one marshal path — a consumer that parses the output of
 // any producer parses them all, and the golden-file tests in this package
 // pin the byte-level format so accidental drift fails CI instead of breaking
@@ -46,6 +46,10 @@ import (
 //	    per-tenant rows, per-cell cluster totals, and scheduler switch
 //	    counters). Purely additive: all prior kinds are unchanged, and
 //	    Unmarshal accepts 1..5.
+//
+// The `trace` kind (a captured trace file's description, versions 1..5) is
+// no longer produced, and Unmarshal refuses it like any unknown kind. No
+// document a remaining producer emits changed, so the version stayed 5.
 const SchemaVersion = 5
 
 // minSchemaVersion is the oldest version Unmarshal still accepts; every
@@ -63,8 +67,6 @@ const (
 	// KindSweep is a full stats sweep: every workload under every mode,
 	// with per-cell derived seeds.
 	KindSweep Kind = "sweep"
-	// KindTrace describes a captured execution trace file.
-	KindTrace Kind = "trace"
 	// KindCampaign is a fault-injection campaign's detection-coverage
 	// table (schema v3; see internal/fault).
 	KindCampaign Kind = "campaign"
@@ -80,14 +82,13 @@ const (
 )
 
 // Envelope is the single top-level object every producer emits. Exactly one
-// of Run, Sweep, Trace, Campaign, Gadget, Attack, Multicore is populated,
+// of Run, Sweep, Campaign, Gadget, Attack, Multicore is populated,
 // selected by Kind.
 type Envelope struct {
 	SchemaVersion int           `json:"schema_version"`
 	Kind          Kind          `json:"kind"`
 	Run           []Run         `json:"run,omitempty"`
 	Sweep         *Sweep        `json:"sweep,omitempty"`
-	Trace         *Trace        `json:"trace,omitempty"`
 	Campaign      *Campaign     `json:"campaign,omitempty"`
 	Gadget        *GadgetReport `json:"gadget,omitempty"`
 	Attack        *Attack       `json:"attack,omitempty"`
@@ -128,24 +129,6 @@ type Sweep struct {
 	Partial bool  `json:"partial,omitempty"`
 }
 
-// Trace describes one captured execution trace (the machine-readable
-// counterpart of vxtrace info).
-type Trace struct {
-	Workload     string `json:"workload"`
-	Mode         string `json:"mode"`
-	LayoutSeed   int64  `json:"layout_seed"`
-	Spread       int    `json:"spread"`
-	Scale        int    `json:"scale"`
-	ImageHash    string `json:"image_hash"` // %#016x, matching vxtrace info
-	MaxInsts     uint64 `json:"max_insts"`  // capture cap; 0 = to completion
-	Records      int    `json:"records"`
-	UniqueInsts  int    `json:"unique_insts"`
-	Halted       bool   `json:"halted"`
-	ExitCode     uint32 `json:"exit_code"`
-	OutputBytes  int    `json:"output_bytes"`
-	EncodedBytes int64  `json:"encoded_bytes,omitempty"` // on-disk size, if known
-}
-
 // NewRun wraps single-simulation rows in a versioned envelope.
 func NewRun(rows ...Run) Envelope {
 	return Envelope{SchemaVersion: SchemaVersion, Kind: KindRun, Run: rows}
@@ -162,11 +145,6 @@ func NewSweep(rows []Run) Envelope {
 		}
 	}
 	return Envelope{SchemaVersion: SchemaVersion, Kind: KindSweep, Sweep: s}
-}
-
-// NewTrace wraps a trace description in a versioned envelope.
-func NewTrace(t Trace) Envelope {
-	return Envelope{SchemaVersion: SchemaVersion, Kind: KindTrace, Trace: &t}
 }
 
 // Campaign is one fault-injection campaign's detection-coverage table
@@ -472,8 +450,8 @@ func Write(w io.Writer, e Envelope) error {
 	return err
 }
 
-// Unmarshal parses an envelope and rejects schema versions this package
-// does not understand.
+// Unmarshal parses an envelope and rejects schema versions and kinds this
+// package does not understand.
 func Unmarshal(data []byte) (Envelope, error) {
 	var e Envelope
 	if err := json.Unmarshal(data, &e); err != nil {
@@ -483,7 +461,11 @@ func Unmarshal(data []byte) (Envelope, error) {
 		return Envelope{}, fmt.Errorf("results: schema version %d, want %d..%d",
 			e.SchemaVersion, minSchemaVersion, SchemaVersion)
 	}
-	return e, nil
+	switch e.Kind {
+	case KindRun, KindSweep, KindCampaign, KindGadget, KindAttack, KindMulticore:
+		return e, nil
+	}
+	return Envelope{}, fmt.Errorf("results: unknown envelope kind %q", e.Kind)
 }
 
 // Interval is one sampling window of a run: cumulative counters at the

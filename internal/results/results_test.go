@@ -199,21 +199,6 @@ func fixtures() map[string]Envelope {
 		"gadget":    NewGadget(gadgetRep),
 		"attack":    NewAttack(attackRep),
 		"multicore": NewMulticore(multicoreRep),
-		"trace": NewTrace(Trace{
-			Workload:     "h264ref",
-			Mode:         "vcfr",
-			LayoutSeed:   42,
-			Spread:       8,
-			Scale:        1,
-			ImageHash:    "0x00000deadbeef123",
-			MaxInsts:     120000,
-			Records:      120000,
-			UniqueInsts:  812,
-			Halted:       false,
-			ExitCode:     0,
-			OutputBytes:  3,
-			EncodedBytes: 151234,
-		}),
 	}
 }
 
@@ -247,7 +232,7 @@ func TestGolden(t *testing.T) {
 }
 
 // TestRoundTrip proves Marshal/Unmarshal are inverses and the schema gate
-// rejects foreign versions.
+// rejects foreign versions and kinds, the retired trace kind among them.
 func TestRoundTrip(t *testing.T) {
 	for name, env := range fixtures() {
 		b, err := Marshal(env)
@@ -268,6 +253,11 @@ func TestRoundTrip(t *testing.T) {
 	}
 	if _, err := Unmarshal([]byte(`{"schema_version": 999, "kind": "run"}`)); err == nil {
 		t.Error("foreign schema version accepted")
+	}
+	for _, kind := range []string{"trace", "replay", ""} {
+		if _, err := Unmarshal([]byte(`{"schema_version": 5, "kind": "` + kind + `"}`)); err == nil {
+			t.Errorf("kind %q accepted", kind)
+		}
 	}
 }
 

@@ -360,6 +360,16 @@ func TestRequestValidation(t *testing.T) {
 		{"unknown field", `{"kind": "run", "workload": "lbm", "turbo": true}`},
 		{"negative timeout", `{"kind": "run", "workload": "lbm", "timeout_ms": -5}`},
 		{"not json", `drop table jobs`},
+		// Sizes a campaign would allocate while planning, before any
+		// deadline can act.
+		{"injections over cap", `{"kind": "faults", "injections": 1000000000000}`},
+		{"too many cells", `{"kind": "multicore", "cells": ["1c1t","1c2t","1c3t","1c4t","1c5t","1c6t","1c7t","1c8t","1c9t","1c10t","1c11t","1c12t","1c13t","1c14t","1c15t","1c16t","1c17t"]}`},
+		{"cell over 64 tenants", `{"kind": "multicore", "cells": ["1c100000000t"]}`},
+		{"cell over 64 cores", `{"kind": "multicore", "cells": ["65c1t"]}`},
+		{"duplicate workload", `{"kind": "sweep", "workloads": ["bzip2", "bzip2"]}`},
+		{"duplicate fault", `{"kind": "faults", "faults": ["branch-target", " branch-target"]}`},
+		{"duplicate payload", `{"kind": "attacks", "payloads": ["print-and-exit", "print-and-exit"]}`},
+		{"duplicate cell", `{"kind": "multicore", "cells": ["1c2t", "1c2t"]}`},
 	} {
 		if resp, b := post(t, s, "/v1/jobs", tc.body); resp.StatusCode != http.StatusBadRequest {
 			t.Errorf("%s: %d (%s), want 400", tc.name, resp.StatusCode, b)

@@ -12,46 +12,36 @@
 // number of timing configurations, and each replay reproduces the
 // execute-driven Result bit for bit.
 //
-// On disk a trace is a compact versioned binary: a header, a table of unique
-// decoded instructions, and a delta/varint-packed record stream, protected
-// end to end by a CRC-32 (see codec.go and docs/ARCHITECTURE.md for the
-// byte-level format).
+// A trace lives in memory only: a table of unique decoded instructions and a
+// delta/varint-packed record stream (about 2 bytes per instruction), which
+// the first replay materializes into a flat record slice.
 package trace
 
 import (
-	"context"
-	"fmt"
+	"encoding/binary"
 	"sync"
 
 	"vcfr/internal/cpu"
+	"vcfr/internal/emu"
 	"vcfr/internal/isa"
 )
 
-// Meta identifies what a trace captured: the workload, the ILR layout it was
-// randomized with, the architecture mode it executed under, and the
-// instruction cap of the capture run. A replay is only meaningful against
-// the same five-tuple; ImageHash lets consumers verify they rebuilt the same
-// executed image.
+// Meta describes the capture run: MaxInsts is its instruction cap, and a
+// replay reproduces the capture's Result only at that same cap.
 type Meta struct {
-	Workload   string
-	Mode       cpu.Mode
-	LayoutSeed int64
-	Spread     int
-	Scale      int
-	MaxInsts   uint64
-	ImageHash  uint64
+	MaxInsts uint64
 }
 
-// Trace is one captured execution. Insts is the table of unique decoded
-// instructions (keyed by full content, so self-modifying images stay
-// faithful); the packed record stream references them by index.
+// Trace is one captured execution. The packed record stream references the
+// table of unique decoded instructions (keyed by full content, so
+// self-modifying images stay faithful) by index.
 type Trace struct {
 	Meta     Meta
 	Halted   bool   // the capture run halted (vs hitting the instruction cap)
 	ExitCode uint32 // program exit code at capture end
 	Out      []byte // program output at capture end
 
-	Insts []isa.Inst
+	insts []isa.Inst
 	n     int    // record count
 	recs  []byte // delta/varint-packed record stream
 
@@ -59,18 +49,14 @@ type Trace struct {
 	mat     []cpu.ExecRecord // materialized records, built on first replay
 }
 
-// Len returns the number of recorded instructions.
-func (t *Trace) Len() int { return t.n }
-
-// SizeBytes approximates the trace's in-memory footprint, used by the
-// bounded Cache for eviction accounting. A cached trace exists to be
-// replayed, and the first replay materializes the record stream into a flat
-// slice (see records), so that slice is charged up front.
+// SizeBytes approximates the trace's in-memory footprint once replayed: the
+// first replay materializes the record stream into a flat slice (see
+// records), so that slice is charged up front.
 func (t *Trace) SizeBytes() int64 {
 	const instSize = 24 // isa.Inst: packed field sizes, rounded up
 	const recSize = 48  // cpu.ExecRecord, rounded up
 	return int64(len(t.recs)) + int64(t.n)*recSize +
-		int64(len(t.Insts))*instSize + int64(len(t.Out)) + 128
+		int64(len(t.insts))*instSize + int64(len(t.Out)) + 128
 }
 
 // records returns the trace's record stream as a flat slice, decoding the
@@ -79,9 +65,9 @@ func (t *Trace) SizeBytes() int64 {
 func (t *Trace) records() []cpu.ExecRecord {
 	t.matOnce.Do(func() {
 		out := make([]cpu.ExecRecord, 0, t.n)
-		it := t.Iter()
+		it := t.iter()
 		for {
-			r, ok := it.Next()
+			r, ok := it.next()
 			if !ok {
 				break
 			}
@@ -92,8 +78,8 @@ func (t *Trace) records() []cpu.ExecRecord {
 	return t.mat
 }
 
-// Builder accumulates ExecRecords into a Trace during a capture run.
-type Builder struct {
+// builder accumulates ExecRecords into a Trace during a capture run.
+type builder struct {
 	t       *Trace
 	idx     map[isa.Inst]int
 	prevIdx int
@@ -101,9 +87,8 @@ type Builder struct {
 	prevTgt uint32
 }
 
-// NewBuilder returns a builder for one capture run.
-func NewBuilder(meta Meta) *Builder {
-	return &Builder{
+func newBuilder(meta Meta) *builder {
+	return &builder{
 		t:       &Trace{Meta: meta},
 		idx:     make(map[isa.Inst]int),
 		prevIdx: -1,
@@ -119,15 +104,15 @@ const (
 	recSeqInst     = 1 << 5 // instruction index == previous index + 1
 )
 
-// Add appends one executed instruction's record. It is shaped to be passed
+// add appends one executed instruction's record. It is shaped to be passed
 // directly to cpu.Pipeline.SetRecorder.
-func (b *Builder) Add(r cpu.ExecRecord) {
+func (b *builder) add(r cpu.ExecRecord) {
 	t := b.t
 	i, ok := b.idx[r.Inst]
 	if !ok {
-		i = len(t.Insts)
+		i = len(t.insts)
 		b.idx[r.Inst] = i
-		t.Insts = append(t.Insts, r.Inst)
+		t.insts = append(t.insts, r.Inst)
 	}
 
 	flags := byte(r.MemKind) & recMemKindMask
@@ -145,25 +130,25 @@ func (b *Builder) Add(r cpu.ExecRecord) {
 	}
 	t.recs = append(t.recs, flags)
 	if flags&recSeqInst == 0 {
-		t.recs = appendVarint(t.recs, int64(i)-int64(b.prevIdx))
+		t.recs = binary.AppendVarint(t.recs, int64(i)-int64(b.prevIdx))
 	}
 	b.prevIdx = i
 	if r.MemKind != 0 {
-		t.recs = appendVarint(t.recs, int64(int32(r.MemAddr-b.prevMem)))
+		t.recs = binary.AppendVarint(t.recs, int64(int32(r.MemAddr-b.prevMem)))
 		b.prevMem = r.MemAddr
 	}
 	if r.Taken {
-		t.recs = appendVarint(t.recs, int64(int32(r.Target-b.prevTgt)))
+		t.recs = binary.AppendVarint(t.recs, int64(int32(r.Target-b.prevTgt)))
 		b.prevTgt = r.Target
 	}
 	if r.Derands > 0 {
-		t.recs = appendUvarint(t.recs, uint64(r.Derands))
+		t.recs = binary.AppendUvarint(t.recs, uint64(r.Derands))
 	}
 	t.n++
 }
 
-// Finish seals the trace with the capture run's terminal program state.
-func (b *Builder) Finish(res cpu.Result) *Trace {
+// finish seals the trace with the capture run's terminal program state.
+func (b *builder) finish(res cpu.Result) *Trace {
 	t := b.t
 	t.Halted = res.Halted
 	t.ExitCode = res.ExitCode
@@ -171,8 +156,8 @@ func (b *Builder) Finish(res cpu.Result) *Trace {
 	return t
 }
 
-// Iter walks a trace's packed records in execution order.
-type Iter struct {
+// iter walks a trace's packed records in execution order.
+type iter struct {
 	t       *Trace
 	pos     int
 	prevIdx int
@@ -180,13 +165,11 @@ type Iter struct {
 	prevTgt uint32
 }
 
-// Iter returns an iterator positioned at the first record.
-func (t *Trace) Iter() *Iter { return &Iter{t: t, prevIdx: -1} }
+func (t *Trace) iter() *iter { return &iter{t: t, prevIdx: -1} }
 
-// Next decodes the next record. ok=false at the end of the trace or on a
-// malformed stream (Load validates the stream, so a loaded trace never hits
-// the malformed case).
-func (it *Iter) Next() (cpu.ExecRecord, bool) {
+// next decodes the next record. ok=false at the end of the trace or on a
+// malformed stream (a builder never writes one).
+func (it *iter) next() (cpu.ExecRecord, bool) {
 	t := it.t
 	if it.pos >= len(t.recs) {
 		return cpu.ExecRecord{}, false
@@ -202,20 +185,20 @@ func (it *Iter) Next() (cpu.ExecRecord, bool) {
 		}
 		idx = it.prevIdx + int(d)
 	}
-	if idx < 0 || idx >= len(t.Insts) {
+	if idx < 0 || idx >= len(t.insts) {
 		return cpu.ExecRecord{}, false
 	}
 	it.prevIdx = idx
 
 	r := cpu.ExecRecord{
-		Inst:  t.Insts[idx],
+		Inst:  t.insts[idx],
 		Taken: flags&recTaken != 0,
 		Halt:  flags&recHalt != 0,
 	}
 	if flags&recMemKindMask > 2 {
 		return cpu.ExecRecord{}, false // no such emu.MemKind
 	}
-	r.MemKind = memKind(flags & recMemKindMask)
+	r.MemKind = emu.MemKind(flags & recMemKindMask)
 	if r.MemKind != 0 {
 		d, ok := it.varint()
 		if !ok {
@@ -233,44 +216,35 @@ func (it *Iter) Next() (cpu.ExecRecord, bool) {
 		r.Target = it.prevTgt
 	}
 	if flags&recDerands != 0 {
-		v, ok := it.uvarint()
-		if !ok || v == 0 {
+		v, n := binary.Uvarint(t.recs[it.pos:])
+		if n <= 0 || v == 0 {
 			return cpu.ExecRecord{}, false
 		}
+		it.pos += n
 		r.Derands = int(v)
 	}
 	return r, true
 }
 
-// validate walks every record once, proving the packed stream is
-// well-formed: each record decodes, indices stay in the instruction table,
-// and the stream ends exactly at the declared count.
-func (t *Trace) validate() error {
-	it := t.Iter()
-	for i := 0; i < t.n; i++ {
-		if _, ok := it.Next(); !ok {
-			return fmt.Errorf("trace: malformed record %d of %d", i, t.n)
-		}
+func (it *iter) varint() (int64, bool) {
+	v, n := binary.Varint(it.t.recs[it.pos:])
+	if n <= 0 {
+		return 0, false
 	}
-	if it.pos != len(t.recs) {
-		return fmt.Errorf("trace: %d trailing record bytes after %d records", len(t.recs)-it.pos, t.n)
-	}
-	return nil
+	it.pos += n
+	return v, true
 }
 
-// Replayer adapts a Trace to cpu.ReplaySource. It walks the materialized
+// replayer adapts a Trace to cpu.ReplaySource. It walks the materialized
 // record slice, so replay pays no per-record varint decoding.
-type Replayer struct {
+type replayer struct {
 	t    *Trace
 	recs []cpu.ExecRecord
 	pos  int
 }
 
-// NewReplayer returns a replay source positioned at the trace's start.
-func NewReplayer(t *Trace) *Replayer { return &Replayer{t: t, recs: t.records()} }
-
 // Next implements cpu.ReplaySource.
-func (r *Replayer) Next() (cpu.ExecRecord, bool) {
+func (r *replayer) Next() (cpu.ExecRecord, bool) {
 	if r.pos >= len(r.recs) {
 		return cpu.ExecRecord{}, false
 	}
@@ -281,43 +255,31 @@ func (r *Replayer) Next() (cpu.ExecRecord, bool) {
 
 // Records exposes the materialized slice, enabling the pipeline's zero-copy
 // replay fast path (see cpu.Pipeline.SetReplay). Callers must not mutate it.
-func (r *Replayer) Records() []cpu.ExecRecord { return r.recs }
+func (r *replayer) Records() []cpu.ExecRecord { return r.recs }
 
 // Final implements cpu.ReplaySource. The output is copied so concurrent
-// replays of one cached trace never share the slice.
-func (r *Replayer) Final() ([]byte, uint32) {
+// replays of one trace never share the slice.
+func (r *replayer) Final() ([]byte, uint32) {
 	return append([]byte(nil), r.t.Out...), r.t.ExitCode
 }
 
 // Capture runs p for up to maxInsts instructions with a recorder attached
 // and returns the sealed trace alongside the run's own Result.
 func Capture(p *cpu.Pipeline, maxInsts uint64, meta Meta) (*Trace, cpu.Result, error) {
-	return CaptureContext(context.Background(), p, maxInsts, meta)
-}
-
-// CaptureContext is Capture with mid-run cancellation: a cancelled context
-// aborts the capture promptly (see cpu.Pipeline.RunContext) and no trace is
-// produced.
-func CaptureContext(ctx context.Context, p *cpu.Pipeline, maxInsts uint64, meta Meta) (*Trace, cpu.Result, error) {
-	b := NewBuilder(meta)
-	p.SetRecorder(b.Add)
-	res, err := p.RunContext(ctx, maxInsts)
+	b := newBuilder(meta)
+	p.SetRecorder(b.add)
+	res, err := p.Run(maxInsts)
 	p.SetRecorder(nil)
 	if err != nil {
 		return nil, res, err
 	}
-	return b.Finish(res), res, nil
+	return b.finish(res), res, nil
 }
 
 // Replay drives p from t and returns the replayed Result. With maxInsts
 // matching the capture run's cap, the Result is bit-identical to the
 // execute-driven one.
 func Replay(t *Trace, p *cpu.Pipeline, maxInsts uint64) (cpu.Result, error) {
-	return ReplayContext(context.Background(), t, p, maxInsts)
-}
-
-// ReplayContext is Replay with mid-run cancellation.
-func ReplayContext(ctx context.Context, t *Trace, p *cpu.Pipeline, maxInsts uint64) (cpu.Result, error) {
-	p.SetReplay(NewReplayer(t))
-	return p.RunContext(ctx, maxInsts)
+	p.SetReplay(&replayer{t: t, recs: t.records()})
+	return p.Run(maxInsts)
 }
