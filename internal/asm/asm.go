@@ -35,6 +35,7 @@ package asm
 
 import (
 	"fmt"
+	"sort"
 	"strconv"
 	"strings"
 
@@ -402,6 +403,12 @@ func (a *assembler) emit(name string) (*program.Image, error) {
 			Func: a.funcs[label] || label == a.entry,
 		})
 	}
+	// Labels come from a map: order them so one source always assembles to
+	// the same image bytes.
+	sort.Slice(img.Symbols, func(i, j int) bool {
+		si, sj := img.Symbols[i], img.Symbols[j]
+		return si.Addr < sj.Addr || si.Addr == sj.Addr && si.Name < sj.Name
+	})
 	img.Relocs = relocs
 	if err := img.Validate(); err != nil {
 		return nil, fmt.Errorf("asm: assembled image invalid: %w", err)

@@ -73,8 +73,9 @@ type bblock struct {
 	// round-robin from slot nextSucc: a branch's two sides, or a loop's
 	// back-edge and exit, reach their block without a map read. Chains only
 	// ever point at blocks of the current cache generation: flush() replaces
-	// the map, and runBlocks drops its predecessor whenever a flush ends a
-	// block, so no block decoded before a flush is linked to or reached again.
+	// the map and the resume point, and runBlocks drops its predecessor
+	// whenever a flush ends a block, so no block decoded before a flush is
+	// linked to or reached again.
 	succ     [2]succ
 	nextSucc uint8
 }
@@ -129,7 +130,13 @@ type blockCache struct {
 	// its exact length: a cached block keeps no spare capacity and leaves
 	// no garbage behind.
 	scratch []decoded
-	stats   BlockCacheStats
+	// resume and resumeAt are the block, and the index of its next
+	// instruction, where the last runBlocks call stopped at its limit. The
+	// next call continues there if the pc still matches, instead of
+	// decoding a new block that overlaps the tail; flush drops the point.
+	resume   *bblock
+	resumeAt int
+	stats    BlockCacheStats
 }
 
 func newBlockCache() *blockCache {
@@ -176,6 +183,7 @@ func (c *blockCache) flush() {
 		c.blocks = make(map[uint32]*bblock)
 		c.pages = nil
 	}
+	c.resume = nil
 	c.flushed = true
 	c.stats.Flushes++
 }
@@ -299,16 +307,24 @@ func (p *Pipeline) runBlocks(limit uint64) (bool, error) {
 		p.stats.FetchStall += fetchStall
 	}
 	var prev *bblock // the block that just ran to completion; nil after a flush
+	blk, i := p.bb.resume, p.bb.resumeAt
+	if p.bb.resume = nil; blk != nil && blk.insts[i].in.Addr != p.pc {
+		blk = nil
+	}
 	for base+insts < limit {
-		blk, err := p.blockAt(prev)
-		if err != nil {
-			flush()
-			return false, err
+		if blk == nil {
+			var err error
+			if blk, err = p.blockAt(prev); err != nil {
+				flush()
+				return false, err
+			}
+			i = 0
 		}
 		prev = blk
 		p.bb.flushed = false
-		for i := range blk.insts {
+		for ; i < len(blk.insts); i++ {
 			if base+insts >= limit {
+				p.bb.resume, p.bb.resumeAt = blk, i
 				break
 			}
 			d := &blk.insts[i]
@@ -366,6 +382,7 @@ func (p *Pipeline) runBlocks(limit uint64) (bool, error) {
 				break
 			}
 		}
+		blk = nil
 	}
 	flush()
 	return true, nil

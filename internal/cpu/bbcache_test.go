@@ -4,6 +4,7 @@
 package cpu_test
 
 import (
+	"context"
 	"fmt"
 	"reflect"
 	"strings"
@@ -11,6 +12,7 @@ import (
 
 	"vcfr/internal/asm"
 	"vcfr/internal/cpu"
+	"vcfr/internal/harness"
 	"vcfr/internal/ilr"
 	"vcfr/internal/isa"
 	"vcfr/internal/program"
@@ -420,4 +422,43 @@ func TestBlockCacheStatsCounters(t *testing.T) {
 		t.Errorf("disabled cache reports nonzero stats: %+v", got)
 	}
 	off.InvalidateBlocks() // must be a no-op, not a panic
+}
+
+// TestBlockCacheResumesAtLimit: a run driven in many short RunContext calls
+// stops mid-block at every call's limit (and at every cancellation check),
+// and each call resumes the block it stopped in instead of decoding a new,
+// overlapping one. Stepped and single runs therefore hold the same blocks,
+// and their Results are identical.
+func TestBlockCacheResumesAtLimit(t *testing.T) {
+	app, err := harness.Prepare("libquantum", harness.Config{Scale: 4, Seed: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	for _, mode := range cpu.AllModes() {
+		t.Run(mode.String(), func(t *testing.T) {
+			single := pipeFor(t, app.R, mode, app.W.Input, nil)
+			want, err := single.RunContext(ctx, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			stepped := pipeFor(t, app.R, mode, app.W.Input, nil)
+			var got cpu.Result
+			for n := uint64(1000); ; n += 1000 {
+				if got, err = stepped.RunContext(ctx, n); err != nil {
+					t.Fatal(err)
+				}
+				if got.Halted {
+					break
+				}
+			}
+			diffResults(t, "stepped", got, want)
+			s, w := stepped.BlockCacheStats(), single.BlockCacheStats()
+			if s.Blocks != w.Blocks || s.Insts != w.Insts {
+				t.Errorf("stepped run decoded %d blocks / %d insts, single run %d / %d",
+					s.Blocks, s.Insts, w.Blocks, w.Insts)
+			}
+			t.Logf("%d instructions: %d blocks / %d insts decoded", want.Stats.Instructions, w.Blocks, w.Insts)
+		})
+	}
 }

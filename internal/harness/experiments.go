@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"sort"
 
-	"vcfr/internal/cfg"
 	"vcfr/internal/cpu"
 	"vcfr/internal/gadget"
 	"vcfr/internal/power"
@@ -272,15 +271,11 @@ func Table2(s *Sweep, cfgIn Config) (*Table, error) {
 			if err := ctx.Err(); err != nil {
 				return Cell{}, err
 			}
-			w, err := workloads.ByName(name, ccfg.Scale)
+			prog, err := s.r.loadProgram(ctx, name, ccfg.Scale)
 			if err != nil {
 				return Cell{}, err
 			}
-			g, err := cfg.Build(w.Img)
-			if err != nil {
-				return Cell{}, err
-			}
-			st := g.Stats()
+			st := prog.g.Stats()
 			return Cell{Rows: [][]string{{name, d(st.DirectTransfers),
 				d(st.IndirectTransfers), d(st.Calls), d(st.IndirectCalls),
 				d(st.Rets), d(st.ResolvedIndirect)}}}, nil
@@ -303,15 +298,11 @@ func Fig9(s *Sweep, cfgIn Config) (*Table, error) {
 			if err := ctx.Err(); err != nil {
 				return Cell{}, err
 			}
-			w, err := workloads.ByName(name, ccfg.Scale)
+			prog, err := s.r.loadProgram(ctx, name, ccfg.Scale)
 			if err != nil {
 				return Cell{}, err
 			}
-			g, err := cfg.Build(w.Img)
-			if err != nil {
-				return Cell{}, err
-			}
-			st := g.Stats()
+			st := prog.g.Stats()
 			return Cell{Rows: [][]string{{name, d(st.Functions),
 				d(st.FuncsWithRet), d(st.FuncsWithoutRet)}}}, nil
 		})

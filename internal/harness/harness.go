@@ -12,6 +12,7 @@ import (
 	"strings"
 	"sync"
 
+	"vcfr/internal/cfg"
 	"vcfr/internal/cpu"
 	"vcfr/internal/emu"
 	"vcfr/internal/ilr"
@@ -154,13 +155,11 @@ func (a *App) Derived(key any, build func() any) any {
 // NewApp randomizes w's image under opts. A zero Seed or Spread takes the
 // harness default (DefaultSeed and DefaultSpread, as Config). The workload is not modified.
 func NewApp(w workloads.Workload, opts ilr.Options) (*App, error) {
-	def := Config{Seed: opts.Seed, Spread: opts.Spread}.withDefaults()
-	opts.Seed, opts.Spread = def.Seed, def.Spread
-	res, err := ilr.Rewrite(w.Img, opts)
+	prog, err := analyze(w)
 	if err != nil {
-		return nil, fmt.Errorf("harness: %s: %w", w.Name, err)
+		return nil, err
 	}
-	return &App{W: w, R: res}, nil
+	return prog.layout(Config{}, opts)
 }
 
 // Prepare builds and randomizes one workload.
@@ -172,17 +171,55 @@ func Prepare(name string, cfg Config) (*App, error) {
 // Seed or Spread in opts takes cfg's.
 func PrepareOpts(name string, cfg Config, opts ilr.Options) (*App, error) {
 	cfg = cfg.withDefaults()
-	w, err := workloads.ByName(name, cfg.Scale)
+	prog, err := buildProgram(name, cfg.Scale)
 	if err != nil {
 		return nil, err
 	}
+	return prog.layout(cfg, opts)
+}
+
+// program is the seed-independent half of an App: a workload and the CFG
+// recovered from its image, as the paper's rewriter disassembles a binary
+// once and then randomizes it. Every layout rewritten from one program
+// shares its W.Img, W.Input and Graph, which nothing mutates.
+type program struct {
+	w workloads.Workload
+	g *cfg.Graph
+}
+
+// buildProgram builds the named workload at scale and analyses it.
+func buildProgram(name string, scale int) (*program, error) {
+	w, err := workloads.ByName(name, scale)
+	if err != nil {
+		return nil, err
+	}
+	return analyze(w)
+}
+
+// analyze recovers w's CFG.
+func analyze(w workloads.Workload) (*program, error) {
+	g, err := ilr.Analyze(w.Img)
+	if err != nil {
+		return nil, fmt.Errorf("harness: %s: %w", w.Name, err)
+	}
+	return &program{w: w, g: g}, nil
+}
+
+// layout rewrites one randomization of the program under opts. A zero Seed
+// or Spread in opts takes c's, and a zero one in c the harness default.
+func (p *program) layout(c Config, opts ilr.Options) (*App, error) {
+	c = c.withDefaults()
 	if opts.Seed == 0 {
-		opts.Seed = cfg.Seed
+		opts.Seed = c.Seed
 	}
 	if opts.Spread == 0 {
-		opts.Spread = cfg.Spread
+		opts.Spread = c.Spread
 	}
-	return NewApp(w, opts)
+	res, err := ilr.RewriteGraph(p.w.Img, p.g, opts)
+	if err != nil {
+		return nil, fmt.Errorf("harness: %s: %w", p.w.Name, err)
+	}
+	return &App{W: p.w, R: res}, nil
 }
 
 // Pipeline builds a fresh pipeline for one run of the app in the given mode,

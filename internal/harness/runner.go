@@ -37,94 +37,111 @@ type Runner struct {
 	semOnce sync.Once
 	sem     chan struct{}
 
-	// Prepared-app memo: workload build + ILR rewrite are deterministic in
-	// the derived seed, so repeated cells and queries reuse them. Bounded
-	// FIFO, maxApps entries; appHits/appMisses count lookups. An entry is
-	// in the map from the first miss on, so concurrent callers of one key
-	// wait for that one build (single flight).
-	appMu     sync.Mutex
-	apps      map[string]*appEntry
-	appOrder  []string
-	appHits   uint64
-	appMisses uint64
-}
-
-// appEntry is one prepared-app memo slot. done is closed once app or err
-// is set.
-type appEntry struct {
-	done chan struct{}
-	app  *App
-	err  error
+	// Preparation is memoized in two steps, both deterministic in their
+	// key. programs holds each workload built and analysed once per (name,
+	// scale); apps holds each layout of a program, per (name, layout seed,
+	// spread, scale, rewriter options). An app's build takes its program
+	// from programs, so every layout of one workload shares its image,
+	// input and CFG.
+	programs memo[*program]
+	apps     memo[*App]
 }
 
 // maxApps bounds the prepared-app memo (each entry holds three images plus
 // translation tables, a few MB at most).
 const maxApps = 64
 
+// maxPrograms bounds the program memo (each entry holds one workload image
+// and its CFG). It exceeds the number of built-in workloads, so a sweep at
+// one scale never rebuilds a program.
+const maxPrograms = 32
+
 // AppMemoStats reports the prepared-app memo's cumulative lookup hits and
 // misses. A caller that waits for another caller's build of the same app
 // counts as a hit.
 func (r *Runner) AppMemoStats() (hits, misses uint64) {
-	r.appMu.Lock()
-	defer r.appMu.Unlock()
-	return r.appHits, r.appMisses
+	return r.apps.stats()
 }
 
-// memoApp returns the memoized app for key, building it with build on a
-// miss, evicting the oldest entry past maxApps. Concurrent misses on one
-// key build once: the first caller builds, the rest wait for it (or for
-// ctx). A failed build is not memoized; its waiters get its error.
-func (r *Runner) memoApp(ctx context.Context, key string, build func() (*App, error)) (*App, error) {
-	r.appMu.Lock()
-	if e := r.apps[key]; e != nil {
-		r.appHits++
-		r.appMu.Unlock()
+// memo is a bounded FIFO of values built once per key. An entry is in the
+// map from the first miss on, so concurrent callers of one key wait for that
+// one build (single flight). The zero value is empty and ready to use.
+type memo[V any] struct {
+	mu     sync.Mutex
+	m      map[string]*memoEntry[V]
+	order  []string
+	hits   uint64
+	misses uint64
+}
+
+// memoEntry is one memo slot. done is closed once v or err is set.
+type memoEntry[V any] struct {
+	done chan struct{}
+	v    V
+	err  error
+}
+
+// stats reports the memo's cumulative lookup hits and misses.
+func (m *memo[V]) stats() (hits, misses uint64) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return m.hits, m.misses
+}
+
+// get returns the memoized value for key, building it with build on a miss
+// and evicting the oldest entry past bound. Concurrent misses on one key
+// build once: the first caller builds, the rest wait for it (or for ctx). A
+// failed or panicking build is not memoized; its waiters get its error.
+func (m *memo[V]) get(ctx context.Context, key string, bound int, build func() (V, error)) (V, error) {
+	m.mu.Lock()
+	if e := m.m[key]; e != nil {
+		m.hits++
+		m.mu.Unlock()
 		select {
 		case <-e.done:
-			return e.app, e.err
+			return e.v, e.err
 		case <-ctx.Done():
-			return nil, ctx.Err()
+			var zero V
+			return zero, ctx.Err()
 		}
 	}
-	r.appMisses++
-	if r.apps == nil {
-		r.apps = make(map[string]*appEntry)
+	m.misses++
+	if m.m == nil {
+		m.m = make(map[string]*memoEntry[V])
 	}
-	if len(r.appOrder) >= maxApps {
-		delete(r.apps, r.appOrder[0])
-		r.appOrder = r.appOrder[1:]
+	if len(m.order) >= bound {
+		delete(m.m, m.order[0])
+		m.order = m.order[1:]
 	}
-	e := &appEntry{done: make(chan struct{})}
-	r.apps[key] = e
-	r.appOrder = append(r.appOrder, key)
-	r.appMu.Unlock()
+	e := &memoEntry[V]{done: make(chan struct{})}
+	m.m[key] = e
+	m.order = append(m.order, key)
+	m.mu.Unlock()
 
 	// The deferred hand-off also runs when build panics, so waiters get an
 	// error instead of hanging and the key is built afresh next time.
+	e.err = fmt.Errorf("harness: preparing %s panicked", key)
 	defer func() {
-		if e.app == nil {
-			if e.err == nil {
-				e.err = fmt.Errorf("harness: preparing %s panicked", key)
-			}
-			r.forgetApp(key, e)
+		if e.err != nil {
+			m.forget(key, e)
 		}
 		close(e.done)
 	}()
-	e.app, e.err = build()
-	return e.app, e.err
+	e.v, e.err = build()
+	return e.v, e.err
 }
 
-// forgetApp drops e from the memo if it still holds key.
-func (r *Runner) forgetApp(key string, e *appEntry) {
-	r.appMu.Lock()
-	defer r.appMu.Unlock()
-	if r.apps[key] != e {
+// forget drops e from the memo if it still holds key.
+func (m *memo[V]) forget(key string, e *memoEntry[V]) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if m.m[key] != e {
 		return
 	}
-	delete(r.apps, key)
-	for i, k := range r.appOrder {
+	delete(m.m, key)
+	for i, k := range m.order {
 		if k == key {
-			r.appOrder = append(r.appOrder[:i], r.appOrder[i+1:]...)
+			m.order = append(m.order[:i], m.order[i+1:]...)
 			break
 		}
 	}
@@ -417,14 +434,28 @@ func (r *Runner) PrepareEach(ctx context.Context, kind string, names []string, c
 	return apps, errs
 }
 
-// prepareOpts is PrepareOpts with a cancellation check and prepared-app
-// memoization.
+// prepareOpts is PrepareOpts through the runner's memos, with a
+// cancellation check first: the app memo holds the layout, and a miss
+// rewrites it from the program memo's build of the workload.
 func (r *Runner) prepareOpts(ctx context.Context, name string, cfg Config, opts ilr.Options) (*App, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	return r.memoApp(ctx, appKey(name, cfg, opts), func() (*App, error) {
-		return PrepareOpts(name, cfg, opts)
+	cfg = cfg.withDefaults()
+	return r.apps.get(ctx, appKey(name, cfg, opts), maxApps, func() (*App, error) {
+		prog, err := r.loadProgram(ctx, name, cfg.Scale)
+		if err != nil {
+			return nil, err
+		}
+		return prog.layout(cfg, opts)
+	})
+}
+
+// loadProgram returns the named workload, built at scale and analysed,
+// from the program memo.
+func (r *Runner) loadProgram(ctx context.Context, name string, scale int) (*program, error) {
+	return r.programs.get(ctx, fmt.Sprintf("%s|%d", name, scale), maxPrograms, func() (*program, error) {
+		return buildProgram(name, scale)
 	})
 }
 

@@ -145,8 +145,20 @@ type Result struct {
 	Stats Stats
 }
 
-// Rewrite randomizes img. The input image is not modified.
+// Rewrite randomizes img: Analyze, then RewriteGraph. The input image is
+// not modified.
 func Rewrite(img *program.Image, opts Options) (*Result, error) {
+	g, err := Analyze(img)
+	if err != nil {
+		return nil, err
+	}
+	return RewriteGraph(img, g, opts)
+}
+
+// Analyze is the seed-independent half of Rewrite: it validates img and
+// recovers its CFG. Every layout of img can be rewritten from the one graph
+// it returns.
+func Analyze(img *program.Image) (*cfg.Graph, error) {
 	if err := img.Validate(); err != nil {
 		return nil, fmt.Errorf("ilr: input image: %w", err)
 	}
@@ -154,13 +166,14 @@ func Rewrite(img *program.Image, opts Options) (*Result, error) {
 	if err != nil {
 		return nil, fmt.Errorf("ilr: %w", err)
 	}
-	return rewriteGraph(img, g, opts)
+	return g, nil
 }
 
-// rewriteGraph is Rewrite after CFG recovery: it lays out and builds every
-// artifact of one randomization of img from its already-recovered graph g,
-// which it only reads.
-func rewriteGraph(img *program.Image, g *cfg.Graph, opts Options) (*Result, error) {
+// RewriteGraph is Rewrite after CFG recovery: it lays out and builds every
+// artifact of one randomization of img from its already-recovered graph g
+// (Analyze(img)). It only reads img and g, so any number of layouts, on any
+// number of goroutines, may share them; each Result's Graph is g.
+func RewriteGraph(img *program.Image, g *cfg.Graph, opts Options) (*Result, error) {
 	opts = opts.withDefaults()
 	rng := rand.New(rand.NewSource(opts.Seed))
 	tables, entropy, err := assignAddresses(g, opts, rng)

@@ -171,5 +171,5 @@ func (res *Result) buildRandRA() {
 func (res *Result) Rerandomize(seed int64) (*Result, error) {
 	opts := res.Opts
 	opts.Seed = seed
-	return rewriteGraph(res.Orig, res.Graph, opts)
+	return RewriteGraph(res.Orig, res.Graph, opts)
 }

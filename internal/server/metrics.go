@@ -82,7 +82,7 @@ func newMetrics() *metrics {
 	r.Gauge("queue.depth", "Jobs waiting in the bounded queue.", &m.queueDepth)
 	r.Gauge("queue.capacity", "Bound of the job queue.", &m.queueCap)
 	r.Counter("app.memo.hits", "Prepared-app memo hits (workload build and ILR rewrite reused).", &m.caches.appHits)
-	r.Counter("app.memo.misses", "Prepared-app memo misses (each one built and rewrote a workload).", &m.caches.appMisses)
+	r.Counter("app.memo.misses", "Prepared-app memo misses (each one rewrote a layout, and built the workload if the runner did not hold it).", &m.caches.appMisses)
 	r.Counter("fault.campaigns", "Fault-injection campaigns finished.", &m.campaigns)
 	m.faults.Register(r)
 	r.Counter("attack.campaigns", "Adversary-in-the-loop attack campaigns finished.", &m.attackCampaigns)
