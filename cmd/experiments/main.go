@@ -34,7 +34,6 @@ package main
 
 import (
 	"context"
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
@@ -57,9 +56,9 @@ func main() {
 
 // options is one parsed command line.
 type options struct {
-	mode, experiment, format string
-	workers                  int
-	list, statsJSON          bool
+	mode, experiment string
+	workers          int
+	list, statsJSON  bool
 	// cfg configures the -mode tables experiments.
 	cfg harness.Config
 	// req is the job request of the campaigns and the -stats-json sweep,
@@ -81,7 +80,6 @@ func parseFlags(args []string) options {
 		spread     = fs.Int("spread", 0, "ILR scatter factor (0 = harness default)")
 		workers    = fs.Int("workers", runtime.GOMAXPROCS(0), "parallel cell workers")
 		list       = fs.Bool("list", false, "list experiments and exit")
-		format     = fs.String("format", "text", "output format: text | json")
 		statsJSON  = fs.Bool("stats-json", false, "instead of table experiments, run every workload under all three modes and emit full per-run Results as JSON (with -mode faults/attacks/multicore: emit the campaign envelope)")
 		injections = fs.Int("injections", 0, "with -mode faults: injections per workload x mode cell (0 = default 120)")
 		faultsF    = fs.String("faults", "", "with -mode faults: comma-separated fault kinds (default: the full fault model)")
@@ -95,7 +93,7 @@ func parseFlags(args []string) options {
 	fs.Parse(args)
 
 	o := options{
-		mode: *mode, experiment: *experiment, format: *format,
+		mode: *mode, experiment: *experiment,
 		workers: *workers, list: *list, statsJSON: *statsJSON,
 		cfg: harness.Config{Scale: *scale, MaxInsts: *maxInsts, Seed: *seed, Spread: *spread},
 		req: jobs.Request{
@@ -207,12 +205,6 @@ func tables(ctx context.Context, r *harness.Runner, o options) error {
 	start := time.Now()
 	results := r.RunAll(ctx, exps, o.cfg)
 
-	type jsonResult struct {
-		*harness.Table
-		Paper   string  `json:"paper"`
-		Seconds float64 `json:"seconds"`
-	}
-	var out []jsonResult
 	var failed int
 	for i, res := range results {
 		e := exps[i]
@@ -223,23 +215,9 @@ func tables(ctx context.Context, r *harness.Runner, o options) error {
 			failed++
 			continue
 		}
-		switch o.format {
-		case "text":
-			fmt.Print(res.Table.Render())
-			fmt.Printf("paper: %s\n\n", e.Paper)
-			fmt.Fprintf(os.Stderr, "%s: %.1fs\n", e.ID, res.Elapsed.Seconds())
-		case "json":
-			out = append(out, jsonResult{Table: res.Table, Paper: e.Paper, Seconds: res.Elapsed.Seconds()})
-		default:
-			return fmt.Errorf("unknown -format %q", o.format)
-		}
-	}
-	if o.format == "json" {
-		enc := json.NewEncoder(os.Stdout)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(out); err != nil {
-			return err
-		}
+		fmt.Print(res.Table.Render())
+		fmt.Printf("paper: %s\n\n", e.Paper)
+		fmt.Fprintf(os.Stderr, "%s: %.1fs\n", e.ID, res.Elapsed.Seconds())
 	}
 
 	fmt.Fprintf(os.Stderr, "sweep: %d experiments in %.1fs (workers=%d)\n",

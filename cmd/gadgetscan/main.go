@@ -1,22 +1,24 @@
 // Command gadgetscan is the ROPgadget-style scanner (Sec. V-B): it lists the
-// gadget pool of a program image or built-in workload, shows which payload
+// gadget pool of a program file or built-in workload, shows which payload
 // templates the pool supports, and — given a seed — how much of the pool
 // survives randomization.
 //
 // Usage:
 //
-//	gadgetscan app.img
+//	gadgetscan app.s
 //	gadgetscan -workload xalan -randomize -seed 7
-//	gadgetscan -print -max 3 app.img
+//	gadgetscan -print -max 3 ./prog.elf
 //	gadgetscan -workload xalan -json
 //
-// -json emits the scan as a versioned results envelope (the same wire
+// A program file is read by workloads.Load: an RV64 ELF binary is lifted,
+// anything else is assembled as VX source. -json emits the scan as a versioned results envelope (the same wire
 // format every other tool in the repo speaks) instead of the text report.
 package main
 
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"sort"
 
@@ -28,57 +30,56 @@ import (
 )
 
 func main() {
-	if err := run(); err != nil {
+	if err := run(os.Args[1:], os.Stdout); err != nil {
 		fmt.Fprintln(os.Stderr, "gadgetscan:", err)
 		os.Exit(1)
 	}
 }
 
-func run() error {
+// run executes one command line (args without the program name), writing
+// the report to stdout.
+func run(args []string, stdout io.Writer) error {
+	fs := flag.NewFlagSet("gadgetscan", flag.ExitOnError)
 	var (
-		workload  = flag.String("workload", "", "scan a built-in workload instead of an image file")
-		maxInsts  = flag.Int("max", gadget.DefaultMaxInsts, "max gadget body length (instructions)")
-		randomize = flag.Bool("randomize", false, "also report the post-randomization surviving pool")
-		seed      = flag.Int64("seed", 1, "randomization seed (with -randomize)")
-		print     = flag.Bool("print", false, "print every unique gadget")
-		jsonOut   = flag.Bool("json", false, "emit the scan as a versioned results envelope instead of text")
+		workload  = fs.String("workload", "", "scan a built-in workload instead of a program file")
+		maxInsts  = fs.Int("max", gadget.DefaultMaxInsts, "max gadget body length (instructions)")
+		randomize = fs.Bool("randomize", false, "also report the post-randomization surviving pool")
+		seed      = fs.Int64("seed", 1, "randomization seed (with -randomize)")
+		print     = fs.Bool("print", false, "print every unique gadget")
+		jsonOut   = fs.Bool("json", false, "emit the scan as a versioned results envelope instead of text")
 	)
-	flag.Parse()
+	fs.Parse(args)
 
-	var img *program.Image
+	var (
+		w   workloads.Workload
+		err error
+	)
 	switch {
-	case *workload != "":
-		w, err := workloads.ByName(*workload, 1)
-		if err != nil {
-			return err
-		}
-		img = w.Img
-	case flag.NArg() == 1:
-		data, err := os.ReadFile(flag.Arg(0))
-		if err != nil {
-			return err
-		}
-		img, err = program.Unmarshal(data)
-		if err != nil {
-			return err
-		}
+	case *workload != "" && fs.NArg() == 0:
+		w, err = workloads.ByName(*workload, 1)
+	case *workload == "" && fs.NArg() == 1:
+		w, err = workloads.Load(fs.Arg(0))
 	default:
-		return fmt.Errorf("need -workload or an image file; see -h")
+		return fmt.Errorf("need -workload or one program file; see -h")
 	}
+	if err != nil {
+		return err
+	}
+	img := w.Img
 
 	if *jsonOut {
 		env, err := scanEnvelope(img, *maxInsts, *randomize, *seed)
 		if err != nil {
 			return err
 		}
-		return results.Write(os.Stdout, env)
+		return results.Write(stdout, env)
 	}
 
 	pool := gadget.Scan(img, *maxInsts)
 	unique := gadget.Unique(pool)
-	fmt.Printf("%s: %d gadgets (%d unique)\n", img.Name, len(pool), len(unique))
-	reportCensus(pool)
-	reportTemplates("payloads", pool)
+	fmt.Fprintf(stdout, "%s: %d gadgets (%d unique)\n", img.Name, len(pool), len(unique))
+	reportCensus(stdout, pool)
+	reportTemplates(stdout, "payloads", pool)
 
 	if *print {
 		lines := make([]string, 0, len(unique))
@@ -87,7 +88,7 @@ func run() error {
 		}
 		sort.Strings(lines)
 		for _, l := range lines {
-			fmt.Println(l)
+			fmt.Fprintln(stdout, l)
 		}
 	}
 
@@ -97,9 +98,9 @@ func run() error {
 			return err
 		}
 		surv := gadget.Survivors(pool, res.Tables)
-		fmt.Printf("after randomization (seed %d): %d surviving, %.1f%% removed\n",
+		fmt.Fprintf(stdout, "after randomization (seed %d): %d surviving, %.1f%% removed\n",
 			*seed, len(surv), 100*gadget.RemovalRate(pool, surv))
-		reportTemplates("payloads after", surv)
+		reportTemplates(stdout, "payloads after", surv)
 	}
 	return nil
 }
@@ -144,21 +145,21 @@ func censusMap(pool []gadget.Gadget) map[string]int {
 	return out
 }
 
-func reportCensus(pool []gadget.Gadget) {
+func reportCensus(w io.Writer, pool []gadget.Gadget) {
 	census := gadget.KindCensus(pool)
 	kinds := make([]string, 0, len(census))
 	for k := range census {
 		kinds = append(kinds, string(k))
 	}
 	sort.Strings(kinds)
-	fmt.Print("  capabilities:")
+	fmt.Fprint(w, "  capabilities:")
 	for _, k := range kinds {
-		fmt.Printf(" %s=%d", k, census[gadget.Kind(k)])
+		fmt.Fprintf(w, " %s=%d", k, census[gadget.Kind(k)])
 	}
-	fmt.Println()
+	fmt.Fprintln(w)
 }
 
-func reportTemplates(label string, pool []gadget.Gadget) {
+func reportTemplates(w io.Writer, label string, pool []gadget.Gadget) {
 	results := gadget.TryAllTemplates(pool)
 	names := make([]string, 0, len(results))
 	for n := range results {
@@ -170,6 +171,6 @@ func reportTemplates(label string, pool []gadget.Gadget) {
 		if results[n] {
 			status = "assembles"
 		}
-		fmt.Printf("  %s: %-18s %s\n", label, n, status)
+		fmt.Fprintf(w, "  %s: %-18s %s\n", label, n, status)
 	}
 }

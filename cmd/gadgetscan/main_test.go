@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"vcfr/internal/gadget"
+	"vcfr/internal/realbin/fixtures"
 	"vcfr/internal/results"
 	"vcfr/internal/workloads"
 )
@@ -69,4 +70,43 @@ func TestScanEnvelopeGolden(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestProgramFileMatchesWorkload: a workload's VX source saved as NAME.s,
+// and an embedded ELF fixture saved as NAME.elf, scan to the same bytes as
+// -workload NAME, in the envelope and in the text report.
+func TestProgramFileMatchesWorkload(t *testing.T) {
+	src, err := workloads.Source("xalan", 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	for _, tc := range []struct {
+		workload, file string
+		data           []byte
+	}{
+		{"xalan", "xalan.s", []byte(src)},
+		{"elf-dispatch", "elf-dispatch.elf", fixtures.Dispatch},
+	} {
+		path := filepath.Join(dir, tc.file)
+		if err := os.WriteFile(path, tc.data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		for _, flags := range [][]string{{"-json"}, {"-randomize", "-seed", "7"}} {
+			got := gadgetscan(t, append(flags, path)...)
+			if want := gadgetscan(t, append(flags, "-workload", tc.workload)...); got != want {
+				t.Errorf("%s %v: file scan differs from -workload %s:\n%s\nwant\n%s", tc.file, flags, tc.workload, got, want)
+			}
+		}
+	}
+}
+
+// gadgetscan runs one command line and returns its stdout.
+func gadgetscan(t *testing.T, args ...string) string {
+	t.Helper()
+	var out bytes.Buffer
+	if err := run(args, &out); err != nil {
+		t.Fatalf("gadgetscan %v: %v", args, err)
+	}
+	return out.String()
 }

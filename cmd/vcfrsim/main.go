@@ -1,6 +1,6 @@
-// Command vcfrsim runs the cycle-level simulator on a built-in workload, a
-// RV64 ELF binary, a VX source file or an ilrrand bundle, in any of the
-// three architecture modes.
+// Command vcfrsim runs the cycle-level simulator on a built-in workload or a
+// program file (a RV64 ELF binary or VX source), in any of the three
+// architecture modes.
 //
 // Usage:
 //
@@ -8,8 +8,7 @@
 //	vcfrsim -mode naive -instructions 2000000 app.s
 //	vcfrsim -workload xalan -mode all
 //	vcfrsim -workload elf-fib -mode all
-//	vcfrsim -elf ./prog.elf -mode vcfr
-//	vcfrsim -bundle app.ilr -mode all
+//	vcfrsim -mode vcfr ./prog.elf
 //	vcfrsim -workload lbm -mode all -stats-json
 //
 // It prints IPC, the stall breakdown, cache statistics, and (under VCFR)
@@ -19,8 +18,9 @@
 // A -workload invocation is a run job: the flags build the jobs.Request of
 // a vcfrd `{"kind": "run", ...}` POST /v1/jobs body, and jobs.Run computes
 // it, so `vcfrsim -workload W -stats-json` and that job's
-// /v1/jobs/{id}/result are the same bytes. -elf, a source file and -bundle
-// name programs a request cannot; they run the same per-mode rows
+// /v1/jobs/{id}/result are the same bytes. A program file names a program a
+// request cannot; workloads.Load reads it (the file's bytes say whether it is
+// an ELF binary or VX source), and it runs the same per-mode rows
 // (harness.App.RunRows) on an app built here, each row labelled with the
 // layout seed it ran. -trace N (a UPC/RPC listing) and -emulate are the only
 // additions to either path.
@@ -34,10 +34,7 @@ import (
 	"io"
 	"os"
 	"os/signal"
-	"path/filepath"
-	"strings"
 
-	"vcfr/internal/asm"
 	"vcfr/internal/cpu"
 	"vcfr/internal/emu"
 	"vcfr/internal/harness"
@@ -60,9 +57,8 @@ func main() {
 type options struct {
 	// req is the run request the flags describe, before normalization.
 	req jobs.Request
-	// elf, bundle and src name a program the request cannot; bundle wins
-	// over -workload, which wins over elf, which wins over src.
-	elf, bundle, src         string
+	// file names a program the request cannot: an ELF binary or VX source.
+	file                     string
 	list, statsJSON, emulate bool
 	traceN                   uint64
 }
@@ -73,8 +69,6 @@ func parseFlags(args []string) options {
 	fs := flag.NewFlagSet("vcfrsim", flag.ExitOnError)
 	var (
 		workload  = fs.String("workload", "", "built-in workload name (see -list)")
-		elfPath   = fs.String("elf", "", "run a RV64 ELF binary, lifted through the real-binary front end")
-		bundle    = fs.String("bundle", "", "run a randomization bundle produced by ilrrand (its own layout seed)")
 		list      = fs.Bool("list", false, "list built-in workloads")
 		mode      = fs.String("mode", "", "baseline | naive | vcfr | all (unset: vcfr)")
 		scale     = fs.Int("scale", 0, "workload scale (unset: the run job default)")
@@ -99,11 +93,10 @@ func parseFlags(args []string) options {
 			CtxSwitchEvery: *ctxEvery,
 			Interval:       *interval,
 		},
-		elf: *elfPath, bundle: *bundle,
 		list: *list, statsJSON: *statsJSON, emulate: *emulate, traceN: *traceN,
 	}
 	if fs.NArg() == 1 {
-		o.src = fs.Arg(0)
+		o.file = fs.Arg(0)
 	}
 	// As in a vcfrd request body, presence, not value, selects a default:
 	// an unset knob leaves the request field absent for jobs to fill.
@@ -143,13 +136,15 @@ func run(o options, w io.Writer) error {
 	defer stop()
 
 	req := o.req
-	job := o.bundle == "" && req.Workload != ""
+	job := req.Workload != ""
 	var err error
 	switch {
+	case job && o.file != "":
+		return errors.New("give -workload or a program file, not both")
 	case job:
 		err = req.Normalize(jobs.KindRun)
-	case o.bundle == "" && o.elf == "" && o.src == "":
-		return errors.New("need -workload, -elf, or a source file; see -h")
+	case o.file == "":
+		return errors.New("need -workload or a program file; see -h")
 	default:
 		err = req.NormalizeProgram()
 	}
@@ -179,7 +174,11 @@ func run(o options, w io.Writer) error {
 			}
 		}
 	} else {
-		if app, err = o.program(req); err != nil {
+		wl, err := workloads.Load(o.file)
+		if err != nil {
+			return err
+		}
+		if app, err = harness.NewApp(wl, ilr.Options{Seed: *req.Seed, Spread: *req.Spread}); err != nil {
 			return err
 		}
 		if rows, err = app.RunRows(ctx, modes, req.Instructions, req.Mutate()); err != nil {
@@ -213,42 +212,6 @@ func run(o options, w io.Writer) error {
 		report(w, row)
 	}
 	return nil
-}
-
-// program builds the app for a program the request cannot name: an ilrrand
-// bundle runs the layout it carries; an ELF binary or VX source file is
-// randomized under the request's seed and spread.
-func (o options) program(req jobs.Request) (*harness.App, error) {
-	if o.bundle != "" {
-		data, err := os.ReadFile(o.bundle)
-		if err != nil {
-			return nil, err
-		}
-		res, err := ilr.UnmarshalBundle(data)
-		if err != nil {
-			return nil, err
-		}
-		return &harness.App{W: workloads.Workload{Name: res.Orig.Name, Img: res.Orig}, R: res}, nil
-	}
-	path := o.elf
-	if path == "" {
-		path = o.src
-	}
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	name := strings.TrimSuffix(filepath.Base(path), filepath.Ext(path))
-	wl := workloads.Workload{Name: name}
-	if o.elf != "" {
-		wl, err = workloads.FromELF(data, name)
-	} else {
-		wl.Img, err = asm.Assemble(name, string(data))
-	}
-	if err != nil {
-		return nil, err
-	}
-	return harness.NewApp(wl, ilr.Options{Seed: *req.Seed, Spread: *req.Spread})
 }
 
 // printTrace prints the first n instructions the app executes under mode m,

@@ -10,8 +10,8 @@ import (
 	"strings"
 	"testing"
 
-	"vcfr/internal/ilr"
 	"vcfr/internal/jobs"
+	"vcfr/internal/realbin/fixtures"
 	"vcfr/internal/results"
 	"vcfr/internal/workloads"
 )
@@ -110,34 +110,57 @@ func TestSeedZeroOneLayout(t *testing.T) {
 	}
 }
 
-// TestBundleRowSeed: a bundle runs the layout it carries, and its rows say
-// so: they equal a workload run at the bundle's seed, whatever -seed says.
-func TestBundleRowSeed(t *testing.T) {
-	w, err := workloads.ByName("bzip2", 1)
+// TestProgramFileMatchesWorkload: a program file runs exactly as the
+// built-in workload it holds. A workload's VX source saved as NAME.s, and an
+// embedded ELF fixture saved as NAME.elf, print the same envelope bytes as
+// -workload NAME under the same flags: workloads.Load tells the two formats
+// apart by their bytes and names the program after the file.
+func TestProgramFileMatchesWorkload(t *testing.T) {
+	src, err := workloads.Source("bzip2", 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rw, err := ilr.Rewrite(w.Img, ilr.Options{Seed: 7, Spread: 8})
-	if err != nil {
-		t.Fatal(err)
-	}
-	data, err := rw.Marshal()
-	if err != nil {
-		t.Fatal(err)
-	}
-	path := filepath.Join(t.TempDir(), "bz.ilr")
-	if err := os.WriteFile(path, data, 0o644); err != nil {
-		t.Fatal(err)
-	}
-
-	got := envelope(t, "-bundle "+path+" -seed 3 -mode all -instructions 20000")
-	for _, row := range got.Run {
-		if row.Seed != 7 {
-			t.Errorf("%s row reports seed %d, want the bundle's 7", row.Mode, row.Seed)
+	dir := t.TempDir()
+	for _, tc := range []struct {
+		workload, file, flags string
+		data                  []byte
+	}{
+		{"bzip2", "bzip2.s", "-seed 7 -mode all -instructions 20000 -stats-json", []byte(src)},
+		{"elf-fib", "elf-fib.elf", "-seed 7 -mode all -stats-json", fixtures.Fib},
+	} {
+		path := filepath.Join(dir, tc.file)
+		if err := os.WriteFile(path, tc.data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		got := vcfrsim(t, tc.flags+" "+path)
+		if want := vcfrsim(t, tc.flags+" -workload "+tc.workload); got != want {
+			t.Errorf("%s: file run differs from -workload %s:\n%s\nwant\n%s", tc.file, tc.workload, got, want)
 		}
 	}
-	if want := envelope(t, "-workload bzip2 -seed 7 -mode all -instructions 20000"); !reflect.DeepEqual(got, want) {
-		t.Error("bundle envelope differs from the workload run at the bundle's seed")
+}
+
+// TestProgramFileErrors: a program file that is neither a valid ELF binary
+// nor valid VX source fails with an error, and so does naming a workload and
+// a file at once.
+func TestProgramFileErrors(t *testing.T) {
+	dir := t.TempDir()
+	for name, data := range map[string]string{
+		"space.s":   ".data\nbuf: .space 0x7fffffffffffffff\n.text\nmain: halt\n",
+		"align.s":   ".data\n.align 0x100000000\n.text\nmain: halt\n",
+		"trunc.elf": "\x7fELF\x02\x01",
+	} {
+		path := filepath.Join(dir, name)
+		if err := os.WriteFile(path, []byte(data), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		var out bytes.Buffer
+		if err := run(parseFlags([]string{path}), &out); err == nil {
+			t.Errorf("%s: ran, printing %d bytes", name, out.Len())
+		}
+	}
+	var out bytes.Buffer
+	if err := run(parseFlags([]string{"-workload", "bzip2", filepath.Join(dir, "space.s")}), &out); err == nil {
+		t.Error("-workload with a program file ran")
 	}
 }
 

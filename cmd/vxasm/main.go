@@ -1,12 +1,15 @@
-// Command vxasm assembles VX assembly into a program image, or disassembles
-// an image back to a listing.
+// Command vxasm prints the disassembly listing of a program file or a
+// built-in workload, or a built-in workload's VX source.
 //
 // Usage:
 //
-//	vxasm -o app.img app.s          assemble
-//	vxasm -d app.img                disassemble (listing to stdout)
-//	vxasm -workload xalan -o x.img  emit a built-in workload's image
-//	vxasm -workload xalan -src      dump a built-in workload's source
+//	vxasm app.s                     listing of assembled VX source
+//	vxasm ./prog.elf                listing of a lifted RV64 ELF binary
+//	vxasm -workload xalan           listing of a built-in workload
+//	vxasm -workload xalan -src      source of a built-in workload
+//
+// A program file is read by workloads.Load: an RV64 ELF binary is lifted,
+// anything else is assembled as VX source.
 package main
 
 import (
@@ -14,11 +17,8 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"path/filepath"
-	"strings"
 
 	"vcfr/internal/asm"
-	"vcfr/internal/program"
 	"vcfr/internal/workloads"
 )
 
@@ -30,19 +30,22 @@ func main() {
 }
 
 // run executes one command line (args without the program name), writing
-// listings, source and reports to stdout.
+// the listing or source to stdout.
 func run(args []string, stdout io.Writer) error {
 	fs := flag.NewFlagSet("vxasm", flag.ExitOnError)
 	var (
-		out      = fs.String("o", "", "output image path")
-		disasm   = fs.Bool("d", false, "disassemble an image instead of assembling")
-		workload = fs.String("workload", "", "emit a built-in workload instead of reading a source file")
+		workload = fs.String("workload", "", "a built-in workload instead of a program file")
 		scale    = fs.Int("scale", 1, "workload scale (with -workload)")
-		srcOnly  = fs.Bool("src", false, "with -workload: print the generated source and exit")
+		srcOnly  = fs.Bool("src", false, "with -workload: print the generated source instead of the listing")
 	)
 	fs.Parse(args)
 
-	if *workload != "" {
+	var (
+		w   workloads.Workload
+		err error
+	)
+	switch {
+	case *workload != "" && fs.NArg() == 0:
 		if *srcOnly {
 			src, err := workloads.Source(*workload, *scale)
 			if err != nil {
@@ -51,67 +54,19 @@ func run(args []string, stdout io.Writer) error {
 			_, err = io.WriteString(stdout, src)
 			return err
 		}
-		w, err := workloads.ByName(*workload, *scale)
-		if err != nil {
-			return err
-		}
-		if *out == "" {
-			*out = w.Name + ".img"
-		}
-		return writeImage(w.Img, *out)
+		w, err = workloads.ByName(*workload, *scale)
+	case *workload == "" && fs.NArg() == 1 && !*srcOnly:
+		w, err = workloads.Load(fs.Arg(0))
+	default:
+		return fmt.Errorf("need -workload or one program file; see -h")
 	}
-
-	if fs.NArg() != 1 {
-		return fmt.Errorf("need exactly one input file (or -workload); see -h")
-	}
-	path := fs.Arg(0)
-
-	if *disasm {
-		img, err := readImage(path)
-		if err != nil {
-			return err
-		}
-		lst, err := asm.Listing(img)
-		if err != nil {
-			return err
-		}
-		_, err = io.WriteString(stdout, lst)
-		return err
-	}
-
-	src, err := os.ReadFile(path)
 	if err != nil {
 		return err
 	}
-	name := strings.TrimSuffix(filepath.Base(path), filepath.Ext(path))
-	img, err := asm.Assemble(name, string(src))
+	lst, err := asm.Listing(w.Img)
 	if err != nil {
 		return err
 	}
-	if *out == "" {
-		*out = name + ".img"
-	}
-	if err := writeImage(img, *out); err != nil {
-		return err
-	}
-	text := img.Text()
-	fmt.Fprintf(stdout, "%s: %d bytes of text at %#x, entry %#x, %d relocs\n",
-		*out, len(text.Data), text.Addr, img.Entry, len(img.Relocs))
-	return nil
-}
-
-func writeImage(img *program.Image, path string) error {
-	data, err := img.Marshal()
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, data, 0o644)
-}
-
-func readImage(path string) (*program.Image, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	return program.Unmarshal(data)
+	_, err = io.WriteString(stdout, lst)
+	return err
 }

@@ -2,9 +2,12 @@ package main
 
 import (
 	"bytes"
+	"os"
+	"path/filepath"
 	"testing"
 
 	"vcfr/internal/asm"
+	"vcfr/internal/realbin/fixtures"
 	"vcfr/internal/workloads"
 )
 
@@ -38,5 +41,37 @@ func TestELFWorkloadHasNoSource(t *testing.T) {
 	var out bytes.Buffer
 	if err := run([]string{"-workload", "elf-fib", "-src"}, &out); err == nil {
 		t.Fatalf("-src on an ELF workload succeeded, printing %d bytes", out.Len())
+	}
+}
+
+// TestProgramFileListing: the listing of a program file, VX source or an
+// ELF binary, is the listing of the built-in workload it holds.
+func TestProgramFileListing(t *testing.T) {
+	src, err := workloads.Source("bzip2", 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	for _, tc := range []struct {
+		workload, file string
+		data           []byte
+	}{
+		{"bzip2", "bzip2.s", []byte(src)},
+		{"elf-fib", "elf-fib.elf", fixtures.Fib},
+	} {
+		path := filepath.Join(dir, tc.file)
+		if err := os.WriteFile(path, tc.data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		var got, want bytes.Buffer
+		if err := run([]string{path}, &got); err != nil {
+			t.Fatalf("%s: %v", tc.file, err)
+		}
+		if err := run([]string{"-workload", tc.workload}, &want); err != nil {
+			t.Fatal(err)
+		}
+		if got.Len() == 0 || got.String() != want.String() {
+			t.Errorf("%s: listing differs from -workload %s:\n%s\nwant\n%s", tc.file, tc.workload, &got, &want)
+		}
 	}
 }

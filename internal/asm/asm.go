@@ -22,6 +22,10 @@
 //	.ascii "s"       emit the bytes of s ( \n \t \\ \" \0 escapes)
 //	.align n         pad with zero bytes to an n-byte boundary
 //
+// The text section holds instructions and zero padding only; .word, .addr
+// and .ascii belong in the data section. A .space or .align that would carry
+// its section past the 32-bit address space, or past 16 MiB, is refused.
+//
 // Instruction operands: registers r0-r15 (aliases sp, bp), immediates
 // (decimal, 0x hex, 'c' character), labels, and memory operands of the form
 // [reg], [reg+imm], [reg-imm], or [reg+reg].
@@ -35,6 +39,7 @@ package asm
 
 import (
 	"fmt"
+	"math"
 	"sort"
 	"strconv"
 	"strings"
@@ -206,12 +211,17 @@ func (a *assembler) parseDirective(line int, s string, inText *bool, textAddr, d
 		}
 		return dataAddr
 	}
+	if *inText && (dir == ".word" || dir == ".addr" || dir == ".ascii") {
+		// Text holds instructions and zero padding only, so every byte of
+		// it disassembles.
+		return a.errf(line, "%s: data must live in the data section", dir)
+	}
 	switch dir {
 	case ".text", ".data":
 		toText := dir == ".text"
 		if rest != "" {
 			v, err := parseInt(rest)
-			if err != nil {
+			if err != nil || v < 0 || v > math.MaxUint32 {
 				return a.errf(line, "%s: bad address %q", dir, rest)
 			}
 			if toText {
@@ -273,6 +283,9 @@ func (a *assembler) parseDirective(line int, s string, inText *bool, textAddr, d
 		if err != nil || n < 0 {
 			return a.errf(line, ".space: bad size %q", rest)
 		}
+		if err := a.reserve(line, dir, *inText, *addr(), uint64(n)); err != nil {
+			return err
+		}
 		a.items = append(a.items, item{line: line, addr: *addr(), text: *inText, raw: make([]byte, n)})
 		*addr() += uint32(n)
 	case ".ascii":
@@ -287,13 +300,39 @@ func (a *assembler) parseDirective(line int, s string, inText *bool, textAddr, d
 		if err != nil || n <= 0 || n&(n-1) != 0 {
 			return a.errf(line, ".align: bad alignment %q", rest)
 		}
-		pad := (uint32(n) - *addr()%uint32(n)) % uint32(n)
+		pad := (uint64(n) - uint64(*addr())%uint64(n)) % uint64(n)
+		if err := a.reserve(line, dir, *inText, *addr(), pad); err != nil {
+			return err
+		}
 		if pad > 0 {
 			a.items = append(a.items, item{line: line, addr: *addr(), text: *inText, raw: make([]byte, pad)})
-			*addr() += pad
+			*addr() += uint32(pad)
 		}
 	default:
 		return a.errf(line, "unknown directive %q", dir)
+	}
+	return nil
+}
+
+// maxSection bounds the size of one section. Like the ELF loader's cap on
+// its loads, it keeps a few bytes of .space or .align from demanding
+// gigabytes of zeros.
+const maxSection = 1 << 24
+
+// reserve checks, before anything is allocated, that a directive dir may
+// emit n bytes at addr in the text or data section: the section must end
+// inside the 32-bit address space and hold at most maxSection bytes.
+func (a *assembler) reserve(line int, dir string, text bool, addr uint32, n uint64) error {
+	base := a.dataBase
+	if text {
+		base = a.textBase
+	}
+	end := uint64(addr) + n
+	if end > math.MaxUint32 {
+		return a.errf(line, "%s: %#x bytes at %#x pass the end of the 32-bit address space", dir, n, addr)
+	}
+	if end-uint64(base) > maxSection {
+		return a.errf(line, "%s: %#x bytes at %#x grow the section past %d MiB", dir, n, addr, maxSection>>20)
 	}
 	return nil
 }
@@ -361,9 +400,6 @@ func (a *assembler) emit(name string) (*program.Image, error) {
 					}
 					v = rv
 					if it.isAddrTb || a.inText[op.ref] {
-						if it.text {
-							return nil, a.errf(it.line, "code-address words must live in the data section")
-						}
 						relocs = append(relocs, program.Reloc{Addr: it.addr + uint32(4*wi), InCode: false})
 					}
 				}

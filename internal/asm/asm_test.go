@@ -205,6 +205,10 @@ func TestAssembleErrors(t *testing.T) {
 		{"addr with number", ".entry m\nm: halt\n.data\n.addr 42", "must be labels"},
 		{"jump to data label", ".entry m\nm: jmp d\n.data\nd: .word 0", "not in the text section"},
 		{"code addr in text", ".entry m\nm: halt\n.addr m", "must live in the data section"},
+		{"word in text", ".entry m\nm: halt\n.word 0xffffffff", "must live in the data section"},
+		{"text base past 32 bits", ".text 0x100002000\n.entry m\nm: halt", "bad address"},
+		{"negative data base", ".data -4096\n.text\n.entry m\nm: halt", "bad address"},
+		{"ascii in text", ".entry m\nm: halt\n.ascii \"ab\"", "must live in the data section"},
 		{"storeb indexed", ".entry m\nm: storeb [r1+r2], r3", "storeb does not support"},
 		{"loadr with offset", ".entry m\nm: loadr r1, [r2+4]", "loadr requires"},
 	}
@@ -229,6 +233,46 @@ func TestSyntaxErrorHasLine(t *testing.T) {
 	}
 	if serr.Line != 3 {
 		t.Errorf("line = %d, want 3", serr.Line)
+	}
+}
+
+// TestAssembleSectionBounds: a .space or .align that would carry its
+// section past the 32-bit address space, or past maxSection bytes, is a
+// syntax error on its own line, refused before its zeros are allocated;
+// sections that fit assemble.
+func TestAssembleSectionBounds(t *testing.T) {
+	tests := []struct {
+		name, src string
+		line      int // 0: assembles
+	}{
+		{"space max int64", ".entry m\nm: halt\n.data\nb: .space 0x7fffffffffffffff", 4},
+		{"space 4 GiB", ".entry m\nm: halt\n.data\nb: .space 0x100000000", 4},
+		{"align 4 GiB", ".entry m\nm: halt\n.data\n.word 1\n.align 0x100000000", 5},
+		{"align 2^62", ".entry m\nm: halt\n.align 0x4000000000000000", 3},
+		{"text to the top", ".text 0xfffff000\n.entry m\nm: halt\n.space 0xfff", 4},
+		{"text just fits", ".text 0xfffff000\n.entry m\nm: halt\n.space 0xffe", 0},
+		{"space past cap", ".entry m\nm: halt\n.data\n.space 0x800000\n.space 0x800001", 5},
+		{"space at cap", ".entry m\nm: halt\n.data\n.space 0x800000\n.space 0x800000", 0},
+		{"align past cap", ".entry m\nm: halt\n.data\n.word 1\n.align 0x2000000", 5},
+		{"align fits", ".entry m\nm: halt\n.data\n.word 1\n.align 0x1000", 0},
+	}
+	for _, tt := range tests {
+		t.Run(tt.name, func(t *testing.T) {
+			_, err := Assemble("bounds", tt.src)
+			if tt.line == 0 {
+				if err != nil {
+					t.Fatalf("Assemble: %v", err)
+				}
+				return
+			}
+			var serr *SyntaxError
+			if !errors.As(err, &serr) {
+				t.Fatalf("error %v (%T) is not a *SyntaxError", err, err)
+			}
+			if serr.Line != tt.line {
+				t.Errorf("error %q on line %d, want %d", err, serr.Line, tt.line)
+			}
+		})
 	}
 }
 

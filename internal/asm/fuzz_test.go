@@ -40,6 +40,11 @@ func FuzzAssembleListingRoundTrip(f *testing.F) {
 	}
 	f.Add(".entry main\nmain:\n\tmovi r1, 0\n\tsys 0\n")
 	f.Add(".text 0x2000\n.entry e\ne:\n\thalt\n.data\nbuf: .space 16\n")
+	f.Add(".entry main\n\t.space 3\nmain:\n\tmovi r1, 0\n\t.align 16\nend:\n\tsys 0\n\t.space 4\n")
+	// Oversized sections, which the assembler refuses before allocating.
+	f.Add(".entry main\nmain:\n\thalt\n.data\nbuf: .space 0x7fffffffffffffff\n")
+	f.Add(".entry main\nmain:\n\thalt\n.data\nbuf: .space 0x100000000\n")
+	f.Add(".entry main\nmain:\n\thalt\n.data\n.word 1\n.align 0x100000000\n")
 
 	f.Fuzz(func(t *testing.T, src string) {
 		img, err := asm.Assemble("fuzz", src)
@@ -57,32 +62,56 @@ func FuzzAssembleListingRoundTrip(f *testing.F) {
 
 		// Rebuild source from the listing: pin the text base, strip the
 		// address column, and re-declare the entry point at the line whose
-		// address matches the original entry.
+		// address matches the original entry. Zero padding (.space or
+		// .align in text) shows in the listing only as a gap in its
+		// address column; restore it as .space.
+		insts, err := asm.Disassemble(img)
+		if err != nil {
+			t.Fatal(err)
+		}
+		length := make(map[uint32]uint32, len(insts))
+		for _, in := range insts {
+			length[in.Addr] = uint32(in.Len())
+		}
 		var b strings.Builder
 		fmt.Fprintf(&b, ".text %#x\n.entry __fuzz_entry\n", text.Addr)
 		sawEntry := false
+		next := text.Addr
+		var labels []string
 		for _, line := range strings.Split(listing, "\n") {
 			line = strings.TrimSpace(line)
 			if line == "" {
 				continue
 			}
 			if strings.HasSuffix(line, ":") {
-				b.WriteString(line + "\n")
+				labels = append(labels, line)
 				continue
 			}
 			fields := strings.SplitN(line, "  ", 2)
 			if len(fields) != 2 {
 				continue
 			}
-			addr, err := strconv.ParseUint(strings.TrimSpace(fields[0]), 0, 32)
+			a, err := strconv.ParseUint(strings.TrimSpace(fields[0]), 0, 32)
 			if err != nil {
 				t.Fatalf("unparseable listing address in %q: %v", line, err)
 			}
-			if uint32(addr) == img.Entry {
+			addr := uint32(a)
+			if addr > next {
+				fmt.Fprintf(&b, "\t.space %d\n", addr-next)
+			}
+			for _, l := range labels {
+				b.WriteString(l + "\n")
+			}
+			labels = labels[:0]
+			if addr == img.Entry {
 				b.WriteString("__fuzz_entry:\n")
 				sawEntry = true
 			}
 			b.WriteString("\t" + strings.TrimSpace(fields[1]) + "\n")
+			next = addr + length[addr]
+		}
+		if end := text.End(); end > next {
+			fmt.Fprintf(&b, "\t.space %d\n", end-next)
 		}
 		if !sawEntry {
 			// Entry not at an instruction boundary of the listing (e.g. it

@@ -98,9 +98,9 @@ func (r *Request) Normalize(k Kind) error {
 }
 
 // NormalizeProgram is Normalize(KindRun) for a run of a program the request
-// cannot name (an ELF file, VX source, or an ilrrand bundle, as vcfrsim
-// runs them): the run kind's defaults and machine checks, without its
-// built-in workload check.
+// cannot name (a program file, an ELF binary or VX source, as vcfrsim runs
+// it): the run kind's defaults and machine checks, without its built-in
+// workload check.
 func (r *Request) NormalizeProgram() error {
 	e, err := lookup(KindRun)
 	if err != nil {

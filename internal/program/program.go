@@ -10,9 +10,7 @@
 package program
 
 import (
-	"bytes"
 	"encoding/binary"
-	"encoding/gob"
 	"fmt"
 	"sort"
 )
@@ -240,22 +238,4 @@ func (img *Image) Validate() error {
 		}
 	}
 	return nil
-}
-
-// Marshal serializes the image (gob encoding).
-func (img *Image) Marshal() ([]byte, error) {
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(img); err != nil {
-		return nil, fmt.Errorf("program: marshal: %w", err)
-	}
-	return buf.Bytes(), nil
-}
-
-// Unmarshal deserializes an image produced by Marshal.
-func Unmarshal(data []byte) (*Image, error) {
-	var img Image
-	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&img); err != nil {
-		return nil, fmt.Errorf("program: unmarshal: %w", err)
-	}
-	return &img, nil
 }

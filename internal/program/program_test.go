@@ -138,31 +138,6 @@ func TestCloneIsDeep(t *testing.T) {
 	}
 }
 
-func TestMarshalRoundTrip(t *testing.T) {
-	img := testImage()
-	img.Segments[0].Data[3] = 0xab
-	data, err := img.Marshal()
-	if err != nil {
-		t.Fatalf("Marshal: %v", err)
-	}
-	got, err := Unmarshal(data)
-	if err != nil {
-		t.Fatalf("Unmarshal: %v", err)
-	}
-	if got.Name != img.Name || got.Entry != img.Entry {
-		t.Error("header mismatch after round trip")
-	}
-	if got.Segments[0].Data[3] != 0xab {
-		t.Error("segment data mismatch after round trip")
-	}
-	if len(got.Relocs) != len(img.Relocs) || len(got.Symbols) != len(img.Symbols) {
-		t.Error("tables mismatch after round trip")
-	}
-	if _, err := Unmarshal([]byte("not gob")); err == nil {
-		t.Error("Unmarshal of garbage succeeded")
-	}
-}
-
 func TestPermString(t *testing.T) {
 	if got := (PermR | PermX).String(); got != "r-x" {
 		t.Errorf("PermR|PermX = %q", got)

@@ -12,9 +12,11 @@ import (
 	"sort"
 )
 
+// ELFMagic opens every ELF file.
+const ELFMagic = "\x7fELF"
+
 // ELF constants for the subset we accept.
 const (
-	elfMagic      = "\x7fELF"
 	elfClass64    = 2
 	elfDataLE     = 1
 	elfTypeExec   = 2   // ET_EXEC: statically linked, fixed load addresses
@@ -111,7 +113,7 @@ func ParseELF(b []byte) (*ELFFile, error) {
 	if uint64(len(b)) < elfHeaderSize {
 		return nil, parseErr("header", "%d bytes, need %d", len(b), elfHeaderSize)
 	}
-	if string(b[:4]) != elfMagic {
+	if string(b[:4]) != ELFMagic {
 		return nil, parseErr("magic", "%x", b[:4])
 	}
 	if b[4] != elfClass64 {

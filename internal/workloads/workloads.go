@@ -35,8 +35,12 @@
 package workloads
 
 import (
+	"bytes"
 	"fmt"
+	"os"
+	"path/filepath"
 	"sort"
+	"strings"
 
 	"vcfr/internal/asm"
 	"vcfr/internal/program"
@@ -162,8 +166,28 @@ func ByName(name string, scale int) (Workload, error) {
 	return Workload{Name: name, Desc: g.desc, Source: SourceSynthetic, Img: img, Input: input}, nil
 }
 
-// FromELF lifts an arbitrary RV64 ELF binary (e.g. one passed to
-// `vcfrsim -elf`) into a Workload.
+// Load reads a program file: bytes that start with the ELF magic are lifted
+// as an RV64 binary (FromELF), anything else is assembled as VX source. The
+// workload is named after the file's base name without its extension. Both
+// front ends validate the image they build.
+func Load(path string) (Workload, error) {
+	data, err := os.ReadFile(path)
+	if err != nil {
+		return Workload{}, err
+	}
+	name := strings.TrimSuffix(filepath.Base(path), filepath.Ext(path))
+	if bytes.HasPrefix(data, []byte(realbin.ELFMagic)) {
+		return FromELF(data, name)
+	}
+	img, err := asm.Assemble(name, string(data))
+	if err != nil {
+		return Workload{}, fmt.Errorf("workloads: %s: %w", path, err)
+	}
+	return Workload{Name: name, Img: img}, nil
+}
+
+// FromELF lifts an arbitrary RV64 ELF binary (e.g. a program file given to
+// Load) into a Workload.
 func FromELF(data []byte, name string) (Workload, error) {
 	lifted, err := realbin.Load(data, name)
 	if err != nil {
