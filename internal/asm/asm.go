@@ -264,6 +264,9 @@ func (a *assembler) parseDirective(line int, s string, inText *bool, textAddr, d
 			if err != nil {
 				return a.errf(line, "%s: bad operand %q", dir, f)
 			}
+			if !fitsWord(v) {
+				return a.errf(line, "%s: operand %q out of 32-bit range", dir, f)
+			}
 			ops = append(ops, wordOperand{val: uint32(v)})
 		}
 		if dir == ".addr" {
@@ -466,6 +469,10 @@ func isIdent(s string) bool {
 	}
 	return true
 }
+
+// fitsWord reports whether a parsed operand is a 32-bit value, signed or
+// unsigned (-2^31 through 2^32-1). Wider values are refused, not truncated.
+func fitsWord(v int64) bool { return v >= math.MinInt32 && v <= math.MaxUint32 }
 
 func parseInt(s string) (int64, error) {
 	s = strings.TrimSpace(s)

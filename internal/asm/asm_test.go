@@ -211,6 +211,12 @@ func TestAssembleErrors(t *testing.T) {
 		{"ascii in text", ".entry m\nm: halt\n.ascii \"ab\"", "must live in the data section"},
 		{"storeb indexed", ".entry m\nm: storeb [r1+r2], r3", "storeb does not support"},
 		{"loadr with offset", ".entry m\nm: loadr r1, [r2+4]", "loadr requires"},
+		{"immediate past 32 bits", ".entry m\nm: movi r1, 0x1ffffffff\nhalt", "out of 32-bit range"},
+		{"immediate below -2^31", ".entry m\nm: addi r1, -0x80000001\nhalt", "out of 32-bit range"},
+		{"branch target past 32 bits", ".entry m\nm: jmp 0x100001000", "out of 32-bit range"},
+		{"offset past 32 bits", ".entry m\nm: load r1, [sp+0x100000000]", "out of 16-bit range"},
+		{"word past 32 bits", ".entry m\nm: halt\n.data\n.word 1, 0x100000000", "out of 32-bit range"},
+		{"word below -2^31", ".entry m\nm: halt\n.data\n.word -0x80000001", "out of 32-bit range"},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {

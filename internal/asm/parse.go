@@ -66,6 +66,9 @@ func (a *assembler) parseInst(line int, s string) (item, error) {
 		if err != nil {
 			return 0, a.errf(line, "%s: operand %d: bad immediate %q", mnem, i+1, ops[i])
 		}
+		if !fitsWord(v) {
+			return 0, a.errf(line, "%s: operand %d: %q out of 32-bit range", mnem, i+1, ops[i])
+		}
 		return int32(v), nil
 	}
 	want := func(n int) error {

@@ -63,6 +63,7 @@ import (
 	"fmt"
 	"strings"
 
+	"vcfr/internal/results"
 	"vcfr/internal/stats"
 )
 
@@ -148,67 +149,52 @@ const (
 	OutcomeNoChain Outcome = "no-chain"
 )
 
-// Stats counts the attacker's activity and the defense's responses. It
-// registers into the stats spine under the attack.* namespace and aggregates
-// across campaign cells.
-type Stats struct {
-	ChainsBuilt      uint64 `json:"chains_built"`
-	ChainsFired      uint64 `json:"chains_fired"`
-	Successes        uint64 `json:"successes"`
-	BlockedRPC       uint64 `json:"blocked_unmapped_rpc"`
-	BlockedIllegal   uint64 `json:"blocked_illegal_instruction"`
-	Crashes          uint64 `json:"crashes"`
-	NoEffect         uint64 `json:"no_effect"`
-	Leaks            uint64 `json:"leaks"`
-	CodePages        uint64 `json:"code_pages"`
-	MapPages         uint64 `json:"map_pages"`
-	Rerandomizations uint64 `json:"rerandomizations"`
-}
-
-// Register adds the counters to a registry under the attack.* namespace.
-func (s *Stats) Register(r *stats.Registry) {
-	a := r.Scope("attack")
-	a.Counter("chains.built", "ROP chains the attacker compiled from its current gadget view.", &s.ChainsBuilt)
-	a.Counter("chains.fired", "Compiled chains fired through the first-return hijack.", &s.ChainsFired)
-	a.Counter("success", "Fired chains whose payload effect was observed.", &s.Successes)
-	a.Counter("blocked.unmapped_rpc", "Fired chains detected as a transfer to an unmapped/prohibited randomized address.", &s.BlockedRPC)
-	a.Counter("blocked.illegal_instruction", "Fired chains detected by a failed fetch or illegal opcode.", &s.BlockedIllegal)
-	a.Counter("crashed", "Fired chains that died on another architectural fault.", &s.Crashes)
-	a.Counter("no_effect", "Fired chains that ran without producing the payload effect.", &s.NoEffect)
-	a.Counter("leaks", "Disclosure operations the leak oracle served.", &s.Leaks)
-	a.Counter("pages.code", "Code pages disclosed to the attacker.", &s.CodePages)
-	a.Counter("pages.map", "Naive-ILR location-map pages disclosed to the attacker.", &s.MapPages)
-	a.Counter("rerandomizations", "Mid-execution layout swaps the re-randomization defense performed.", &s.Rerandomizations)
-}
-
-// AddFire counts one fired chain's classified outcome.
-func (s *Stats) AddFire(o Outcome) {
-	s.ChainsFired++
+// AddFire counts one fired chain's classified outcome into c, the
+// attacker-activity histogram of a campaign cell, of a campaign's totals, or
+// of the service's running attack.* series.
+func AddFire(c *results.AttackCounts, o Outcome) {
+	c.ChainsFired++
 	switch o {
 	case OutcomeSuccess:
-		s.Successes++
+		c.Successes++
 	case OutcomeBlockedRPC:
-		s.BlockedRPC++
+		c.BlockedRPC++
 	case OutcomeBlockedIllegal:
-		s.BlockedIllegal++
+		c.BlockedIllegal++
 	case OutcomeCrash:
-		s.Crashes++
+		c.Crashes++
 	case OutcomeNoEffect:
-		s.NoEffect++
+		c.NoEffect++
 	}
 }
 
-// Merge accumulates other into s.
-func (s *Stats) Merge(other Stats) {
-	s.ChainsBuilt += other.ChainsBuilt
-	s.ChainsFired += other.ChainsFired
-	s.Successes += other.Successes
-	s.BlockedRPC += other.BlockedRPC
-	s.BlockedIllegal += other.BlockedIllegal
-	s.Crashes += other.Crashes
-	s.NoEffect += other.NoEffect
-	s.Leaks += other.Leaks
-	s.CodePages += other.CodePages
-	s.MapPages += other.MapPages
-	s.Rerandomizations += other.Rerandomizations
+// Merge accumulates src into dst.
+func Merge(dst *results.AttackCounts, src results.AttackCounts) {
+	dst.ChainsBuilt += src.ChainsBuilt
+	dst.ChainsFired += src.ChainsFired
+	dst.Successes += src.Successes
+	dst.BlockedRPC += src.BlockedRPC
+	dst.BlockedIllegal += src.BlockedIllegal
+	dst.Crashes += src.Crashes
+	dst.NoEffect += src.NoEffect
+	dst.Leaks += src.Leaks
+	dst.CodePages += src.CodePages
+	dst.MapPages += src.MapPages
+	dst.Rerandomizations += src.Rerandomizations
+}
+
+// Register adds c's counters to a registry under the attack.* namespace.
+func Register(r *stats.Registry, c *results.AttackCounts) {
+	a := r.Scope("attack")
+	a.Counter("chains.built", "ROP chains the attacker compiled from its current gadget view.", &c.ChainsBuilt)
+	a.Counter("chains.fired", "Compiled chains fired through the first-return hijack.", &c.ChainsFired)
+	a.Counter("success", "Fired chains whose payload effect was observed.", &c.Successes)
+	a.Counter("blocked.unmapped_rpc", "Fired chains detected as a transfer to an unmapped/prohibited randomized address.", &c.BlockedRPC)
+	a.Counter("blocked.illegal_instruction", "Fired chains detected by a failed fetch or illegal opcode.", &c.BlockedIllegal)
+	a.Counter("crashed", "Fired chains that died on another architectural fault.", &c.Crashes)
+	a.Counter("no_effect", "Fired chains that ran without producing the payload effect.", &c.NoEffect)
+	a.Counter("leaks", "Disclosure operations the leak oracle served.", &c.Leaks)
+	a.Counter("pages.code", "Code pages disclosed to the attacker.", &c.CodePages)
+	a.Counter("pages.map", "Naive-ILR location-map pages disclosed to the attacker.", &c.MapPages)
+	a.Counter("rerandomizations", "Mid-execution layout swaps the re-randomization defense performed.", &c.Rerandomizations)
 }

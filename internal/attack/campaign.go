@@ -95,44 +95,26 @@ func (c Config) maxLeaksFor(universe int) int {
 	return n
 }
 
-// Disclosure is one arm's work-factor result: how much the leak oracle had
-// to serve before the attacker won, or the proof it never did.
-type Disclosure struct {
-	Success      bool    `json:"success"`
-	WithinBudget bool    `json:"within_budget"` // Success with Leaks <= LeakBudget
-	Leaks        int     `json:"leaks"`         // leak ops actually served
-	CodePages    int     `json:"code_pages"`
-	MapPages     int     `json:"map_pages"`
-	ChainsBuilt  int     `json:"chains_built"`
-	ChainsFired  int     `json:"chains_fired"`
-	Blocked      int     `json:"blocked"` // fires the machine detected
-	Epochs       int     `json:"epochs"`  // re-randomizations survived (rerand arm)
-	Outcome      Outcome `json:"outcome"` // final fire verdict, or no-chain
-}
-
-// Row is one (workload, mode, payload) cell of the campaign: the static
-// full-knowledge phase plus the plain and re-randomized disclosure arms.
-type Row struct {
-	Workload string
-	Mode     cpu.Mode
-	Payload  Payload
-	Static   Static
-	Plain    Disclosure
-	// Rerand is the disclosure arm raced against periodic re-randomization;
-	// nil under baseline (no layout to re-randomize).
-	Rerand *Disclosure
-	Stats  Stats
-	// Error marks the cell as not (fully) executed.
-	Error string
-}
-
-// Report is one campaign's full result.
+// Report is one campaign's result. It is the campaign's results document
+// (header, rows, per-mode summaries, totals, Partial) as the envelope
+// carries it, next to the defaulted Config that produced it.
 type Report struct {
+	results.Attack
 	Config Config
-	Rows   []Row
-	Totals Stats
-	// Partial is true when any row carries an error.
-	Partial bool
+	// cells holds each row's typed coordinates and activity counters,
+	// index-aligned with Rows; the counters sum to Totals.
+	cells []cell
+}
+
+// cell is one row's typed coordinates plus the shard's slots for it: the
+// attacker-activity counters its arms accumulate and whether the shard
+// reached it.
+type cell struct {
+	workload string
+	mode     cpu.Mode
+	payload  Payload
+	counts   results.AttackCounts
+	done     bool
 }
 
 // armSeed derives one arm's PRNG seed from the campaign seed and the cell
@@ -179,65 +161,81 @@ func RunCampaign(ctx context.Context, r *harness.Runner, cfg Config, onProgress 
 	// aggregation is deterministic no matter which worker ran what. Each
 	// (workload, mode)'s static state hangs off the prepared app, so a warm
 	// runner builds it once for every campaign (sharedFor).
-	rep := &Report{Config: cfg}
+	n := len(cfg.Workloads) * len(cfg.Modes) * len(cfg.Payloads)
+	rep := &Report{Config: cfg, Attack: results.Attack{
+		Seed:         cfg.Seed,
+		Scale:        cfg.Scale,
+		Spread:       cfg.Spread,
+		MaxInsts:     cfg.MaxInsts,
+		LeakBudget:   cfg.LeakBudget,
+		MaxLeaks:     cfg.MaxLeaks,
+		RerandEvery:  cfg.RerandEvery,
+		AdvanceInsts: cfg.AdvanceInsts,
+		Workloads:    cfg.Workloads,
+		Modes:        harness.CampaignNames(cfg.Modes),
+		Payloads:     harness.CampaignNames(cfg.Payloads),
+		Rows:         make([]results.AttackRow, 0, n),
+	}}
+	rep.cells = make([]cell, 0, n)
 	for _, w := range cfg.Workloads {
 		for _, m := range cfg.Modes {
 			for _, p := range cfg.Payloads {
-				row := Row{Workload: w, Mode: m, Payload: p}
+				row := results.AttackRow{Workload: w, Mode: m.String(), Payload: string(p)}
 				if err := appErr[w]; err != nil {
 					row.Error = harness.FirstLine(err.Error())
 				}
 				rep.Rows = append(rep.Rows, row)
+				rep.cells = append(rep.cells, cell{workload: w, mode: m, payload: p})
 			}
 		}
 	}
 
-	count := harness.ProgressCounter(len(rep.Rows), onProgress)
-	r.Shard(ctx, len(rep.Rows), func(ctx context.Context, i int) {
-		row := &rep.Rows[i]
+	count := harness.ProgressCounter(n, onProgress)
+	r.Shard(ctx, n, func(ctx context.Context, i int) {
+		c, row := &rep.cells[i], &rep.Rows[i]
+		c.done = true
 		if row.Error != "" {
 			return
 		}
-		app := apps[row.Workload]
-		count(runCell(ctx, app, sharedFor(app, row.Mode), cfg, row))
+		app := apps[c.workload]
+		count(runCell(ctx, app, sharedFor(app, c.mode), cfg, c, row))
 	})
 
 	for i := range rep.Rows {
 		row := &rep.Rows[i]
 		// A cell the shard never reached (cancellation) reports why.
-		if row.Error == "" && row.Stats.ChainsBuilt == 0 && row.Stats.Leaks == 0 &&
-			row.Static.PoolSize == 0 {
+		if row.Error == "" && !rep.cells[i].done {
 			row.Error = harness.FirstLine(harness.NotExecuted(ctx, notRun).Error())
 		}
 		if row.Error != "" {
 			rep.Partial = true
 		}
-		rep.Totals.Merge(row.Stats)
+		Merge(&rep.Totals, rep.cells[i].counts)
 	}
+	rep.Summaries = summarize(cfg.Modes, rep.Rows)
 	return rep, nil
 }
 
 // runCell executes one cell: static phase, plain disclosure arm, and (for
 // randomized modes) the disclosure arm raced against re-randomization. It
 // returns the victim instructions executed, for progress reporting.
-func runCell(ctx context.Context, app *harness.App, sh *shared, cfg Config, row *Row) (insts uint64) {
-	st := &row.Stats
+func runCell(ctx context.Context, app *harness.App, sh *shared, cfg Config, c *cell, row *results.AttackRow) (insts uint64) {
 	var err error
-	if row.Static, err = runStatic(ctx, app, sh, row.Mode, row.Payload, cfg, st); err != nil {
+	if row.Static, err = runStatic(ctx, app, sh, c.mode, c.payload, cfg, &c.counts); err != nil {
 		row.Error = harness.FirstLine(err.Error())
 		return insts
 	}
 	var n uint64
-	if row.Plain, n, err = runDisclosure(ctx, app, sh, cfg, row, false, st); err != nil {
+	if row.Plain, n, err = runDisclosure(ctx, app, sh, cfg, c, false); err != nil {
 		row.Error = harness.FirstLine(err.Error())
 		return insts + n
 	}
 	insts += n
-	if !row.Mode.Randomized() {
+	if !c.mode.Randomized() {
 		return insts // no layout to re-randomize: the rerand arm is moot
 	}
-	var d Disclosure
-	if d, n, err = runDisclosure(ctx, app, sh, cfg, row, true, st); err != nil {
+	var d results.AttackDisclosure
+	if d, n, err = runDisclosure(ctx, app, sh, cfg, c, true); err != nil {
 		row.Error = harness.FirstLine(err.Error())
 		return insts + n
 	}
@@ -251,18 +249,19 @@ func runCell(ctx context.Context, app *harness.App, sh *shared, cfg Config, row 
 // compile the payload, the chain is fired against the victim's CURRENT
 // deployment. With rerand, the layout is swapped under the live victim
 // every RerandEvery ops, expiring the epoch-scoped knowledge.
-func runDisclosure(ctx context.Context, app *harness.App, sh *shared, cfg Config, row *Row, rerand bool, st *Stats) (Disclosure, uint64, error) {
+func runDisclosure(ctx context.Context, app *harness.App, sh *shared, cfg Config, c *cell, rerand bool) (results.AttackDisclosure, uint64, error) {
 	arm := "plain"
 	if rerand {
 		arm = "rerand"
 	}
-	rng := rand.New(rand.NewSource(armSeed(cfg.Seed, row.Workload, row.Mode, row.Payload, arm)))
-	o, err := newOracle(app, sh, row.Mode, rng, st)
+	rng := rand.New(rand.NewSource(armSeed(cfg.Seed, c.workload, c.mode, c.payload, arm)))
+	st := &c.counts
+	o, err := newOracle(app, sh, c.mode, rng, st)
 	if err != nil {
-		return Disclosure{}, 0, err
+		return results.AttackDisclosure{}, 0, err
 	}
 	defer o.victim.Release()
-	d := Disclosure{Outcome: OutcomeNoChain}
+	d := results.AttackDisclosure{Outcome: string(OutcomeNoChain)}
 	maxOps := cfg.maxLeaksFor(o.universe())
 	failed := make(map[string]bool)
 	var ran uint64
@@ -272,7 +271,7 @@ func runDisclosure(ctx context.Context, app *harness.App, sh *shared, cfg Config
 		}
 		if rerand && op > 1 && (op-1)%cfg.RerandEvery == 0 {
 			d.Epochs++
-			next, err := o.res.Rerandomize(epochSeed(cfg.Seed, row.Workload, row.Mode, row.Payload, d.Epochs))
+			next, err := o.res.Rerandomize(epochSeed(cfg.Seed, c.workload, c.mode, c.payload, d.Epochs))
 			if err != nil {
 				return d, ran, err
 			}
@@ -297,19 +296,19 @@ func runDisclosure(ctx context.Context, app *harness.App, sh *shared, cfg Config
 			continue
 		}
 		o.grew = false
-		ch, err := buildChain(o.pool(), row.Payload)
+		ch, err := buildChain(o.pool(), c.payload)
 		if err != nil || failed[chainKey(ch)] {
 			continue
 		}
 		st.ChainsBuilt++
 		d.ChainsBuilt++
-		outcome := fire(ctx, app, row.Mode, o.res, ch, row.Payload, cfg.MaxInsts)
+		outcome := fire(ctx, app, c.mode, o.res, ch, c.payload, cfg.MaxInsts)
 		if outcome == "" {
 			return d, ran, harness.NotExecuted(ctx, notRun)
 		}
-		st.AddFire(outcome)
+		AddFire(st, outcome)
 		d.ChainsFired++
-		d.Outcome = outcome
+		d.Outcome = string(outcome)
 		d.CodePages, d.MapPages = o.codePagesServed, o.mapPagesServed
 		if outcome == OutcomeSuccess {
 			d.Success = true
@@ -329,33 +328,19 @@ func runDisclosure(ctx context.Context, app *harness.App, sh *shared, cfg Config
 // cancelled.
 const notRun = "attack cell not executed"
 
-// ModeSummary is one mode's aggregate over the campaign's cells — the
-// numbers the paper-style claim ranks.
-type ModeSummary struct {
-	Mode            cpu.Mode
-	Cells           int
-	StaticSuccesses int     // full-knowledge chains that worked
-	Successes       int     // plain-arm disclosure successes (any budget)
-	WithinBudget    int     // plain-arm successes within LeakBudget
-	SuccessRate     float64 // WithinBudget / Cells
-	MeanLeaks       float64 // mean leaks over plain-arm successes
-	RerandSuccesses int     // rerand-arm successes (any budget)
-	MeanRerandLeaks float64 // mean leaks over rerand-arm successes
-}
-
-// Summaries aggregates per mode, in the config's mode order. Cells carrying
-// errors are excluded.
-func (rep *Report) Summaries() []ModeSummary {
-	out := make([]ModeSummary, 0, len(rep.Config.Modes))
-	for _, m := range rep.Config.Modes {
-		s := ModeSummary{Mode: m}
+// summarize aggregates the rows per mode, in the config's mode order — the
+// numbers the paper-style claim ranks. Cells carrying errors are excluded.
+func summarize(modes []cpu.Mode, rows []results.AttackRow) []results.AttackModeSummary {
+	out := make([]results.AttackModeSummary, 0, len(modes))
+	for _, m := range modes {
+		s := results.AttackModeSummary{Mode: m.String()}
 		var leakSum, rleakSum int
-		for _, r := range rep.Rows {
-			if r.Mode != m || r.Error != "" {
+		for _, r := range rows {
+			if r.Mode != s.Mode || r.Error != "" {
 				continue
 			}
 			s.Cells++
-			if r.Static.Outcome == OutcomeSuccess {
+			if r.Static.Outcome == string(OutcomeSuccess) {
 				s.StaticSuccesses++
 			}
 			if r.Plain.Success {
@@ -384,94 +369,9 @@ func (rep *Report) Summaries() []ModeSummary {
 	return out
 }
 
-// Envelope renders the report as the versioned wire document every surface
-// emits (results schema v4, kind "attack").
-func (rep *Report) Envelope() results.Envelope {
-	modes := make([]string, len(rep.Config.Modes))
-	for i, m := range rep.Config.Modes {
-		modes[i] = m.String()
-	}
-	payloads := make([]string, len(rep.Config.Payloads))
-	for i, p := range rep.Config.Payloads {
-		payloads[i] = string(p)
-	}
-	a := results.Attack{
-		Seed:         rep.Config.Seed,
-		Scale:        rep.Config.Scale,
-		Spread:       rep.Config.Spread,
-		MaxInsts:     rep.Config.MaxInsts,
-		LeakBudget:   rep.Config.LeakBudget,
-		MaxLeaks:     rep.Config.MaxLeaks,
-		RerandEvery:  rep.Config.RerandEvery,
-		AdvanceInsts: rep.Config.AdvanceInsts,
-		Workloads:    rep.Config.Workloads,
-		Modes:        modes,
-		Payloads:     payloads,
-		Rows:         make([]results.AttackRow, 0, len(rep.Rows)),
-	}
-	for _, r := range rep.Rows {
-		ar := results.AttackRow{
-			Workload: r.Workload,
-			Mode:     r.Mode.String(),
-			Payload:  string(r.Payload),
-			Static: results.AttackStatic{
-				PoolSize: r.Static.PoolSize,
-				Built:    r.Static.Built,
-				ChainLen: r.Static.ChainLen,
-				Outcome:  string(r.Static.Outcome),
-			},
-			Plain: disclosureDoc(r.Plain),
-			Error: r.Error,
-		}
-		if r.Rerand != nil {
-			d := disclosureDoc(*r.Rerand)
-			ar.Rerand = &d
-		}
-		a.Rows = append(a.Rows, ar)
-	}
-	for _, s := range rep.Summaries() {
-		a.Summaries = append(a.Summaries, results.AttackModeSummary{
-			Mode:            s.Mode.String(),
-			Cells:           s.Cells,
-			StaticSuccesses: s.StaticSuccesses,
-			Successes:       s.Successes,
-			WithinBudget:    s.WithinBudget,
-			SuccessRate:     s.SuccessRate,
-			MeanLeaks:       s.MeanLeaks,
-			RerandSuccesses: s.RerandSuccesses,
-			MeanRerandLeaks: s.MeanRerandLeaks,
-		})
-	}
-	a.Totals = results.AttackCounts{
-		ChainsBuilt:      rep.Totals.ChainsBuilt,
-		ChainsFired:      rep.Totals.ChainsFired,
-		Successes:        rep.Totals.Successes,
-		BlockedRPC:       rep.Totals.BlockedRPC,
-		BlockedIllegal:   rep.Totals.BlockedIllegal,
-		Crashes:          rep.Totals.Crashes,
-		NoEffect:         rep.Totals.NoEffect,
-		Leaks:            rep.Totals.Leaks,
-		CodePages:        rep.Totals.CodePages,
-		MapPages:         rep.Totals.MapPages,
-		Rerandomizations: rep.Totals.Rerandomizations,
-	}
-	return results.NewAttack(a)
-}
-
-func disclosureDoc(d Disclosure) results.AttackDisclosure {
-	return results.AttackDisclosure{
-		Success:      d.Success,
-		WithinBudget: d.WithinBudget,
-		Leaks:        d.Leaks,
-		CodePages:    d.CodePages,
-		MapPages:     d.MapPages,
-		ChainsBuilt:  d.ChainsBuilt,
-		ChainsFired:  d.ChainsFired,
-		Blocked:      d.Blocked,
-		Epochs:       d.Epochs,
-		Outcome:      string(d.Outcome),
-	}
-}
+// Envelope wraps the report's document in the versioned wire envelope every
+// surface emits (results schema v4, kind "attack").
+func (rep *Report) Envelope() results.Envelope { return results.NewAttack(rep.Attack) }
 
 // Table renders the report as the human-readable work-factor table
 // `experiments -mode attacks` prints: one row per cell, then the per-mode
@@ -485,37 +385,36 @@ func (rep *Report) Table() *harness.Table {
 		Columns: []string{"workload", "mode", "payload", "static", "pool",
 			"leaks", "pages", "fired", "outcome", "rr-leaks", "rr-outcome"},
 		Note: fmt.Sprintf("seed %d, leak budget %d ops, re-randomize every %d ops, victim advance %d insts/op",
-			rep.Config.Seed, rep.Config.LeakBudget, rep.Config.RerandEvery, rep.Config.AdvanceInsts),
+			rep.Seed, rep.LeakBudget, rep.RerandEvery, rep.AdvanceInsts),
 	}
 	for _, r := range rep.Rows {
 		if r.Error != "" {
-			t.Rows = append(t.Rows, []string{r.Workload, r.Mode.String(), string(r.Payload),
-				"error: " + r.Error})
+			t.Rows = append(t.Rows, []string{r.Workload, r.Mode, r.Payload, "error: " + r.Error})
 			continue
 		}
-		static := string(r.Static.Outcome)
+		static := r.Static.Outcome
 		if !r.Static.Built {
 			static = string(OutcomeNoChain)
 		}
 		rrLeaks, rrOutcome := "-", "-"
 		if r.Rerand != nil {
 			rrLeaks = fmt.Sprintf("%d", r.Rerand.Leaks)
-			rrOutcome = string(r.Rerand.Outcome)
+			rrOutcome = r.Rerand.Outcome
 		}
 		t.Rows = append(t.Rows, []string{
-			r.Workload, r.Mode.String(), string(r.Payload),
+			r.Workload, r.Mode, r.Payload,
 			static,
 			fmt.Sprintf("%d", r.Static.PoolSize),
 			fmt.Sprintf("%d", r.Plain.Leaks),
 			fmt.Sprintf("%d+%d", r.Plain.CodePages, r.Plain.MapPages),
 			fmt.Sprintf("%d", r.Plain.ChainsFired),
-			string(r.Plain.Outcome),
+			r.Plain.Outcome,
 			rrLeaks, rrOutcome,
 		})
 	}
-	for _, s := range rep.Summaries() {
+	for _, s := range rep.Summaries {
 		t.Rows = append(t.Rows, []string{
-			"(all)", s.Mode.String(), "(summary)",
+			"(all)", s.Mode, "(summary)",
 			fmt.Sprintf("%d static-ok", s.StaticSuccesses),
 			fmt.Sprintf("%d cells", s.Cells),
 			fmt.Sprintf("%.1f mean", s.MeanLeaks),

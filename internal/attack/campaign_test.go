@@ -38,7 +38,15 @@ func TestCampaignGolden(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	path := filepath.Join("testdata", "campaign.golden.json")
+	checkGolden(t, "campaign.golden.json", got)
+	checkGolden(t, "table.golden", []byte(rep.Table().Render()))
+}
+
+// checkGolden compares got with testdata/name, or rewrites the file under
+// -update.
+func checkGolden(t *testing.T, name string, got []byte) {
+	t.Helper()
+	path := filepath.Join("testdata", name)
 	if *update {
 		if err := os.MkdirAll("testdata", 0o755); err != nil {
 			t.Fatal(err)
@@ -53,7 +61,7 @@ func TestCampaignGolden(t *testing.T) {
 		t.Fatalf("%v (run with -update to regenerate)", err)
 	}
 	if !bytes.Equal(got, want) {
-		t.Errorf("campaign envelope drifted from %s\n--- got ---\n%.2000s", path, got)
+		t.Errorf("%s drifted\n--- got ---\n%.2000s", path, got)
 	}
 }
 
@@ -180,14 +188,14 @@ func TestAttackOrdering(t *testing.T) {
 	if rep.Partial {
 		t.Fatal("canonical campaign reported partial")
 	}
-	rates := make(map[cpu.Mode]ModeSummary)
-	for _, s := range rep.Summaries() {
+	rates := make(map[string]results.AttackModeSummary)
+	for _, s := range rep.Summaries {
 		if s.Cells == 0 {
 			t.Fatalf("mode %s summarized zero cells", s.Mode)
 		}
 		rates[s.Mode] = s
 	}
-	b, n, v := rates[cpu.ModeBaseline], rates[cpu.ModeNaiveILR], rates[cpu.ModeVCFR]
+	b, n, v := rates[cpu.ModeBaseline.String()], rates[cpu.ModeNaiveILR.String()], rates[cpu.ModeVCFR.String()]
 	if !(b.SuccessRate > n.SuccessRate && n.SuccessRate >= v.SuccessRate) {
 		t.Errorf("success rates not ordered: baseline %.3f > naive %.3f >= vcfr %.3f",
 			b.SuccessRate, n.SuccessRate, v.SuccessRate)
@@ -210,16 +218,17 @@ func TestAttackOrdering(t *testing.T) {
 	}
 	// And the mechanism, specifically: every VCFR fire must be detected as an
 	// unmapped/prohibited randomized-space transfer, never a silent no-effect.
-	for _, r := range rep.Rows {
-		if r.Mode != cpu.ModeVCFR {
+	for i, r := range rep.Rows {
+		if r.Mode != cpu.ModeVCFR.String() {
 			continue
 		}
-		if r.Stats.ChainsFired == 0 {
+		st := rep.cells[i].counts
+		if st.ChainsFired == 0 {
 			t.Errorf("vcfr/%s/%s fired no chains; the disclosure attacker should at least try", r.Workload, r.Payload)
 		}
-		if r.Stats.ChainsFired != r.Stats.BlockedRPC {
+		if st.ChainsFired != st.BlockedRPC {
 			t.Errorf("vcfr/%s/%s: %d fires but %d unmapped-RPC detections; every fire must trip default-deny",
-				r.Workload, r.Payload, r.Stats.ChainsFired, r.Stats.BlockedRPC)
+				r.Workload, r.Payload, st.ChainsFired, st.BlockedRPC)
 		}
 	}
 }
@@ -316,6 +325,37 @@ func TestCampaignCancellation(t *testing.T) {
 	env := rep.Envelope()
 	if !env.Attack.Partial {
 		t.Error("envelope of cancelled campaign not marked partial")
+	}
+}
+
+// TestCampaignCancelledMidFlight cancels a running campaign after its first
+// finished cell: every row either finished cleanly or carries the context's
+// error, both kinds of row exist, and the report is partial.
+func TestCampaignCancelledMidFlight(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	rep, err := RunCampaign(ctx, harness.NewRunner(1), Config{
+		Workloads: []string{"bzip2"}, MaxLeaks: 2, MaxInsts: 2000, AdvanceInsts: 500,
+	}, func(harness.Progress) { cancel() })
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !rep.Partial {
+		t.Error("campaign cancelled mid-flight not marked partial")
+	}
+	var finished, cancelled int
+	for _, r := range rep.Rows {
+		switch r.Error {
+		case "":
+			finished++
+		case context.Canceled.Error():
+			cancelled++
+		default:
+			t.Errorf("row %s/%s/%s: error %q, want none or %q", r.Workload, r.Mode, r.Payload, r.Error, context.Canceled)
+		}
+	}
+	if finished == 0 || cancelled == 0 {
+		t.Errorf("%d finished and %d cancelled rows, want some of each", finished, cancelled)
 	}
 }
 

@@ -7,6 +7,7 @@ import (
 	"vcfr/internal/cpu"
 	"vcfr/internal/gadget"
 	"vcfr/internal/harness"
+	"vcfr/internal/results"
 )
 
 // buildChain compiles one payload template against a gadget pool.
@@ -63,21 +64,12 @@ func sharedFor(app *harness.App, mode cpu.Mode) *shared {
 	}).(*shared)
 }
 
-// Static is the full-knowledge diagnostic phase of one cell: pool size,
-// whether the payload compiled, and what the machine did when the chain was
-// fired at the deployment's first epoch.
-type Static struct {
-	PoolSize int     `json:"pool_size"`
-	Built    bool    `json:"built"`
-	ChainLen int     `json:"chain_len"` // stack words, when built
-	Outcome  Outcome `json:"outcome"`
-}
-
-// runStatic executes one cell's full-knowledge phase. The returned error is
-// only ever the context's: an unfinished phase must not golden-pin as a
-// no-chain result.
-func runStatic(ctx context.Context, app *harness.App, sh *shared, mode cpu.Mode, payload Payload, cfg Config, st *Stats) (Static, error) {
-	s := Static{PoolSize: len(sh.pool), Outcome: OutcomeNoChain}
+// runStatic executes one cell's full-knowledge phase: pool size, whether the
+// payload compiled, and what the machine did when the chain was fired at the
+// deployment's first epoch. The returned error is only ever the context's:
+// an unfinished phase must not golden-pin as a no-chain result.
+func runStatic(ctx context.Context, app *harness.App, sh *shared, mode cpu.Mode, payload Payload, cfg Config, st *results.AttackCounts) (results.AttackStatic, error) {
+	s := results.AttackStatic{PoolSize: len(sh.pool), Outcome: string(OutcomeNoChain)}
 	ch, err := buildChain(sh.pool, payload)
 	if err != nil {
 		return s, nil
@@ -88,7 +80,7 @@ func runStatic(ctx context.Context, app *harness.App, sh *shared, mode cpu.Mode,
 	if o == "" {
 		return s, harness.NotExecuted(ctx, notRun)
 	}
-	st.AddFire(o)
-	s.Outcome = o
+	AddFire(st, o)
+	s.Outcome = string(o)
 	return s, nil
 }

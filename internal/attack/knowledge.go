@@ -12,6 +12,7 @@ import (
 	"vcfr/internal/ilr"
 	"vcfr/internal/isa"
 	"vcfr/internal/program"
+	"vcfr/internal/results"
 )
 
 // pageSize is the leak oracle's disclosure unit.
@@ -51,7 +52,7 @@ type oracle struct {
 	res    *ilr.Result // current epoch's artifacts
 	victim *cpu.Pipeline
 	rng    *rand.Rand
-	st     *Stats
+	st     *results.AttackCounts
 
 	// The attacker's reconstructed text: the original layout under baseline
 	// and naive ILR, the VCFR image under VCFR. Unknown bytes are zero.
@@ -100,7 +101,7 @@ type mapEntry struct{ orig, rand uint32 }
 
 // newOracle builds the attacker's zero-knowledge state and its live victim
 // from the (workload, mode)'s shared static state.
-func newOracle(app *harness.App, sh *shared, mode cpu.Mode, rng *rand.Rand, st *Stats) (*oracle, error) {
+func newOracle(app *harness.App, sh *shared, mode cpu.Mode, rng *rand.Rand, st *results.AttackCounts) (*oracle, error) {
 	victim, _, err := app.Pipeline(mode, nil)
 	if err != nil {
 		return nil, err

@@ -8,6 +8,7 @@ import (
 	"vcfr/internal/cpu"
 	"vcfr/internal/harness"
 	"vcfr/internal/isa"
+	"vcfr/internal/results"
 )
 
 // poolWalk is the result of walking one disclosure arm op by op.
@@ -91,7 +92,7 @@ func prepareAttacked(t *testing.T, cfg Config, workload string) *harness.App {
 func newArmOracle(t *testing.T, app *harness.App, cfg Config, workload string, mode cpu.Mode, arm string) *oracle {
 	t.Helper()
 	rng := rand.New(rand.NewSource(armSeed(cfg.Seed, workload, mode, PayloadPrint, arm)))
-	o, err := newOracle(app, sharedFor(app, mode), mode, rng, &Stats{})
+	o, err := newOracle(app, sharedFor(app, mode), mode, rng, &results.AttackCounts{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
 
 	"vcfr/internal/cpu"
 	"vcfr/internal/harness"
@@ -77,25 +78,12 @@ func (c Config) validate() error {
 	return nil
 }
 
-// Row is one (workload, mode, fault kind) line of the coverage table.
-type Row struct {
-	Workload string
-	Mode     cpu.Mode
-	Kind     Kind
-	Stats    Stats
-	// Error marks the row's injections as not (fully) executed: workload
-	// preparation or reference capture failed, or the campaign was
-	// cancelled mid-flight.
-	Error string
-}
-
-// Report is one campaign's full result.
+// Report is one campaign's result. It is the campaign's results document
+// (header, rows, totals, Partial) as the envelope carries it, next to the
+// defaulted Config that produced it.
 type Report struct {
+	results.Campaign
 	Config Config
-	Rows   []Row
-	Totals Stats
-	// Partial is true when any row carries an error.
-	Partial bool
 }
 
 // kindsFor filters the configured kinds down to the ones meaningful in a
@@ -200,11 +188,24 @@ func RunCampaign(ctx context.Context, r *harness.Runner, cfg Config, onProgress 
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	rows, tasks := plan(cfg, prepareCells(ctx, r, cfg))
+	rep := &Report{Config: cfg, Campaign: results.Campaign{
+		Seed:       cfg.Seed,
+		Scale:      cfg.Scale,
+		Spread:     cfg.Spread,
+		MaxInsts:   cfg.MaxInsts,
+		Injections: cfg.Injections,
+		Bits:       cfg.Bits,
+		Workloads:  cfg.Workloads,
+		Modes:      harness.CampaignNames(cfg.Modes),
+		Faults:     harness.CampaignNames(cfg.Kinds),
+	}}
+	var tasks []task
+	rep.Rows, tasks = plan(cfg, prepareCells(ctx, r, cfg))
 
 	// Phase 3: execute the injections, sharded across the pool. Outcomes
 	// land in a per-task slot, so aggregation order (phase 4) is fixed no
-	// matter which worker ran what.
+	// matter which worker ran what; an empty slot marks an injection the
+	// shard never finished.
 	outcomes := make([]Outcome, len(tasks))
 	count := harness.ProgressCounter(len(tasks), onProgress)
 	r.Shard(ctx, len(tasks), func(ctx context.Context, i int) {
@@ -217,19 +218,21 @@ func RunCampaign(ctx context.Context, r *harness.Runner, cfg Config, onProgress 
 	})
 
 	// Phase 4: aggregate in plan order.
-	rep := &Report{Config: cfg, Rows: rows}
 	for i, t := range tasks {
+		row := &rep.Rows[t.row]
 		if o := outcomes[i]; o != "" {
-			rep.Rows[t.row].Stats.Add(o)
-		} else if rep.Rows[t.row].Error == "" {
-			rep.Rows[t.row].Error = harness.FirstLine(harness.NotExecuted(ctx, notRun).Error())
+			Add(&row.Outcomes, o)
+		} else if row.Error == "" {
+			row.Error = harness.FirstLine(harness.NotExecuted(ctx, notRun).Error())
 		}
 	}
 	for i := range rep.Rows {
-		if rep.Rows[i].Error != "" {
+		row := &rep.Rows[i]
+		row.DetectionRate = DetectionRate(row.Outcomes)
+		if row.Error != "" {
 			rep.Partial = true
 		}
-		rep.Totals.Merge(rep.Rows[i].Stats)
+		Merge(&rep.Totals, row.Outcomes)
 	}
 	return rep, nil
 }
@@ -277,12 +280,13 @@ func prepareCells(ctx context.Context, r *harness.Runner, cfg Config) []*cell {
 // plan is fully deterministic: injection j of a (workload, mode, kind) row
 // picks its site and flip mask from a seed derived from exactly those
 // coordinates.
-func plan(cfg Config, cells []*cell) (rows []Row, tasks []task) {
+func plan(cfg Config, cells []*cell) (rows []results.CampaignRow, tasks []task) {
+	rows = make([]results.CampaignRow, 0, len(cells)*len(cfg.Kinds))
 	for _, c := range cells {
 		counts := splitInjections(cfg.Injections, len(c.kinds))
 		for ki, k := range c.kinds {
 			rowIdx := len(rows)
-			rows = append(rows, Row{Workload: c.workload, Mode: c.mode, Kind: k})
+			rows = append(rows, results.CampaignRow{Workload: c.workload, Mode: c.mode.String(), Fault: string(k)})
 			if c.err != nil {
 				rows[rowIdx].Error = harness.FirstLine(c.err.Error())
 				continue
@@ -358,54 +362,9 @@ func runArmedAt(ctx context.Context, p *cpu.Pipeline, f Fault, budget uint64) (r
 	return res, err
 }
 
-// Envelope renders the report as the versioned wire document every surface
-// emits (results schema v3, kind "campaign").
-func (rep *Report) Envelope() results.Envelope {
-	modes := make([]string, len(rep.Config.Modes))
-	for i, m := range rep.Config.Modes {
-		modes[i] = m.String()
-	}
-	kinds := make([]string, len(rep.Config.Kinds))
-	for i, k := range rep.Config.Kinds {
-		kinds[i] = string(k)
-	}
-	c := results.Campaign{
-		Seed:       rep.Config.Seed,
-		Scale:      rep.Config.Scale,
-		Spread:     rep.Config.Spread,
-		MaxInsts:   rep.Config.MaxInsts,
-		Injections: rep.Config.Injections,
-		Bits:       rep.Config.Bits,
-		Workloads:  rep.Config.Workloads,
-		Modes:      modes,
-		Faults:     kinds,
-		Rows:       make([]results.CampaignRow, 0, len(rep.Rows)),
-	}
-	for _, r := range rep.Rows {
-		c.Rows = append(c.Rows, results.CampaignRow{
-			Workload:      r.Workload,
-			Mode:          r.Mode.String(),
-			Fault:         string(r.Kind),
-			Outcomes:      counts(r.Stats),
-			DetectionRate: r.Stats.DetectionRate(),
-			Error:         r.Error,
-		})
-	}
-	c.Totals = counts(rep.Totals)
-	return results.NewCampaign(c)
-}
-
-func counts(s Stats) results.CampaignCounts {
-	return results.CampaignCounts{
-		Injected:            s.Injected,
-		DetectedUnmappedRPC: s.DetectedUnmappedR,
-		DetectedIllegal:     s.DetectedIllegal,
-		Crashes:             s.Crashes,
-		SDC:                 s.SilentCorruptions,
-		Masked:              s.Masked,
-		Hangs:               s.Hangs,
-	}
-}
+// Envelope wraps the report's document in the versioned wire envelope every
+// surface emits (results schema v3, kind "campaign").
+func (rep *Report) Envelope() results.Envelope { return results.NewCampaign(rep.Campaign) }
 
 // Table renders the report as the human-readable coverage table
 // `experiments -mode faults` prints: one row per (workload, mode, fault kind), then a
@@ -418,60 +377,45 @@ func (rep *Report) Table() *harness.Table {
 		Columns: []string{"workload", "mode", "fault", "inj", "det-rpc", "det-illegal",
 			"crash", "sdc", "masked", "hang", "detected"},
 		Note: fmt.Sprintf("seed %d, %d injections per workload x mode cell, %d-bit flips, reference cap %d insts",
-			rep.Config.Seed, rep.Config.Injections, rep.Config.Bits, rep.Config.MaxInsts),
+			rep.Seed, rep.Injections, rep.Bits, rep.MaxInsts),
 	}
 	u := func(v uint64) string { return fmt.Sprintf("%d", v) }
-	for _, r := range rep.Rows {
+	for _, r := range slices.Concat(rep.Rows, rep.ControlAggregates()) {
 		if r.Error != "" {
-			t.Rows = append(t.Rows, []string{r.Workload, r.Mode.String(), string(r.Kind),
-				"error: " + r.Error})
+			t.Rows = append(t.Rows, []string{r.Workload, r.Mode, r.Fault, "error: " + r.Error})
 			continue
 		}
-		s := r.Stats
+		s := r.Outcomes
 		t.Rows = append(t.Rows, []string{
-			r.Workload, r.Mode.String(), string(r.Kind),
-			u(s.Injected), u(s.DetectedUnmappedR), u(s.DetectedIllegal),
-			u(s.Crashes), u(s.SilentCorruptions), u(s.Masked), u(s.Hangs),
-			fmt.Sprintf("%.1f%%", 100*s.DetectionRate()),
-		})
-	}
-	for _, agg := range rep.ControlAggregates() {
-		s := agg.Stats
-		t.Rows = append(t.Rows, []string{
-			"(all)", agg.Mode.String(), "(control-flow)",
-			u(s.Injected), u(s.DetectedUnmappedR), u(s.DetectedIllegal),
-			u(s.Crashes), u(s.SilentCorruptions), u(s.Masked), u(s.Hangs),
-			fmt.Sprintf("%.1f%%", 100*s.DetectionRate()),
+			r.Workload, r.Mode, r.Fault,
+			u(s.Injected), u(s.DetectedUnmappedRPC), u(s.DetectedIllegal),
+			u(s.Crashes), u(s.SDC), u(s.Masked), u(s.Hangs),
+			fmt.Sprintf("%.1f%%", 100*r.DetectionRate),
 		})
 	}
 	return t
 }
 
-// ModeAggregate is one mode's merged statistics over the control-flow
-// fault kinds.
-type ModeAggregate struct {
-	Mode  cpu.Mode
-	Stats Stats
-}
-
 // ControlAggregates merges each mode's rows over the control-flow fault
 // kinds (branch/indirect/return targets and DRC entries — everything but
-// opcode flips, which any decoder catches). This is the quantity the
-// paper's dependability argument ranks: VCFR must detect strictly more of
-// these than the baseline.
-func (rep *Report) ControlAggregates() []ModeAggregate {
-	control := make(map[Kind]bool)
+// opcode flips, which any decoder catches), one row per mode in the
+// config's order, labelled workload "(all)" and fault "(control-flow)".
+// This is the quantity the paper's dependability argument ranks: VCFR must
+// detect strictly more of these than the baseline.
+func (rep *Report) ControlAggregates() []results.CampaignRow {
+	control := make(map[string]bool)
 	for _, k := range ControlKinds() {
-		control[k] = true
+		control[string(k)] = true
 	}
-	out := make([]ModeAggregate, 0, len(rep.Config.Modes))
-	for _, m := range rep.Config.Modes {
-		agg := ModeAggregate{Mode: m}
+	out := make([]results.CampaignRow, 0, len(rep.Modes))
+	for _, m := range rep.Modes {
+		agg := results.CampaignRow{Workload: "(all)", Mode: m, Fault: "(control-flow)"}
 		for _, r := range rep.Rows {
-			if r.Mode == m && control[r.Kind] && r.Error == "" {
-				agg.Stats.Merge(r.Stats)
+			if r.Mode == m && control[r.Fault] && r.Error == "" {
+				Merge(&agg.Outcomes, r.Outcomes)
 			}
 		}
+		agg.DetectionRate = DetectionRate(agg.Outcomes)
 		out = append(out, agg)
 	}
 	return out

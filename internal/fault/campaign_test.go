@@ -36,7 +36,15 @@ func TestCampaignGolden(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	path := filepath.Join("testdata", "campaign.golden.json")
+	checkGolden(t, "campaign.golden.json", got)
+	checkGolden(t, "table.golden", []byte(rep.Table().Render()))
+}
+
+// checkGolden compares got with testdata/name, or rewrites the file under
+// -update.
+func checkGolden(t *testing.T, name string, got []byte) {
+	t.Helper()
+	path := filepath.Join("testdata", name)
 	if *update {
 		if err := os.MkdirAll("testdata", 0o755); err != nil {
 			t.Fatal(err)
@@ -51,7 +59,7 @@ func TestCampaignGolden(t *testing.T) {
 		t.Fatalf("%v (run with -update to regenerate)", err)
 	}
 	if !bytes.Equal(got, want) {
-		t.Errorf("campaign envelope drifted from %s\n--- got ---\n%.2000s", path, got)
+		t.Errorf("%s drifted\n--- got ---\n%.2000s", path, got)
 	}
 }
 
@@ -68,34 +76,34 @@ func TestVCFRDetectsMoreControlFaults(t *testing.T) {
 	if rep.Partial {
 		t.Fatal("canonical campaign reported partial")
 	}
-	rates := make(map[cpu.Mode]float64)
-	for _, agg := range rep.ControlAggregates() {
-		if agg.Stats.Injected == 0 {
-			t.Fatalf("mode %s aggregated zero control-flow injections", agg.Mode)
-		}
-		rates[agg.Mode] = agg.Stats.DetectionRate()
-	}
-	if rates[cpu.ModeVCFR] <= rates[cpu.ModeBaseline] {
+	aggs := controlByMode(t, rep)
+	vcfr, baseline := aggs[cpu.ModeVCFR.String()], aggs[cpu.ModeBaseline.String()]
+	if vcfr.DetectionRate <= baseline.DetectionRate {
 		t.Errorf("VCFR control-flow detection rate %.3f not strictly above baseline %.3f",
-			rates[cpu.ModeVCFR], rates[cpu.ModeBaseline])
+			vcfr.DetectionRate, baseline.DetectionRate)
 	}
 	// The paper's mechanism, specifically: VCFR must catch faults via the
 	// unmapped-RPC path, which the other two architectures cannot.
-	var vcfr, baseline Stats
-	for _, agg := range rep.ControlAggregates() {
-		switch agg.Mode {
-		case cpu.ModeVCFR:
-			vcfr = agg.Stats
-		case cpu.ModeBaseline:
-			baseline = agg.Stats
-		}
-	}
-	if vcfr.DetectedUnmappedR == 0 {
+	if vcfr.Outcomes.DetectedUnmappedRPC == 0 {
 		t.Error("VCFR detected no faults via the unmapped-RPC path")
 	}
-	if baseline.DetectedUnmappedR != 0 {
-		t.Errorf("baseline claims %d unmapped-RPC detections; it has no randomized space", baseline.DetectedUnmappedR)
+	if n := baseline.Outcomes.DetectedUnmappedRPC; n != 0 {
+		t.Errorf("baseline claims %d unmapped-RPC detections; it has no randomized space", n)
 	}
+}
+
+// controlByMode keys the report's control-flow aggregates by mode, failing
+// on a mode that aggregated nothing.
+func controlByMode(t *testing.T, rep *Report) map[string]results.CampaignRow {
+	t.Helper()
+	out := make(map[string]results.CampaignRow)
+	for _, agg := range rep.ControlAggregates() {
+		if agg.Outcomes.Injected == 0 {
+			t.Fatalf("mode %s aggregated zero control-flow injections", agg.Mode)
+		}
+		out[agg.Mode] = agg
+	}
+	return out
 }
 
 // TestCampaignDeterministicAcrossWorkers locks worker-count independence:
@@ -150,12 +158,43 @@ func TestCampaignCancellation(t *testing.T) {
 	}
 	for _, r := range rep.Rows {
 		if r.Error == "" {
-			t.Errorf("row %s/%s/%s executed under a cancelled context", r.Workload, r.Mode, r.Kind)
+			t.Errorf("row %s/%s/%s executed under a cancelled context", r.Workload, r.Mode, r.Fault)
 		}
 	}
 	env := rep.Envelope()
 	if !env.Campaign.Partial {
 		t.Error("envelope of cancelled campaign not marked partial")
+	}
+}
+
+// TestCampaignCancelledMidFlight cancels a running campaign after its first
+// finished injection: every row either finished cleanly or carries the
+// context's error, both kinds of row exist, and the report is partial.
+func TestCampaignCancelledMidFlight(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	rep, err := RunCampaign(ctx, harness.NewRunner(1), Config{
+		Workloads: []string{"bzip2"}, Injections: 10, MaxInsts: 5000,
+	}, func(harness.Progress) { cancel() })
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !rep.Partial {
+		t.Error("campaign cancelled mid-flight not marked partial")
+	}
+	var finished, cancelled int
+	for _, r := range rep.Rows {
+		switch r.Error {
+		case "":
+			finished++
+		case context.Canceled.Error():
+			cancelled++
+		default:
+			t.Errorf("row %s/%s/%s: error %q, want none or %q", r.Workload, r.Mode, r.Fault, r.Error, context.Canceled)
+		}
+	}
+	if finished == 0 || cancelled == 0 {
+		t.Errorf("%d finished and %d cancelled rows, want some of each", finished, cancelled)
 	}
 }
 

@@ -9,9 +9,10 @@
 // The pieces: a typed fault model (Kind), a per-injection Injector that
 // draws its bit flips from a seeded PRNG so every injection replays
 // bit-identically, an outcome taxonomy (Outcome, Classify) measured against
-// a clean reference run, Stats counters registered in the stats spine, and
-// a campaign runner (campaign.go) that shards thousands of injections over
-// the harness worker pool and emits a paper-style detection-coverage table.
+// a clean reference run, counters over the results.CampaignCounts histogram
+// (Add, Merge, Register), and a campaign runner (campaign.go) that shards
+// thousands of injections over the harness worker pool and emits a
+// paper-style detection-coverage table.
 package fault
 
 import (
@@ -24,6 +25,7 @@ import (
 	"vcfr/internal/cpu"
 	"vcfr/internal/emu"
 	"vcfr/internal/isa"
+	"vcfr/internal/results"
 	"vcfr/internal/stats"
 )
 
@@ -282,68 +284,55 @@ func Classify(res cpu.Result, err error, ref Reference) Outcome {
 	return OutcomeSDC
 }
 
-// Stats counts classified injections. It registers into the stats spine
-// under the fault.* namespace and is the aggregation unit of campaign rows.
-type Stats struct {
-	Injected          uint64 `json:"injected"`
-	DetectedUnmappedR uint64 `json:"detected_unmapped_rpc"`
-	DetectedIllegal   uint64 `json:"detected_illegal_instruction"`
-	Crashes           uint64 `json:"crashes"`
-	SilentCorruptions uint64 `json:"silent_data_corruptions"`
-	Masked            uint64 `json:"masked"`
-	Hangs             uint64 `json:"hangs"`
-}
-
-// Register adds the counters to a registry under the fault.* namespace.
-func (s *Stats) Register(r *stats.Registry) {
-	f := r.Scope("fault")
-	f.Counter("injected", "Fault injections executed and classified.", &s.Injected)
-	f.Counter("detected.unmapped_rpc", "Injections detected as a control transfer to an unmapped/prohibited randomized address.", &s.DetectedUnmappedR)
-	f.Counter("detected.illegal_instruction", "Injections detected by a failed fetch/decode or illegal opcode.", &s.DetectedIllegal)
-	f.Counter("crashes", "Injections that died on another architectural fault.", &s.Crashes)
-	f.Counter("sdc", "Injections that silently corrupted the final program state.", &s.SilentCorruptions)
-	f.Counter("masked", "Injections whose final program state matched the clean reference.", &s.Masked)
-	f.Counter("hangs", "Injections still running at the instruction budget after the reference halted.", &s.Hangs)
-}
-
-// Add counts one classified injection.
-func (s *Stats) Add(o Outcome) {
-	s.Injected++
+// Add counts one classified injection into c, the outcome histogram of a
+// campaign row, of a campaign's totals, or of the service's running
+// fault.* series.
+func Add(c *results.CampaignCounts, o Outcome) {
+	c.Injected++
 	switch o {
 	case OutcomeDetectedRPC:
-		s.DetectedUnmappedR++
+		c.DetectedUnmappedRPC++
 	case OutcomeDetectedIllegal:
-		s.DetectedIllegal++
+		c.DetectedIllegal++
 	case OutcomeCrash:
-		s.Crashes++
+		c.Crashes++
 	case OutcomeSDC:
-		s.SilentCorruptions++
+		c.SDC++
 	case OutcomeMasked:
-		s.Masked++
+		c.Masked++
 	case OutcomeHang:
-		s.Hangs++
+		c.Hangs++
 	}
 }
 
-// Merge accumulates other into s.
-func (s *Stats) Merge(other Stats) {
-	s.Injected += other.Injected
-	s.DetectedUnmappedR += other.DetectedUnmappedR
-	s.DetectedIllegal += other.DetectedIllegal
-	s.Crashes += other.Crashes
-	s.SilentCorruptions += other.SilentCorruptions
-	s.Masked += other.Masked
-	s.Hangs += other.Hangs
+// Merge accumulates src into dst.
+func Merge(dst *results.CampaignCounts, src results.CampaignCounts) {
+	dst.Injected += src.Injected
+	dst.DetectedUnmappedRPC += src.DetectedUnmappedRPC
+	dst.DetectedIllegal += src.DetectedIllegal
+	dst.Crashes += src.Crashes
+	dst.SDC += src.SDC
+	dst.Masked += src.Masked
+	dst.Hangs += src.Hangs
 }
 
-// Detected returns how many injections the architecture caught (control
-// violation or illegal instruction).
-func (s Stats) Detected() uint64 { return s.DetectedUnmappedR + s.DetectedIllegal }
-
-// DetectionRate returns Detected / Injected (0 when nothing was injected).
-func (s Stats) DetectionRate() float64 {
-	if s.Injected == 0 {
+// DetectionRate returns the share of c's injections the architecture caught
+// (control violation or illegal instruction); 0 when nothing was injected.
+func DetectionRate(c results.CampaignCounts) float64 {
+	if c.Injected == 0 {
 		return 0
 	}
-	return float64(s.Detected()) / float64(s.Injected)
+	return float64(c.DetectedUnmappedRPC+c.DetectedIllegal) / float64(c.Injected)
+}
+
+// Register adds c's counters to a registry under the fault.* namespace.
+func Register(r *stats.Registry, c *results.CampaignCounts) {
+	f := r.Scope("fault")
+	f.Counter("injected", "Fault injections executed and classified.", &c.Injected)
+	f.Counter("detected.unmapped_rpc", "Injections detected as a control transfer to an unmapped/prohibited randomized address.", &c.DetectedUnmappedRPC)
+	f.Counter("detected.illegal_instruction", "Injections detected by a failed fetch/decode or illegal opcode.", &c.DetectedIllegal)
+	f.Counter("crashes", "Injections that died on another architectural fault.", &c.Crashes)
+	f.Counter("sdc", "Injections that silently corrupted the final program state.", &c.SDC)
+	f.Counter("masked", "Injections whose final program state matched the clean reference.", &c.Masked)
+	f.Counter("hangs", "Injections still running at the instruction budget after the reference halted.", &c.Hangs)
 }

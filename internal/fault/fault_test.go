@@ -9,6 +9,7 @@ import (
 	"vcfr/internal/cpu"
 	"vcfr/internal/emu"
 	"vcfr/internal/isa"
+	"vcfr/internal/results"
 	"vcfr/internal/stats"
 )
 
@@ -202,19 +203,19 @@ func TestReferenceBudget(t *testing.T) {
 // TestStatsSpine locks the fault.* registration: names, order, and that Add
 // routes every outcome to its counter.
 func TestStatsSpine(t *testing.T) {
-	var s Stats
+	var s results.CampaignCounts
 	for _, o := range Outcomes() {
-		s.Add(o)
+		Add(&s, o)
 	}
 	if s.Injected != uint64(len(Outcomes())) {
 		t.Errorf("Injected = %d, want %d", s.Injected, len(Outcomes()))
 	}
-	if s.Detected() != 2 || s.DetectionRate() != 2.0/float64(len(Outcomes())) {
-		t.Errorf("Detected = %d rate = %v", s.Detected(), s.DetectionRate())
+	if s.DetectedUnmappedRPC+s.DetectedIllegal != 2 || DetectionRate(s) != 2.0/float64(len(Outcomes())) {
+		t.Errorf("counts %+v, detection rate %v", s, DetectionRate(s))
 	}
 
 	r := stats.New()
-	s.Register(r)
+	Register(r, &s)
 	var names []string
 	var sum uint64
 	r.Snapshot().Each(func(d stats.Desc, v stats.Value) {
@@ -236,10 +237,10 @@ func TestStatsSpine(t *testing.T) {
 		t.Errorf("registered values sum to %d, want %d", sum, 2*len(Outcomes()))
 	}
 
-	var m Stats
-	m.Merge(s)
-	m.Merge(s)
-	if m.Injected != 2*s.Injected || m.Hangs != 2*s.Hangs {
+	var m results.CampaignCounts
+	Merge(&m, s)
+	Merge(&m, s)
+	if m.Injected != 2*s.Injected || m.Hangs != 2*s.Hangs || m.SDC != 2*s.SDC {
 		t.Errorf("Merge: %+v", m)
 	}
 }

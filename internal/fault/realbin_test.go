@@ -28,29 +28,16 @@ func TestVCFRDetectsMoreControlFaultsOnRealBinary(t *testing.T) {
 	if rep.Partial {
 		t.Fatal("campaign over elf-dispatch reported partial")
 	}
-	rates := make(map[cpu.Mode]float64)
-	var vcfr, baseline Stats
-	for _, agg := range rep.ControlAggregates() {
-		if agg.Stats.Injected == 0 {
-			t.Fatalf("mode %s aggregated zero control-flow injections", agg.Mode)
-		}
-		rates[agg.Mode] = agg.Stats.DetectionRate()
-		switch agg.Mode {
-		case cpu.ModeVCFR:
-			vcfr = agg.Stats
-		case cpu.ModeBaseline:
-			baseline = agg.Stats
-		}
-	}
-	if rates[cpu.ModeVCFR] <= rates[cpu.ModeBaseline] {
+	aggs := controlByMode(t, rep)
+	vcfr, baseline := aggs[cpu.ModeVCFR.String()], aggs[cpu.ModeBaseline.String()]
+	if vcfr.DetectionRate <= baseline.DetectionRate {
 		t.Errorf("VCFR control-flow detection rate %.3f not strictly above baseline %.3f on real code",
-			rates[cpu.ModeVCFR], rates[cpu.ModeBaseline])
+			vcfr.DetectionRate, baseline.DetectionRate)
 	}
-	if vcfr.DetectedUnmappedR == 0 {
+	if vcfr.Outcomes.DetectedUnmappedRPC == 0 {
 		t.Error("VCFR detected no faults via the unmapped-RPC path on real code")
 	}
-	if baseline.DetectedUnmappedR != 0 {
-		t.Errorf("baseline claims %d unmapped-RPC detections; it has no randomized space",
-			baseline.DetectedUnmappedR)
+	if n := baseline.Outcomes.DetectedUnmappedRPC; n != 0 {
+		t.Errorf("baseline claims %d unmapped-RPC detections; it has no randomized space", n)
 	}
 }

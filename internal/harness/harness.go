@@ -89,6 +89,17 @@ func CampaignDefaults(names *[]string, modes *[]cpu.Mode, seed *int64, scale, sp
 	}
 }
 
+// CampaignNames renders a campaign's scope list (modes, fault kinds,
+// payloads, cells) as the strings its results document carries: each
+// element's String method, or the string itself.
+func CampaignNames[T any](xs []T) []string {
+	out := make([]string, len(xs))
+	for i, x := range xs {
+		out[i] = fmt.Sprint(x)
+	}
+	return out
+}
+
 // CheckCampaign validates a campaign's workload names and modes; pkg
 // prefixes the unknown-mode error.
 func CheckCampaign(pkg string, names []string, modes []cpu.Mode) error {

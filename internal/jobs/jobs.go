@@ -113,7 +113,9 @@ func names() string {
 type Outcome struct {
 	Envelope results.Envelope
 	// Report is the campaign's report (*fault.Report, *attack.Report or
-	// *multicore.Report); nil for run and sweep.
+	// *multicore.Report), whose document Envelope wraps; nil for run and
+	// sweep. Everything a consumer reads is in Envelope; the report adds
+	// the text table.
 	Report Report
 	// Incomplete is non-nil when the envelope is partial: some cells or
 	// injections failed or were cancelled. Its text is the CLI's exit

@@ -114,16 +114,12 @@ func (c Config) validate() error {
 	return nil
 }
 
-// Report is one campaign's full result, already in wire-row form (the
-// campaign plans in the exact order the envelope pins, so there is nothing
-// to re-derive at marshal time).
+// Report is one campaign's result. It is the campaign's results document
+// (header, rows, per-(cell, mode) totals, per-mode summaries, Partial) as
+// the envelope carries it, next to the defaulted Config that produced it.
 type Report struct {
-	Config    Config
-	Rows      []results.MulticoreRow
-	Totals    []results.MulticoreTotal
-	Summaries []results.MulticoreModeSummary
-	// Partial is true when any row carries an error.
-	Partial bool
+	results.Multicore
+	Config Config
 }
 
 // instance is one prepared tenant: a workload at one randomization epoch.
@@ -256,7 +252,16 @@ func RunCampaign(ctx context.Context, r *harness.Runner, cfg Config, onProgress 
 	})
 
 	// Phase 3: aggregate in plan order.
-	rep := &Report{Config: cfg}
+	rep := &Report{Config: cfg, Multicore: results.Multicore{
+		Seed:      cfg.Seed,
+		Scale:     cfg.Scale,
+		Spread:    cfg.Spread,
+		MaxInsts:  cfg.MaxInsts,
+		Quantum:   cfg.Quantum,
+		Workloads: cfg.Workloads,
+		Modes:     harness.CampaignNames(cfg.Modes),
+		Cells:     harness.CampaignNames(cfg.Cells),
+	}}
 	soloIPC := make([]float64, len(solos))
 	for u, s := range solos {
 		inst, mode := instances[u/len(cfg.Modes)], cfg.Modes[u%len(cfg.Modes)]
@@ -404,31 +409,9 @@ func (rep *Report) Summary(mode cpu.Mode) *results.MulticoreModeSummary {
 	return nil
 }
 
-// Envelope renders the report as the versioned wire document every surface
-// emits (results schema v5, kind "multicore").
-func (rep *Report) Envelope() results.Envelope {
-	modes := make([]string, len(rep.Config.Modes))
-	for i, m := range rep.Config.Modes {
-		modes[i] = m.String()
-	}
-	cells := make([]string, len(rep.Config.Cells))
-	for i, c := range rep.Config.Cells {
-		cells[i] = c.String()
-	}
-	return results.NewMulticore(results.Multicore{
-		Seed:      rep.Config.Seed,
-		Scale:     rep.Config.Scale,
-		Spread:    rep.Config.Spread,
-		MaxInsts:  rep.Config.MaxInsts,
-		Quantum:   rep.Config.Quantum,
-		Workloads: rep.Config.Workloads,
-		Modes:     modes,
-		Cells:     cells,
-		Rows:      rep.Rows,
-		Summaries: rep.Summaries,
-		Totals:    rep.Totals,
-	})
-}
+// Envelope wraps the report's document in the versioned wire envelope every
+// surface emits (results schema v5, kind "multicore").
+func (rep *Report) Envelope() results.Envelope { return results.NewMulticore(rep.Multicore) }
 
 // Table renders the report as the human-readable interference table
 // `experiments -mode multicore` prints: one row per tenant (solo references
@@ -441,7 +424,7 @@ func (rep *Report) Table() *harness.Table {
 		Columns: []string{"cell", "mode", "tenant", "core", "workload", "epoch",
 			"insts", "cycles", "ipc", "solo-ipc", "slowdown", "drc-flush", "drc-miss"},
 		Note: fmt.Sprintf("seed %d, quantum %d insts, per-tenant cap %d insts; slowdown = solo IPC / co-run IPC (geomean per mode)",
-			rep.Config.Seed, rep.Config.Quantum, rep.Config.MaxInsts),
+			rep.Seed, rep.Quantum, rep.MaxInsts),
 	}
 	u := func(v uint64) string { return fmt.Sprintf("%d", v) }
 	f := func(v float64) string { return fmt.Sprintf("%.4f", v) }

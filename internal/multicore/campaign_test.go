@@ -35,7 +35,15 @@ func TestCampaignGolden(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	path := filepath.Join("testdata", "multicore.golden.json")
+	checkGolden(t, "multicore.golden.json", got)
+	checkGolden(t, "table.golden", []byte(rep.Table().Render()))
+}
+
+// checkGolden compares got with testdata/name, or rewrites the file under
+// -update.
+func checkGolden(t *testing.T, name string, got []byte) {
+	t.Helper()
+	path := filepath.Join("testdata", name)
 	if *update {
 		if err := os.MkdirAll("testdata", 0o755); err != nil {
 			t.Fatal(err)
@@ -50,7 +58,7 @@ func TestCampaignGolden(t *testing.T) {
 		t.Fatalf("%v (run with -update to regenerate)", err)
 	}
 	if !bytes.Equal(got, want) {
-		t.Errorf("multicore envelope drifted from %s\n--- got ---\n%.2000s", path, got)
+		t.Errorf("%s drifted\n--- got ---\n%.2000s", path, got)
 	}
 }
 

@@ -7,8 +7,6 @@ import (
 	"sync"
 	"time"
 
-	"vcfr/internal/attack"
-	"vcfr/internal/fault"
 	"vcfr/internal/harness"
 	"vcfr/internal/jobs"
 	"vcfr/internal/results"
@@ -250,11 +248,6 @@ func (s *Server) execute(ctx context.Context, j *Job) (results.Envelope, error) 
 	}
 	// Finished fault and attack campaigns feed the cumulative fault.* and
 	// attack.* series on /metrics.
-	switch rep := out.Report.(type) {
-	case *fault.Report:
-		s.metrics.campaignFinished(rep.Totals)
-	case *attack.Report:
-		s.metrics.attackCampaignFinished(rep.Totals)
-	}
+	s.metrics.campaignFinished(out.Envelope)
 	return out.Envelope, nil
 }

@@ -12,6 +12,7 @@ import (
 	"vcfr/internal/fault"
 	"vcfr/internal/harness"
 	"vcfr/internal/realbin"
+	"vcfr/internal/results"
 	"vcfr/internal/stats"
 )
 
@@ -44,11 +45,11 @@ type metrics struct {
 
 	// Fault-campaign outcome totals, merged in as each campaign job
 	// finishes, plus the count of finished campaigns.
-	faults    fault.Stats
+	faults    results.CampaignCounts
 	campaigns uint64
 
 	// Attack-campaign activity totals, merged in the same way.
-	attacks         attack.Stats
+	attacks         results.AttackCounts
 	attackCampaigns uint64
 
 	// Mirror of the process-wide real-binary front-end totals (lifts,
@@ -84,9 +85,9 @@ func newMetrics() *metrics {
 	r.Counter("app.memo.hits", "Prepared-app memo hits (workload build and ILR rewrite reused).", &m.caches.appHits)
 	r.Counter("app.memo.misses", "Prepared-app memo misses (each one rewrote a layout, and built the workload if the runner did not hold it).", &m.caches.appMisses)
 	r.Counter("fault.campaigns", "Fault-injection campaigns finished.", &m.campaigns)
-	m.faults.Register(r)
+	fault.Register(r, &m.faults)
 	r.Counter("attack.campaigns", "Adversary-in-the-loop attack campaigns finished.", &m.attackCampaigns)
-	m.attacks.Register(r)
+	attack.Register(r, &m.attacks)
 	m.realbin.Register(r)
 	m.reg = r
 	return m
@@ -122,22 +123,20 @@ func (m *metrics) jobStarted(queueWait time.Duration) {
 	m.queueWait.observe(queueWait.Seconds())
 }
 
-// campaignFinished folds one finished campaign's outcome totals into the
-// cumulative fault.* counters.
-func (m *metrics) campaignFinished(st fault.Stats) {
+// campaignFinished folds a finished job's campaign totals into the
+// cumulative fault.* or attack.* counters. Envelopes of other kinds leave
+// them alone.
+func (m *metrics) campaignFinished(env results.Envelope) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	m.campaigns++
-	m.faults.Merge(st)
-}
-
-// attackCampaignFinished folds one finished attack campaign's activity
-// totals into the cumulative attack.* counters.
-func (m *metrics) attackCampaignFinished(st attack.Stats) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.attackCampaigns++
-	m.attacks.Merge(st)
+	if c := env.Campaign; c != nil {
+		m.campaigns++
+		fault.Merge(&m.faults, c.Totals)
+	}
+	if a := env.Attack; a != nil {
+		m.attackCampaigns++
+		attack.Merge(&m.attacks, a.Totals)
+	}
 }
 
 // retryAfter estimates, in whole seconds, how long a refused client should

@@ -6,10 +6,9 @@ import (
 	"testing"
 	"time"
 
-	"vcfr/internal/attack"
-	"vcfr/internal/fault"
 	"vcfr/internal/realbin"
 	"vcfr/internal/realbin/fixtures"
+	"vcfr/internal/results"
 	"vcfr/internal/stats"
 )
 
@@ -24,9 +23,11 @@ func TestMetricsRegistryExactlyOnce(t *testing.T) {
 	m.jobAccepted()
 	m.jobStarted(5 * time.Millisecond)
 	m.jobFinished(true, 80*time.Millisecond)
-	m.campaignFinished(fault.Stats{Injected: 4, DetectedUnmappedR: 3, Masked: 1})
-	m.attackCampaignFinished(attack.Stats{ChainsBuilt: 5, ChainsFired: 5,
-		Successes: 2, BlockedRPC: 3, Leaks: 40, Rerandomizations: 8})
+	m.campaignFinished(results.NewCampaign(results.Campaign{
+		Totals: results.CampaignCounts{Injected: 4, DetectedUnmappedRPC: 3, Masked: 1}}))
+	m.campaignFinished(results.NewAttack(results.Attack{
+		Totals: results.AttackCounts{ChainsBuilt: 5, ChainsFired: 5,
+			Successes: 2, BlockedRPC: 3, Leaks: 40, Rerandomizations: 8}}))
 
 	var b strings.Builder
 	m.render(&b, 3, 16, cacheStats{appHits: 9, appMisses: 4})
@@ -79,11 +80,13 @@ func TestMetricsRenderFormat(t *testing.T) {
 	m.jobFinished(false, 200*time.Millisecond)
 	m.jobPanicked()
 	m.jobRejected()
-	m.campaignFinished(fault.Stats{Injected: 10, DetectedUnmappedR: 6,
-		DetectedIllegal: 2, Crashes: 1, SilentCorruptions: 1})
-	m.attackCampaignFinished(attack.Stats{ChainsBuilt: 7, ChainsFired: 6,
-		Successes: 2, BlockedRPC: 3, BlockedIllegal: 1, Leaks: 55,
-		CodePages: 40, MapPages: 15, Rerandomizations: 9})
+	m.campaignFinished(results.NewCampaign(results.Campaign{
+		Totals: results.CampaignCounts{Injected: 10, DetectedUnmappedRPC: 6,
+			DetectedIllegal: 2, Crashes: 1, SDC: 1}}))
+	m.campaignFinished(results.NewAttack(results.Attack{
+		Totals: results.AttackCounts{ChainsBuilt: 7, ChainsFired: 6,
+			Successes: 2, BlockedRPC: 3, BlockedIllegal: 1, Leaks: 55,
+			CodePages: 40, MapPages: 15, Rerandomizations: 9}}))
 
 	// The realbin counters are process-wide and refreshed into the metrics
 	// mirror at render time. Lift a fixture so they are provably nonzero,
