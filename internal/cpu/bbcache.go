@@ -289,17 +289,12 @@ func (p *Pipeline) runBlocks(limit uint64) (bool, error) {
 	if p.state.Halted {
 		return false, nil
 	}
-	if every := p.cfg.ContextSwitchEvery; every > 0 &&
-		p.stats.Instructions > 0 && p.stats.Instructions%every == 0 {
-		p.contextSwitch()
-	}
+	p.switchIfDue()
 	var (
 		insts, cycles, fetchStall uint64
 
 		base     = p.stats.Instructions
 		lineMask = ^uint32(p.cfg.Mem.IL1.LineSize - 1)
-		width    = p.cfg.IssueWidth
-		vcfr     = p.cfg.Mode == ModeVCFR
 	)
 	flush := func() {
 		p.stats.Instructions = base + insts
@@ -336,7 +331,6 @@ func (p *Pipeline) runBlocks(limit uint64) (bool, error) {
 				bubble = p.fetchSupply(d.sAddr, int(d.n))
 				fetchStall += bubble
 			}
-			cost := 1 + bubble
 
 			p.pendingDerands = 0
 			var out emu.Outcome
@@ -344,29 +338,11 @@ func (p *Pipeline) runBlocks(limit uint64) (bool, error) {
 				flush()
 				return false, err
 			}
-			if p.recorder != nil {
-				p.recorder(ExecRecord{
-					Inst:    d.in,
-					Taken:   out.Taken,
-					Target:  out.Target,
-					MemKind: out.MemKind,
-					MemAddr: out.MemAddr,
-					Derands: p.pendingDerands,
-					Halt:    p.state.Halted,
-				})
-			}
 			insts++
-			if vcfr && !p.inRand {
-				p.stats.Unrand++
-			}
-			tail, err := p.stepTail(&d.in, &out, int(d.n), d.ctl)
+			cost, err := p.stepTail(&d.in, &out, int(d.n), d.ctl, 1+bubble)
 			if err != nil {
 				flush()
 				return false, err
-			}
-			cost += tail
-			if width > 1 && p.issue.coIssues(width, d.in, out, cost != 1) {
-				cost = 0
 			}
 			cycles += cost
 			if p.state.Halted {

@@ -2,6 +2,7 @@ package cpu
 
 import (
 	"errors"
+	"fmt"
 	"testing"
 
 	"vcfr/internal/asm"
@@ -109,39 +110,56 @@ func TestPipelineSplitDRCConfig(t *testing.T) {
 	}
 }
 
-// TestPipelineTablePageProtection: a program that tries to read the
+// TestPipelineTablePageProtection: a program that tries to read or write the
 // randomization tables from user space must fault — the TLB page-visibility
-// bit of Sec. IV-B.
+// bit of Sec. IV-B — even when a word access only straddles into them, with
+// and without the block cache. A byte store just below the tables is legal,
+// and on the baseline (no tables to protect) every access just reads or
+// writes plain memory and the program halts.
 func TestPipelineTablePageProtection(t *testing.T) {
-	src := `
-.entry main
-main:
-	movi r2, 0x20000000   ; TableBase
-	load r3, [r2+0]       ; user-space read of an invisible page
-	halt
-`
-	img := asm.MustAssemble("snoop", src)
-	res, err := ilr.Rewrite(img, ilr.Options{Seed: 3})
-	if err != nil {
-		t.Fatal(err)
+	base := DefaultConfig(ModeVCFR).TableBase
+	cases := []struct {
+		name  string
+		body  string // %#x is the accessed address
+		addr  uint32
+		fault bool
+	}{
+		{"load at TableBase", "movi r2, %#x\n\tload r3, [r2+0]", base, true},
+		{"word load straddling in", "movi r2, %#x\n\tload r3, [r2+0]", base - 2, true},
+		{"word store straddling in", "movi r2, %#x\n\tstore [r2+0], r3", base - 3, true},
+		{"push straddling in", "movi sp, %#x\n\tpush r3", base + 2, true},
+		{"byte store below", "movi r2, %#x\n\tstoreb [r2+0], r3", base - 1, false},
 	}
-	p, err := New(res.VCFR, DefaultConfig(ModeVCFR), res.Tables, res.RandRA)
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, err = p.Run(0)
-	if !errors.Is(err, ErrTablePageAccess) {
-		t.Errorf("err = %v, want ErrTablePageAccess", err)
-	}
-
-	// The same program on the baseline (no tables to protect) just reads
-	// zeroes and halts.
-	pb, err := New(img, DefaultConfig(ModeBaseline), nil, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := pb.Run(0); err != nil {
-		t.Errorf("baseline run: %v", err)
+	for _, tc := range cases {
+		src := ".entry main\nmain:\n\t" + fmt.Sprintf(tc.body, tc.addr) + "\n\thalt\n"
+		img := asm.MustAssemble("snoop", src)
+		res, err := ilr.Rewrite(img, ilr.Options{Seed: 3})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, noBB := range []bool{false, true} {
+			cfg := DefaultConfig(ModeVCFR)
+			cfg.NoBlockCache = noBB
+			p, err := New(res.VCFR, cfg, res.Tables, res.RandRA)
+			if err != nil {
+				t.Fatal(err)
+			}
+			_, err = p.Run(0)
+			if tc.fault && !errors.Is(err, ErrTablePageAccess) {
+				t.Errorf("%s (nobbcache=%v): err = %v, want ErrTablePageAccess", tc.name, noBB, err)
+			}
+			if !tc.fault && (err != nil || !p.State().Halted) {
+				t.Errorf("%s (nobbcache=%v): err = %v, halted %v; want a clean halt",
+					tc.name, noBB, err, p.State().Halted)
+			}
+		}
+		pb, err := New(img, DefaultConfig(ModeBaseline), nil, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := pb.Run(0); err != nil || !pb.State().Halted {
+			t.Errorf("%s: baseline run: err = %v, halted %v", tc.name, err, pb.State().Halted)
+		}
 	}
 }
 

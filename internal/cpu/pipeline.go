@@ -384,39 +384,46 @@ func (p *Pipeline) fetchLine(line uint32) int {
 	return lat
 }
 
+// exposed is the part of a latency not hidden under overlap cycles that are
+// already being paid. It is the one overlap rule of the model: the
+// front end's fetch-ahead window, a redirect's line fill and a DRC miss
+// all charge only what sticks out past the cycles they run under.
+func exposed(lat, overlap int) uint64 {
+	if lat > overlap {
+		return uint64(lat - overlap)
+	}
+	return 0
+}
+
 // fetchSupply accounts the front-end bubbles needed to deliver the
 // instruction at sAddr (length n) along the sequential/predicted stream,
 // where the decoupled front end hides up to FetchAhead cycles.
 func (p *Pipeline) fetchSupply(sAddr uint32, n int) uint64 {
-	var bubble int
+	var bubble uint64
 	first := p.lineOf(sAddr)
 	last := p.lineOf(sAddr + uint32(n) - 1)
 	for line := first; ; line += uint32(p.cfg.Mem.IL1.LineSize) {
 		if line != p.curLine {
-			if lat := p.fetchLine(line); lat > p.cfg.FetchAhead {
-				bubble += lat - p.cfg.FetchAhead
-			}
+			bubble += exposed(p.fetchLine(line), p.cfg.FetchAhead)
 		}
 		if line == last {
 			break
 		}
 	}
-	return uint64(bubble)
+	return bubble
 }
 
-// redirectFill accounts the target-line fetch of a control-flow redirect.
-// overlap is the number of redirect cycles already being charged, which the
+// redirectFill steers fetch to next, the original-space target of a
+// control-flow redirect, and returns the target-line fetch latency exposed
+// beyond overlap: the redirect cycles already being charged, which the
 // line fetch proceeds under.
-func (p *Pipeline) redirectFill(target uint32, overlap int) uint64 {
-	line := p.lineOf(target)
+func (p *Pipeline) redirectFill(next uint32, overlap int) uint64 {
+	p.pc = next
+	line := p.lineOf(p.storageAddr(next))
 	if line == p.curLine {
 		return 0
 	}
-	lat := p.fetchLine(line)
-	if lat > overlap {
-		return uint64(lat - overlap)
-	}
-	return 0
+	return exposed(p.fetchLine(line), overlap)
 }
 
 // drcWalkAddr is the table-page address a missed key walks to (open-address
@@ -426,35 +433,34 @@ func (p *Pipeline) drcWalkAddr(key uint32) uint32 {
 	return p.cfg.TableBase + slot*8
 }
 
-// drcLookup performs a timed DRC access in the given direction. It returns
-// the translation (ok=false when the key has no entry) and the stall cycles
-// exposed beyond overlap.
-func (p *Pipeline) drcLookup(kind lookupKind, key uint32, overlap int) (val uint32, ok bool, stall uint64) {
+// drcLookup performs a timed DRC access in the given direction and returns
+// the stall cycles it exposes beyond overlap. It is the only place that
+// charges DRCStall; the caller adds the same cycles to its own account.
+func (p *Pipeline) drcLookup(kind lookupKind, key uint32, overlap int) uint64 {
 	val, hit, ok := p.drc.lookup(kind, key)
 	if hit {
-		return val, ok, 0
+		return 0
 	}
 	// Optional dedicated level-2 buffer (the paper's considered-and-rejected
 	// alternative): a hit there avoids the L2 table walk.
 	if p.drc2 != nil {
 		p.drc.stats.L2Lookups++
-		if _, hit2 := p.drc2.probe(kind, key); hit2 {
-			p.drc.stats.L2Hits++
-			if p.cfg.DRC2Latency > overlap {
-				stall = uint64(p.cfg.DRC2Latency - overlap)
-			}
-			return val, ok, stall
+		_, hit = p.drc2.probe(kind, key)
+	}
+	var lat int
+	if hit {
+		p.drc.stats.L2Hits++
+		lat = p.cfg.DRC2Latency
+	} else {
+		p.drc.stats.TableWalks++
+		lat = p.hier.L2.Access(p.phys(p.drcWalkAddr(key)), false)
+		if p.drc2 != nil && ok {
+			p.drc2.install(kind, key, val)
 		}
 	}
-	p.drc.stats.TableWalks++
-	walk := p.hier.L2.Access(p.phys(p.drcWalkAddr(key)), false)
-	if walk > overlap {
-		stall = uint64(walk - overlap)
-	}
-	if p.drc2 != nil && ok {
-		p.drc2.install(kind, key, val)
-	}
-	return val, ok, stall
+	stall := exposed(lat, overlap)
+	p.stats.DRCStall += stall
+	return stall
 }
 
 // SwitchIn models a scheduler dispatching this pipeline onto a core another
@@ -462,11 +468,7 @@ func (p *Pipeline) drcLookup(kind lookupKind, key uint32, overlap int) (val uint
 // iTLB) is flushed and refills cold. That flush is the modelled switch-in
 // cost. The block cache is kept: each tenant owns its own Pipeline, so its
 // cached blocks only ever encode this process's own image and layout.
-func (p *Pipeline) SwitchIn() { p.contextSwitch() }
-
-// contextSwitch models a switch-out/switch-in pair: process-private
-// translation state (DRC hierarchy, iTLB) is flushed.
-func (p *Pipeline) contextSwitch() {
+func (p *Pipeline) SwitchIn() {
 	if p.drc != nil {
 		p.drc.flush()
 	}
@@ -476,15 +478,22 @@ func (p *Pipeline) contextSwitch() {
 	p.itlb.flush()
 }
 
+// switchIfDue models the Config.ContextSwitchEvery switch-out/switch-in
+// pair that falls before the next instruction. Both executors call it on
+// entry; advanceTo ends every runBlocks call on a switch boundary.
+func (p *Pipeline) switchIfDue() {
+	if every := p.cfg.ContextSwitchEvery; every > 0 &&
+		p.stats.Instructions > 0 && p.stats.Instructions%every == 0 {
+		p.SwitchIn()
+	}
+}
+
 // Step executes one instruction. It returns false once the machine halts.
 func (p *Pipeline) Step() (bool, error) {
 	if p.state.Halted {
 		return false, nil
 	}
-	if every := p.cfg.ContextSwitchEvery; every > 0 &&
-		p.stats.Instructions > 0 && p.stats.Instructions%every == 0 {
-		p.contextSwitch()
-	}
+	p.switchIfDue()
 	var (
 		in         isa.Inst
 		out        emu.Outcome
@@ -532,7 +541,6 @@ func (p *Pipeline) Step() (bool, error) {
 	n := in.Len()
 	fetchBubble := p.fetchSupply(sAddr, n)
 	p.stats.FetchStall += fetchBubble
-	cost := 1 + fetchBubble
 
 	// Execute functionally — or take the recorded functional outcome.
 	if replaying {
@@ -552,51 +560,48 @@ func (p *Pipeline) Step() (bool, error) {
 			p.inject.Outcome(p.stats.Instructions, in, &p.injectOut)
 			out = p.injectOut
 		}
-		if p.recorder != nil {
-			p.recorder(ExecRecord{
-				Inst:    in,
-				Taken:   out.Taken,
-				Target:  out.Target,
-				MemKind: out.MemKind,
-				MemAddr: out.MemAddr,
-				Derands: p.pendingDerands,
-				Halt:    p.state.Halted,
-			})
-		}
 	}
 	p.stats.Instructions++
-	if p.cfg.Mode == ModeVCFR && !p.inRand {
-		p.stats.Unrand++
-	}
 	cls := in.Class()
-	tail, err := p.stepTail(&in, &out, n, cls.IsControl() && cls != isa.ClassHalt)
+	cost, err := p.stepTail(&in, &out, n, cls.IsControl() && cls != isa.ClassHalt, 1+fetchBubble)
 	if err != nil {
 		return false, err
-	}
-	cost += tail
-
-	// Multi-issue: a simple, hazard-free ALU instruction that incurred no
-	// stalls joins the current issue group for free. At width 1 coIssues is
-	// always false and its state is never consulted, so skip it entirely.
-	if p.cfg.IssueWidth > 1 && p.issue.coIssues(p.cfg.IssueWidth, in, out, cost != 1) {
-		cost = 0
 	}
 	p.stats.Cycles += cost
 	return !p.state.Halted, nil
 }
 
-// stepTail is the shared back half of one executed instruction — identical
-// for the per-instruction Step path and the block-cached executor
-// (runBlocks): page-visibility enforcement, the self-modification watch,
-// execute-stage stalls, auto-de-randomization charges, and control-flow
-// resolution (which advances the pc). n is the instruction's encoded length,
-// which both callers already hold. The returned cost excludes the base cycle
-// and the fetch bubble, which the caller owns.
-func (p *Pipeline) stepTail(in *isa.Inst, out *emu.Outcome, n int, isCtl bool) (uint64, error) {
+// stepTail is the retire tail of one executed instruction, shared by the
+// per-instruction Step path and the block-cached executor (runBlocks):
+// trace capture, the un-randomized-space count, page-visibility
+// enforcement, the self-modification watch, execute-stage stalls,
+// auto-de-randomization charges, control-flow resolution (which advances
+// the pc) and the co-issue credit. n is the instruction's encoded length,
+// which both callers already hold. cost enters as the base cycle plus the
+// fetch bubble, which the caller owns, and leaves as the instruction's
+// whole cycle count; the caller counts the instruction and its cycles.
+// stepTail is the only place that charges ControlStall.
+func (p *Pipeline) stepTail(in *isa.Inst, out *emu.Outcome, n int, isCtl bool, cost uint64) (uint64, error) {
+	// A replayed record is already a capture; only executed outcomes are
+	// recorded.
+	if p.recorder != nil && p.replay == nil {
+		p.recorder(ExecRecord{
+			Inst:    *in,
+			Taken:   out.Taken,
+			Target:  out.Target,
+			MemKind: out.MemKind,
+			MemAddr: out.MemAddr,
+			Derands: p.pendingDerands,
+			Halt:    p.state.Halted,
+		})
+	}
+	vcfr := p.cfg.Mode == ModeVCFR
+	if vcfr && !p.inRand {
+		p.stats.Unrand++
+	}
 	// Page-visibility enforcement: the translation tables are invisible to
-	// user-space data accesses.
-	if p.cfg.Mode == ModeVCFR && out.MemKind != emu.MemNone &&
-		out.MemAddr >= p.cfg.TableBase && out.MemAddr < p.tableEnd {
+	// user-space data accesses, including any that only straddle into them.
+	if vcfr && out.MemKind != emu.MemNone && p.touchesTables(out.MemAddr, accessSize(in.Op)) {
 		return 0, fmt.Errorf("%w: %#x", ErrTablePageAccess, out.MemAddr)
 	}
 	if p.bb != nil && out.MemKind == emu.MemStore {
@@ -604,7 +609,7 @@ func (p *Pipeline) stepTail(in *isa.Inst, out *emu.Outcome, n int, isCtl bool) (
 	}
 
 	// Execution-stage stalls.
-	cost := p.execStall(in, out)
+	cost += p.execStall(in, out)
 
 	// Auto-de-randomized stack loads each pay a standalone DRC lookup,
 	// keyed by the randomized value the load translated (an instruction
@@ -616,8 +621,7 @@ func (p *Pipeline) stepTail(in *isa.Inst, out *emu.Outcome, n int, isCtl bool) (
 		if p.replay != nil {
 			key = out.MemAddr
 		}
-		_, _, stall := p.drcLookup(lookupDerand, key, 0)
-		p.stats.DRCStall += stall
+		stall := p.drcLookup(lookupDerand, key, 0)
 		p.stats.ControlStall += stall
 		cost += stall
 	}
@@ -628,11 +632,39 @@ func (p *Pipeline) stepTail(in *isa.Inst, out *emu.Outcome, n int, isCtl bool) (
 		if err != nil {
 			return 0, err
 		}
+		p.stats.ControlStall += ctl
 		cost += ctl
 	} else {
 		p.pc = in.Addr + uint32(n)
 	}
+
+	// Multi-issue: a simple, hazard-free ALU instruction that incurred no
+	// stalls joins the current issue group for free. At width 1 coIssues is
+	// always false and its state is never consulted, so skip it entirely.
+	if w := p.cfg.IssueWidth; w > 1 && p.issue.coIssues(w, *in, *out, cost != 1) {
+		cost = 0
+	}
 	return cost, nil
+}
+
+// accessSize is the byte width of op's data access: one for the byte
+// load and store, a word for every other access (push and pop included).
+func accessSize(op isa.Op) uint32 {
+	if op == isa.OpLoadB || op == isa.OpStoreB {
+		return 1
+	}
+	return 4
+}
+
+// touchesTables reports whether the size-byte access at addr reaches a
+// translation-table byte. The access ends at the top of the address space
+// rather than wrapping around to its bottom.
+func (p *Pipeline) touchesTables(addr, size uint32) bool {
+	last := addr + size - 1
+	if last < addr {
+		last = ^uint32(0)
+	}
+	return addr < p.tableEnd && last >= p.cfg.TableBase
 }
 
 // execStall accounts execute-stage stalls: data-cache misses, long-latency
@@ -692,66 +724,56 @@ func (p *Pipeline) resolveTarget(target uint32) (uint32, error) {
 }
 
 // control accounts prediction, redirect, and DRC costs for an executed
-// control-transfer instruction, and advances the pc.
+// control-transfer instruction, advances the pc, and returns the cycles
+// for the caller to charge to ControlStall.
+//
+// A taken transfer the BTB misses or mispredicts redirects at one of two
+// costs. A direct one (branch, jump, call) resolves at decode, since it
+// carries its target: it pays DecodeRedirect, and its randomized target is an
+// immediate that the pre-decode pipeline exposes while the front end is
+// still running ahead, so the DRC walk overlaps the fetch-ahead window. A
+// register-indirect one (jmpr, callr) is a full misprediction, as are a
+// mispredicted branch direction and a mispredicted return.
 func (p *Pipeline) control(in isa.Inst, out emu.Outcome) (uint64, error) {
 	idx := p.predictIndex(in.Addr)
-	var cost uint64
-
-	// Architectural target in the executed space; nextUPC computed below.
-	switch in.Class() {
+	bp := &p.stats.BPred
+	mp := p.cfg.MispredictPenalty
+	switch cls := in.Class(); cls {
 	case isa.ClassBranch:
 		p.stats.Branches++
-		p.stats.BPred.CondLookups++
+		bp.CondLookups++
 		predicted := p.gsh.predict(idx)
 		p.gsh.update(idx, out.Taken)
 		switch {
 		case predicted != out.Taken:
-			p.stats.BPred.CondMispred++
-			cost += uint64(p.cfg.MispredictPenalty)
+			bp.CondMispred++
 			if out.Taken {
-				c, err := p.redirect(in, out, p.cfg.MispredictPenalty)
-				if err != nil {
-					return 0, err
-				}
-				cost += c
-			} else {
-				p.pc = in.NextAddr()
-				cost += p.redirectFill(p.storageAddr(p.pc), p.cfg.MispredictPenalty)
+				return p.mispredicted(out.Target)
 			}
+			return uint64(mp) + p.redirectFill(in.NextAddr(), mp), nil
 		case out.Taken:
-			c, err := p.predictedTaken(idx, in, out)
-			if err != nil {
-				return 0, err
-			}
-			cost += c
-		default:
-			p.pc = in.NextAddr()
+			return p.taken(idx, out.Target, p.cfg.DecodeRedirect, p.cfg.FetchAhead, &bp.BTBWrongTgt)
 		}
-		p.stats.ControlStall += cost
-		return cost, nil
+		p.pc = in.NextAddr()
+		return 0, nil
 
 	case isa.ClassJump:
 		p.stats.Jumps++
-		c, err := p.predictedTaken(idx, in, out)
-		if err != nil {
-			return 0, err
-		}
-		p.stats.ControlStall += c
-		return c, nil
+		return p.taken(idx, out.Target, p.cfg.DecodeRedirect, p.cfg.FetchAhead, &bp.BTBWrongTgt)
+
+	case isa.ClassJumpR:
+		p.stats.Indirects++
+		return p.taken(idx, out.Target, mp, mp, &bp.IndirectWrong)
 
 	case isa.ClassCall, isa.ClassCallR:
-		if in.Class() == isa.ClassCall {
-			p.stats.Calls++
-		} else {
-			p.stats.Calls++
-			p.stats.Indirects++
-		}
+		p.stats.Calls++
 		var c uint64
 		var err error
-		if in.Class() == isa.ClassCall {
-			c, err = p.predictedTaken(idx, in, out)
+		if cls == isa.ClassCall {
+			c, err = p.taken(idx, out.Target, p.cfg.DecodeRedirect, p.cfg.FetchAhead, &bp.BTBWrongTgt)
 		} else {
-			c, err = p.indirectResolve(idx, in, out)
+			p.stats.Indirects++
+			c, err = p.taken(idx, out.Target, mp, mp, &bp.IndirectWrong)
 		}
 		if err != nil {
 			return 0, err
@@ -766,169 +788,92 @@ func (p *Pipeline) control(in isa.Inst, out emu.Outcome) (uint64, error) {
 				// randomized RA. The fall-through address is known as soon as
 				// the call is decoded, so the decoupled front end starts the
 				// walk in the fetch-ahead shadow.
-				_, _, stall := p.drcLookup(lookupRand, nextUPC, p.cfg.FetchAhead)
-				p.stats.DRCStall += stall
-				c += stall
+				c += p.drcLookup(lookupRand, nextUPC, p.cfg.FetchAhead)
 			}
 		}
 		p.ras.push(targetPair{orig: nextUPC, rand: pushed})
-		p.stats.BPred.RASPushes++
-		p.stats.ControlStall += c
+		bp.RASPushes++
 		return c, nil
 
 	case isa.ClassRet:
 		p.stats.Rets++
 		p.stats.Indirects++
-		p.stats.BPred.RASPops++
+		bp.RASPops++
 		pair, ok := p.ras.pop()
 		if ok && pair.rand == out.Target {
 			// Correct RAS prediction: fetch already redirected to pair.orig.
-			p.pc = pair.orig
-			p.inRandAfterRet(out.Target)
-			c := uint64(p.cfg.TakenBubble)
-			c += p.redirectFill(p.storageAddr(p.pc), p.cfg.FetchAhead)
-			p.stats.ControlStall += c
-			return c, nil
+			if p.cfg.Mode == ModeVCFR {
+				_, p.inRand = p.trans.ToOrig(out.Target)
+			}
+			return uint64(p.cfg.TakenBubble) + p.redirectFill(pair.orig, p.cfg.FetchAhead), nil
 		}
-		p.stats.BPred.RASMispred++
-		cost = uint64(p.cfg.MispredictPenalty)
-		c, err := p.redirect(in, out, p.cfg.MispredictPenalty)
-		if err != nil {
-			return 0, err
-		}
-		cost += c
-		p.stats.ControlStall += cost
-		return cost, nil
-
-	case isa.ClassJumpR:
-		p.stats.Indirects++
-		c, err := p.indirectResolve(idx, in, out)
-		if err != nil {
-			return 0, err
-		}
-		p.stats.ControlStall += c
-		return c, nil
+		bp.RASMispred++
+		return p.mispredicted(out.Target)
 	}
 	return 0, fmt.Errorf("cpu: unexpected control class %v", in.Class())
 }
 
-// inRandAfterRet updates the space flag after a correctly predicted return.
-func (p *Pipeline) inRandAfterRet(target uint32) {
-	if p.cfg.Mode != ModeVCFR {
-		return
-	}
-	if _, ok := p.trans.ToOrig(target); ok {
-		p.inRand = true
-	} else {
-		p.inRand = false
-	}
-}
-
-// predictedTaken handles a direct transfer that is actually taken: BTB hit
-// with the right target is a cheap front-end redirect; otherwise the jump
-// resolves at decode (direct transfers carry their target), paying the
-// decode-redirect penalty and, under VCFR, a DRC de-randomization of the
-// randomized target.
-func (p *Pipeline) predictedTaken(idx uint32, in isa.Inst, out emu.Outcome) (uint64, error) {
+// taken handles a BTB-predicted transfer that is actually taken to the
+// architectural target. A BTB hit with the right target is a cheap
+// front-end redirect; otherwise the transfer redirects with the caller's
+// miss penalty and DRC overlap (see control), and a hit on the wrong
+// target counts in wrongTgt.
+func (p *Pipeline) taken(idx, target uint32, penalty, drcOverlap int, wrongTgt *uint64) (uint64, error) {
 	p.stats.BPred.BTBLookups++
 	pair, hit := p.btb.lookup(idx)
-	nextUPC, err := p.resolveTarget(out.Target)
+	next, err := p.resolveTarget(target)
 	if err != nil {
 		return 0, err
 	}
 	var cost uint64
-	switch {
-	case hit && pair.rand == out.Target:
+	if hit && pair.rand == target {
 		cost = uint64(p.cfg.TakenBubble)
-		cost += p.rpcPredictionTax(out.Target)
-		p.pc = nextUPC
-		cost += p.redirectFill(p.storageAddr(nextUPC), p.cfg.FetchAhead)
-	default:
+		// The PredictOnRPC ablation: when the front end predicts in
+		// randomized space, even a correct taken prediction must
+		// de-randomize the predicted target through the DRC before fetch can
+		// use it (Sec. IV-D explains that VCFR avoids exactly this by
+		// predicting on UPC).
+		if p.cfg.PredictOnRPC && p.cfg.Mode == ModeVCFR {
+			cost += p.drcLookup(lookupDerand, target, p.cfg.TakenBubble)
+		}
+		cost += p.redirectFill(next, p.cfg.FetchAhead)
+	} else {
 		if hit {
-			p.stats.BPred.BTBWrongTgt++
+			*wrongTgt++
 		} else {
 			p.stats.BPred.BTBMisses++
 		}
-		cost = uint64(p.cfg.DecodeRedirect)
-		if p.cfg.Mode == ModeVCFR {
-			// A direct transfer's randomized target is an immediate: the
-			// pre-decode pipeline exposes it while the front end is still
-			// running ahead, so the walk overlaps the fetch-ahead window.
-			_, _, stall := p.drcLookup(lookupDerand, out.Target, p.cfg.FetchAhead)
-			p.stats.DRCStall += stall
-			cost += stall
-		}
-		p.pc = nextUPC
-		cost += p.redirectFill(p.storageAddr(nextUPC), int(cost))
+		cost = p.redirect(next, target, penalty, drcOverlap)
 	}
-	p.btb.install(idx, targetPair{orig: nextUPC, rand: out.Target})
+	p.btb.install(idx, targetPair{orig: next, rand: target})
 	return cost, nil
 }
 
-// indirectResolve handles register-indirect transfers: BTB-predicted when the
-// stored randomized target matches the register value; a full misprediction
-// otherwise.
-func (p *Pipeline) indirectResolve(idx uint32, in isa.Inst, out emu.Outcome) (uint64, error) {
-	p.stats.BPred.BTBLookups++
-	pair, hit := p.btb.lookup(idx)
-	nextUPC, err := p.resolveTarget(out.Target)
+// mispredicted redirects a transfer whose predicted target was wrong: a
+// taken branch predicted not-taken, or a return the RAS mispredicted.
+func (p *Pipeline) mispredicted(target uint32) (uint64, error) {
+	next, err := p.resolveTarget(target)
 	if err != nil {
 		return 0, err
 	}
-	var cost uint64
-	if hit && pair.rand == out.Target {
-		cost = uint64(p.cfg.TakenBubble)
-		cost += p.rpcPredictionTax(out.Target)
-		p.pc = nextUPC
-		cost += p.redirectFill(p.storageAddr(nextUPC), p.cfg.FetchAhead)
-	} else {
-		if hit {
-			p.stats.BPred.IndirectWrong++
-		} else {
-			p.stats.BPred.BTBMisses++
-		}
-		cost = uint64(p.cfg.MispredictPenalty)
-		if p.cfg.Mode == ModeVCFR {
-			_, _, stall := p.drcLookup(lookupDerand, out.Target, p.cfg.MispredictPenalty)
-			p.stats.DRCStall += stall
-			cost += stall
-		}
-		p.pc = nextUPC
-		cost += p.redirectFill(p.storageAddr(nextUPC), int(cost))
-	}
-	p.btb.install(idx, targetPair{orig: nextUPC, rand: out.Target})
-	return cost, nil
+	return p.redirect(next, target, p.cfg.MispredictPenalty, p.cfg.MispredictPenalty), nil
 }
 
-// rpcPredictionTax models the PredictOnRPC ablation: when the front end
-// predicts in randomized space, even a correct taken prediction must
-// de-randomize the predicted target through the DRC before fetch can use it
-// (Sec. IV-D explains that VCFR avoids exactly this by predicting on UPC).
-func (p *Pipeline) rpcPredictionTax(randTarget uint32) uint64 {
-	if !p.cfg.PredictOnRPC || p.cfg.Mode != ModeVCFR {
-		return 0
-	}
-	_, _, stall := p.drcLookup(lookupDerand, randTarget, p.cfg.TakenBubble)
-	p.stats.DRCStall += stall
-	return stall
-}
-
-// redirect handles the taken side of a mispredicted transfer: resolve the
-// target (with DRC under VCFR) and refill the fetch stream.
-func (p *Pipeline) redirect(in isa.Inst, out emu.Outcome, overlap int) (uint64, error) {
-	nextUPC, err := p.resolveTarget(out.Target)
-	if err != nil {
-		return 0, err
-	}
-	var cost uint64
+// redirect steers fetch to next, the resolved original-space pc of the
+// architectural target, after a mispredicted or unpredicted transfer. It
+// charges
+//
+//	penalty + max(0, walk − drcOverlap) + max(0, fill − (penalty + walk stall))
+//
+// where walk is the DRC de-randomization of target (VCFR only) and fill is
+// the target line's fetch: the walk hides under drcOverlap cycles and the
+// fill under everything charged before it.
+func (p *Pipeline) redirect(next, target uint32, penalty, drcOverlap int) uint64 {
+	cost := uint64(penalty)
 	if p.cfg.Mode == ModeVCFR {
-		_, _, stall := p.drcLookup(lookupDerand, out.Target, overlap)
-		p.stats.DRCStall += stall
-		cost += stall
+		cost += p.drcLookup(lookupDerand, target, drcOverlap)
 	}
-	p.pc = nextUPC
-	cost += p.redirectFill(p.storageAddr(nextUPC), overlap+int(cost))
-	return cost, nil
+	return cost + p.redirectFill(next, int(cost))
 }
 
 // Run executes up to maxInsts instructions (0 means emu.DefaultMaxSteps) and

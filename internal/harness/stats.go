@@ -68,15 +68,15 @@ func StatsSweepProgress(ctx context.Context, r *Runner, cfg Config, onProgress f
 			if err != nil {
 				return Cell{}, err
 			}
-			var cellInsts uint64
-			for _, mode := range cpu.AllModes() {
-				res, ccfg, err := s.runMode(ctx, app, mode, cfg.MaxInsts, nil)
-				if err != nil {
-					return Cell{}, err
-				}
-				cellInsts += res.Stats.Instructions
-				runs[i] = append(runs[i], RunRow(name, mode, cfg.Seed, ccfg, res, app.R))
+			rows, err := app.RunRows(ctx, cpu.AllModes(), cfg.MaxInsts, nil)
+			if err != nil {
+				return Cell{}, err
 			}
+			var cellInsts uint64
+			for _, row := range rows {
+				cellInsts += row.Result.Stats.Instructions
+			}
+			runs[i] = rows
 			count(cellInsts)
 			return Cell{}, nil
 		})
