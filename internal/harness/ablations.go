@@ -27,7 +27,7 @@ func AblationDRCAssoc(s *Sweep, cfg Config) (*Table, error) {
 	}
 	cells := s.mapCells(cfg, cfg.names(ablationSet),
 		func(ctx context.Context, cfg Config, name string) (Cell, error) {
-			app, err := s.r.Prepare(ctx, name, cfg)
+			app, err := s.r.layout(ctx, name, cfg, ilr.Options{})
 			if err != nil {
 				return Cell{}, err
 			}
@@ -66,7 +66,7 @@ func AblationSplitDRC(s *Sweep, cfg Config) (*Table, error) {
 	}
 	cells := s.mapCells(cfg, cfg.names(ablationSet),
 		func(ctx context.Context, cfg Config, name string) (Cell, error) {
-			app, err := s.r.Prepare(ctx, name, cfg)
+			app, err := s.r.layout(ctx, name, cfg, ilr.Options{})
 			if err != nil {
 				return Cell{}, err
 			}
@@ -110,7 +110,7 @@ func AblationRetRand(s *Sweep, cfg Config) (*Table, error) {
 			var c Cell
 			var baseIPC float64
 			for _, m := range modes {
-				app, err := s.r.prepareOpts(ctx, name, cfg, ilr.Options{RetRand: m})
+				app, err := s.r.layout(ctx, name, cfg, ilr.Options{RetRand: m})
 				if err != nil {
 					return Cell{}, err
 				}
@@ -149,7 +149,7 @@ func AblationPredictSpace(s *Sweep, cfg Config) (*Table, error) {
 	}
 	cells := s.mapCells(cfg, cfg.names(ablationSet),
 		func(ctx context.Context, cfg Config, name string) (Cell, error) {
-			app, err := s.r.Prepare(ctx, name, cfg)
+			app, err := s.r.layout(ctx, name, cfg, ilr.Options{})
 			if err != nil {
 				return Cell{}, err
 			}
@@ -189,11 +189,11 @@ func AblationPageConfined(s *Sweep, cfg Config) (*Table, error) {
 	}
 	cells := s.mapCells(cfg, cfg.names([]string{"gcc", "xalan", "h264ref", "sjeng"}),
 		func(ctx context.Context, cfg Config, name string) (Cell, error) {
-			free, err := s.r.prepareOpts(ctx, name, cfg, ilr.Options{})
+			free, err := s.r.layout(ctx, name, cfg, ilr.Options{})
 			if err != nil {
 				return Cell{}, err
 			}
-			conf, err := s.r.prepareOpts(ctx, name, cfg, ilr.Options{PageConfined: true})
+			conf, err := s.r.layout(ctx, name, cfg, ilr.Options{PageConfined: true})
 			if err != nil {
 				return Cell{}, err
 			}
@@ -228,7 +228,7 @@ func AblationDRC2(s *Sweep, cfg Config) (*Table, error) {
 	}
 	cells := s.mapCells(cfg, cfg.names(ablationSet),
 		func(ctx context.Context, cfg Config, name string) (Cell, error) {
-			app, err := s.r.Prepare(ctx, name, cfg)
+			app, err := s.r.layout(ctx, name, cfg, ilr.Options{})
 			if err != nil {
 				return Cell{}, err
 			}
@@ -279,7 +279,7 @@ func AblationContextSwitch(s *Sweep, cfg Config) (*Table, error) {
 	}
 	cells := s.mapCells(cfg, cfg.names(ablationSet),
 		func(ctx context.Context, cfg Config, name string) (Cell, error) {
-			app, err := s.r.Prepare(ctx, name, cfg)
+			app, err := s.r.layout(ctx, name, cfg, ilr.Options{})
 			if err != nil {
 				return Cell{}, err
 			}
@@ -322,7 +322,7 @@ func BaselineInPlace(s *Sweep, cfg Config) (*Table, error) {
 	}
 	cells := s.mapCells(cfg, cfg.names(workloads.SpecNames),
 		func(ctx context.Context, cfg Config, name string) (Cell, error) {
-			app, err := s.r.Prepare(ctx, name, cfg)
+			app, err := s.r.layout(ctx, name, cfg, ilr.Options{})
 			if err != nil {
 				return Cell{}, err
 			}
@@ -376,7 +376,7 @@ func ExtensionSuperscalar(s *Sweep, cfg Config) (*Table, error) {
 	}
 	cells := s.mapCells(cfg, cfg.names(ablationSet),
 		func(ctx context.Context, cfg Config, name string) (Cell, error) {
-			app, err := s.r.Prepare(ctx, name, cfg)
+			app, err := s.r.layout(ctx, name, cfg, ilr.Options{})
 			if err != nil {
 				return Cell{}, err
 			}
@@ -425,7 +425,7 @@ func ExtensionMulticore(s *Sweep, cfg Config) (*Table, error) {
 			pair := strings.SplitN(pairName, "/", 2)
 			apps := make([]*App, 2)
 			for i, name := range pair {
-				a, err := s.r.Prepare(ctx, name, cfg)
+				a, err := s.r.layout(ctx, name, cfg, ilr.Options{})
 				if err != nil {
 					return Cell{}, err
 				}

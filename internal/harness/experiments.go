@@ -7,6 +7,7 @@ import (
 
 	"vcfr/internal/cpu"
 	"vcfr/internal/gadget"
+	"vcfr/internal/ilr"
 	"vcfr/internal/power"
 	"vcfr/internal/workloads"
 )
@@ -95,7 +96,7 @@ func Fig2(s *Sweep, cfg Config) (*Table, error) {
 	}
 	cells := s.mapCells(cfg, cfg.names(workloads.Fig2Names),
 		func(ctx context.Context, cfg Config, name string) (Cell, error) {
-			app, err := s.r.Prepare(ctx, name, cfg)
+			app, err := s.r.layout(ctx, name, cfg, ilr.Options{})
 			if err != nil {
 				return Cell{}, err
 			}
@@ -131,7 +132,7 @@ func Fig3(s *Sweep, cfg Config) (*Table, error) {
 	}
 	cells := s.mapCells(cfg, cfg.names(workloads.SpecNames),
 		func(ctx context.Context, cfg Config, name string) (Cell, error) {
-			app, err := s.r.Prepare(ctx, name, cfg)
+			app, err := s.r.layout(ctx, name, cfg, ilr.Options{})
 			if err != nil {
 				return Cell{}, err
 			}
@@ -182,7 +183,7 @@ func Fig4(s *Sweep, cfg Config) (*Table, error) {
 	}
 	cells := s.mapCells(cfg, cfg.names(workloads.SpecNames),
 		func(ctx context.Context, cfg Config, name string) (Cell, error) {
-			app, err := s.r.Prepare(ctx, name, cfg)
+			app, err := s.r.layout(ctx, name, cfg, ilr.Options{})
 			if err != nil {
 				return Cell{}, err
 			}
@@ -222,7 +223,7 @@ func Table1(s *Sweep, cfg Config) (*Table, error) {
 	}
 	cells := s.mapCells(cfg, []string{name},
 		func(ctx context.Context, cfg Config, name string) (Cell, error) {
-			app, err := s.r.Prepare(ctx, name, cfg)
+			app, err := s.r.layout(ctx, name, cfg, ilr.Options{})
 			if err != nil {
 				return Cell{}, err
 			}
@@ -321,7 +322,7 @@ func Fig11(s *Sweep, cfg Config) (*Table, error) {
 	}
 	cells := s.mapCells(cfg, cfg.names(workloads.SpecNames),
 		func(ctx context.Context, cfg Config, name string) (Cell, error) {
-			app, err := s.r.Prepare(ctx, name, cfg)
+			app, err := s.r.layout(ctx, name, cfg, ilr.Options{})
 			if err != nil {
 				return Cell{}, err
 			}
@@ -350,7 +351,7 @@ func Payloads(s *Sweep, cfg Config) (*Table, error) {
 	}
 	cells := s.mapCells(cfg, cfg.names(workloads.SpecNames),
 		func(ctx context.Context, cfg Config, name string) (Cell, error) {
-			app, err := s.r.Prepare(ctx, name, cfg)
+			app, err := s.r.layout(ctx, name, cfg, ilr.Options{})
 			if err != nil {
 				return Cell{}, err
 			}
@@ -392,7 +393,7 @@ func Fig12(s *Sweep, cfg Config) (*Table, error) {
 	}
 	cells := s.mapCells(cfg, cfg.names(workloads.SpecNames),
 		func(ctx context.Context, cfg Config, name string) (Cell, error) {
-			app, err := s.r.Prepare(ctx, name, cfg)
+			app, err := s.r.layout(ctx, name, cfg, ilr.Options{})
 			if err != nil {
 				return Cell{}, err
 			}
@@ -427,7 +428,7 @@ func Fig13(s *Sweep, cfg Config) (*Table, error) {
 	}
 	cells := s.mapCells(cfg, cfg.names(workloads.SpecNames),
 		func(ctx context.Context, cfg Config, name string) (Cell, error) {
-			app, err := s.r.Prepare(ctx, name, cfg)
+			app, err := s.r.layout(ctx, name, cfg, ilr.Options{})
 			if err != nil {
 				return Cell{}, err
 			}
@@ -470,7 +471,7 @@ func Fig14(s *Sweep, cfg Config) (*Table, error) {
 	}
 	cells := s.mapCells(cfg, cfg.names(workloads.SpecNames),
 		func(ctx context.Context, cfg Config, name string) (Cell, error) {
-			app, err := s.r.Prepare(ctx, name, cfg)
+			app, err := s.r.layout(ctx, name, cfg, ilr.Options{})
 			if err != nil {
 				return Cell{}, err
 			}
@@ -522,7 +523,7 @@ func Fig15(s *Sweep, cfg Config) (*Table, error) {
 	}
 	cells := s.mapCells(cfg, cfg.names(workloads.SpecNames),
 		func(ctx context.Context, cfg Config, name string) (Cell, error) {
-			app, err := s.r.Prepare(ctx, name, cfg)
+			app, err := s.r.layout(ctx, name, cfg, ilr.Options{})
 			if err != nil {
 				return Cell{}, err
 			}

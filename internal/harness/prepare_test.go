@@ -40,7 +40,7 @@ func TestProgramMemoMatchesUncached(t *testing.T) {
 			for _, opts := range []ilr.Options{{}, {PageConfined: true}} {
 				label := fmt.Sprintf("%s/seed-%d/%+v", name, seed, opts)
 				cfg := Config{Seed: seed}
-				got, err := r.prepareOpts(ctx, name, cfg, opts)
+				got, err := r.layout(ctx, name, cfg, opts)
 				if err != nil {
 					t.Fatalf("%s: memoized: %v", label, err)
 				}

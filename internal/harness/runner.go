@@ -39,16 +39,18 @@ type Runner struct {
 
 	// Preparation is memoized in two steps, both deterministic in their
 	// key. programs holds each workload built and analysed once per (name,
-	// scale); apps holds each layout of a program, per (name, layout seed,
-	// spread, scale, rewriter options). An app's build takes its program
-	// from programs, so every layout of one workload shares its image,
-	// input and CFG.
+	// scale); apps holds each layout of a program that Prepare built, per
+	// (name, layout seed, spread, scale). Every layout takes its program
+	// from programs, so all layouts of one workload share its image, input
+	// and CFG; table cells take theirs through layout and keep none.
 	programs memo[*program]
 	apps     memo[*App]
 }
 
-// maxApps bounds the prepared-app memo (each entry holds three images plus
-// translation tables, a few MB at most).
+// maxApps bounds the prepared-app memo. Each entry holds three images plus
+// translation tables: 64 layouts of the SPEC analogs at scale 1 retain
+// 16 MB of live heap, about 31 MB of peak RSS once the GC's headroom is
+// counted (about 0.5 MB per app).
 const maxApps = 64
 
 // maxPrograms bounds the program memo (each entry holds one workload image
@@ -402,18 +404,28 @@ func vals(cells []Cell, i int) []float64 {
 
 // appKey identifies one prepared (workload, layout) pair for the runner's
 // prepared-app memo.
-func appKey(name string, cfg Config, opts ilr.Options) string {
+func appKey(name string, cfg Config) string {
 	cfg = cfg.withDefaults()
-	return fmt.Sprintf("%s|%d|%d|%d|%#v", name, cfg.Seed, cfg.Spread, cfg.Scale, opts)
+	return fmt.Sprintf("%s|%d|%d|%d", name, cfg.Seed, cfg.Spread, cfg.Scale)
 }
 
 // Prepare is the package-level Prepare through the runner's prepared-app
 // memo, with a cancellation check first. Apps are shared by every caller
 // that asks for the same (workload, layout), concurrently too, so callers
 // treat them as read-only: pipelines copy the images they load, and
-// re-randomization returns a new result.
+// re-randomization returns a new result. Sweeps and campaigns prepare
+// here because vcfrd repeats their jobs across requests, and a repeat
+// reuses the app with the gadget pools App.Derived hangs off it; a table
+// cell, whose derived seed no other cell shares, takes a one-shot layout
+// instead.
 func (r *Runner) Prepare(ctx context.Context, name string, cfg Config) (*App, error) {
-	return r.prepareOpts(ctx, name, cfg, ilr.Options{})
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
+	cfg = cfg.withDefaults()
+	return r.apps.get(ctx, appKey(name, cfg), maxApps, func() (*App, error) {
+		return r.layout(ctx, name, cfg, ilr.Options{})
+	})
 }
 
 // PrepareEach prepares the named workloads of one campaign kind through
@@ -434,21 +446,19 @@ func (r *Runner) PrepareEach(ctx context.Context, kind string, names []string, c
 	return apps, errs
 }
 
-// prepareOpts is PrepareOpts through the runner's memos, with a
-// cancellation check first: the app memo holds the layout, and a miss
-// rewrites it from the program memo's build of the workload.
-func (r *Runner) prepareOpts(ctx context.Context, name string, cfg Config, opts ilr.Options) (*App, error) {
+// layout is PrepareOpts with the program from the runner's program memo,
+// and a cancellation check first. The app memo never sees the layout, so it
+// is garbage once the caller drops it: this is how table cells prepare.
+func (r *Runner) layout(ctx context.Context, name string, cfg Config, opts ilr.Options) (*App, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
 	cfg = cfg.withDefaults()
-	return r.apps.get(ctx, appKey(name, cfg, opts), maxApps, func() (*App, error) {
-		prog, err := r.loadProgram(ctx, name, cfg.Scale)
-		if err != nil {
-			return nil, err
-		}
-		return prog.layout(cfg, opts)
-	})
+	prog, err := r.loadProgram(ctx, name, cfg.Scale)
+	if err != nil {
+		return nil, err
+	}
+	return prog.layout(cfg, opts)
 }
 
 // loadProgram returns the named workload, built at scale and analysed,

@@ -258,6 +258,28 @@ func TestPrepareMemoizedWithoutTraces(t *testing.T) {
 	}
 }
 
+// TestTableCellsRetainNoLayouts: the paper's table cells take one-shot
+// layouts from the program memo and never touch the prepared-app memo, in
+// every registered experiment: the RetRand and PageConfined ablations and
+// entropy's spread ladder (rewriter options) included. Every cell derives
+// its own seed, so no other cell would ever hit a memoized layout.
+func TestTableCellsRetainNoLayouts(t *testing.T) {
+	r := NewRunner(2)
+	cfg := tiny()
+	cfg.MaxInsts = 20_000
+	for _, res := range r.RunAll(context.Background(), Experiments, cfg) {
+		if res.Err != nil {
+			t.Fatalf("%s: %v", res.Experiment.ID, res.Err)
+		}
+	}
+	if hits, misses := r.AppMemoStats(); hits != 0 || misses != 0 {
+		t.Errorf("app memo: %d hits, %d misses after the tables; want 0, 0", hits, misses)
+	}
+	if hits, _ := r.programs.stats(); hits == 0 {
+		t.Error("the tables never reused a memoized program")
+	}
+}
+
 // TestShardBoundsGoroutines: Shard runs its indices on at most Workers
 // goroutines, however many indices there are, and still invokes every
 // index exactly once.

@@ -43,8 +43,9 @@ func ProgressCounter(total int, onProgress func(Progress)) func(insts uint64) {
 // StatsSweepProgress simulates every configured workload (default: the 11 SPEC
 // analogs) under all three architecture modes on the runner's worker pool
 // and returns one row per (workload, mode) in stable (workload, mode) order.
-// Per-workload derived seeds and the prepared-app memo follow the same
-// rules as the table experiments.
+// Workloads take derived seeds as the table experiments' cells do, but
+// their apps go through the runner's prepared-app memo (Runner.Prepare), so
+// a repeated sweep on one runner, as a vcfrd job, reuses every layout.
 //
 // A failed or cancelled cell does not discard the sweep: its workload
 // contributes a single error row (Mode empty, Error set) and every cell

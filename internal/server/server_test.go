@@ -166,6 +166,39 @@ func TestRepeatedQueryReusesApp(t *testing.T) {
 	}
 }
 
+// TestRepeatedJobsReuseApps: a repeated sweep job and a repeated attacks
+// job on one runner take every prepared app from the memo. The repeat adds
+// one hit per workload and no miss, and answers with the same bytes.
+func TestRepeatedJobsReuseApps(t *testing.T) {
+	r := harness.NewRunner(0)
+	s := startServer(t, Config{Workers: 2, QueueDepth: 8, Runner: r})
+	for _, c := range []struct {
+		kind, body string
+		apps       uint64
+	}{
+		{"sweep", `{"kind": "sweep", "workloads": ["lbm", "h264ref"], "instructions": 20000}`, 2},
+		{"attacks", `{"kind": "attacks", "workloads": ["bzip2"], "mode": "vcfr", "payloads": ["print-and-exit"]}`, 1},
+	} {
+		resp, first, _ := runResult(t, s, c.body)
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("first %s: %d: %s", c.kind, resp.StatusCode, first)
+		}
+		hits0, misses0 := r.AppMemoStats()
+		resp, again, _ := runResult(t, s, c.body)
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("repeated %s: %d: %s", c.kind, resp.StatusCode, again)
+		}
+		hits1, misses1 := r.AppMemoStats()
+		if hits1-hits0 != c.apps || misses1 != misses0 {
+			t.Errorf("repeated %s: app memo +%d hits, +%d misses; want +%d, +0",
+				c.kind, hits1-hits0, misses1-misses0, c.apps)
+		}
+		if !bytes.Equal(first, again) {
+			t.Errorf("repeated %s answered differently:\n--- first ---\n%.400s\n--- again ---\n%.400s", c.kind, first, again)
+		}
+	}
+}
+
 // blockingExec returns a job executor that signals when a job starts and
 // holds it until released, letting tests pin the queue in known states.
 func blockingExec(started chan<- string, release <-chan struct{}) func(context.Context, *Job) (results.Envelope, error) {
